@@ -40,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, help="override the config seed")
 
     ver = sub.add_parser("verify", help="run an inequality suite")
-    ver.add_argument("--suite", default="all",
-                     help=f"one of {sorted(SUITES)} or 'all'")
+    ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 

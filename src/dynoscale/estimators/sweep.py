@@ -29,12 +29,6 @@ class ScaleSweep:
     def add(self, bracket: CountBracket) -> None:
         self.rows.append(bracket)
 
-    def cell(self, horizon: int, eps: float) -> CountBracket:
-        for br in self.rows:
-            if br.horizon == horizon and abs(br.scale - eps) < 1e-15:
-                return br
-        raise KeyError(f"no cell at n={horizon}, eps={eps}")
-
     def at_scale(self, eps: float) -> list[tuple[int, CountBracket]]:
         got = [(br.horizon, br) for br in self.rows
                if abs(br.scale - eps) < 1e-15]

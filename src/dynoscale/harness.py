@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .metric_core.counts import (ScaleGrid, max_separated, min_spanning,
-                                 min_ball_cover, min_diameter_cover,
-                                 SEPARATED, SPANNING, BALL_COVER, DIAMETER_COVER)
+from .metric_core.counts import (QUANTITY_OPS, ScaleGrid, max_separated,
+                                 min_ball_cover, SEPARATED, BALL_COVER)
 from .metric_core.cache import write_cache
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, write_estimates_csv
@@ -27,8 +26,6 @@ from .systems.kolyada import KolyadaSnohaMap
 from .systems.probe import entropy_scale_table, ladder_grid
 from .measures.atomic import measure_from_json
 from .measures.quantization import quantization_number, LP_KIND, W_KIND
-
-QUANTITIES = {SEPARATED, SPANNING, BALL_COVER, DIAMETER_COVER}
 
 
 @dataclass
@@ -54,7 +51,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data["quantities"], list) or not data["quantities"]:
         raise ConfigError("config.quantities", "must be a nonempty list")
     for q in data["quantities"]:
-        if q not in QUANTITIES:
+        if q not in QUANTITY_OPS:
             raise ConfigError("config.quantities", f"unknown quantity {q!r}")
     g = data["grid"]
     if not isinstance(g, dict):
@@ -93,13 +90,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(data)
 
 
-OPS = {
-    SEPARATED: max_separated,
-    SPANNING: min_spanning,
-    DIAMETER_COVER: min_diameter_cover,
-}
-
-
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Counts over the (horizon, scale) grid; returns the written paths."""
     out = Path(out_dir)
@@ -117,11 +107,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                 continue
             dn = bowen_space(system, n)
             for eps in scales:
-                if quantity == BALL_COVER:
-                    br = min_ball_cover(dn, eps, config.budget)
-                else:
-                    br = OPS[quantity](dn, eps, config.budget, horizon=n)
-                sweep.add(br)
+                sweep.add(QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
         path = out / f"sweep_{system.name}_{quantity}.csv"
         sweep.write_csv(path)
         written.append(path)

@@ -6,8 +6,9 @@ result to "inconclusive" rather than asserting anything.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .space import FiniteMetricSpace
 from .counts import (CountBracket, max_separated, min_spanning, min_ball_cover,
@@ -30,12 +31,20 @@ class CheckResult:
         return self.status != FAIL
 
 
-def _cell(name: str, lhs: CountBracket, rhs: CountBracket, detail: dict) -> CheckResult:
-    if lhs.mode != "exact" or rhs.mode != "exact":
+def exact_check(name: str, detail: dict, holds: Callable[..., bool],
+                **operands) -> CheckResult:
+    """PASS or FAIL by ``holds(*values)`` once every operand is exact.
+
+    Operands are count brackets or quantization reports, passed by keyword;
+    any heuristic operand makes the check inconclusive.  The exact values
+    join a copy of ``detail`` under their keywords, in order.
+    """
+    if any(op.mode != "exact" for op in operands.values()):
         return CheckResult(name, INCONCLUSIVE, detail)
-    status = PASS if lhs.value <= rhs.value else FAIL
-    detail = dict(detail, lhs=lhs.value, rhs=rhs.value)
-    return CheckResult(name, status, detail)
+    values = {key: op.value if isinstance(op, CountBracket) else op.count
+              for key, op in operands.items()}
+    status = PASS if holds(*values.values()) else FAIL
+    return CheckResult(name, status, dict(detail, **values))
 
 
 def verify_chain(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
@@ -51,26 +60,13 @@ def verify_chain(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
     span_e = min_spanning(space, eps, budget, horizon)
     cov_e = min_diameter_cover(space, eps, budget, horizon)
     cov_2e = min_diameter_cover(space, 2 * eps, budget, horizon)
-    balls_e = min_ball_cover(space, eps, budget)
+    balls_e = min_ball_cover(space, eps, budget, horizon)
+    le = operator.le
     return [
-        _cell("cover(2e)<=span(e)", cov_2e, span_e, detail),
-        _cell("span(e)<=sep(e)", span_e, sep_e, detail),
-        _cell("sep(e)<=cover(e)", sep_e, cov_e, detail),
-        _cell("sep(2e)<=balls(e)", sep_2e, balls_e, detail),
-        _cell("balls(e)<=sep(e)", balls_e, sep_e, detail),
-        _cell("cover(2e)<=cover(e)", cov_2e, cov_e, detail),
+        exact_check("cover(2e)<=span(e)", detail, le, lhs=cov_2e, rhs=span_e),
+        exact_check("span(e)<=sep(e)", detail, le, lhs=span_e, rhs=sep_e),
+        exact_check("sep(e)<=cover(e)", detail, le, lhs=sep_e, rhs=cov_e),
+        exact_check("sep(2e)<=balls(e)", detail, le, lhs=sep_2e, rhs=balls_e),
+        exact_check("balls(e)<=sep(e)", detail, le, lhs=balls_e, rhs=sep_e),
+        exact_check("cover(2e)<=cover(e)", detail, le, lhs=cov_2e, rhs=cov_e),
     ]
-
-
-def verify_subadditivity(space_n, space_m, space_nm, eps,
-                         budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """cover(n+m, e) <= cover(n, e) * cover(m, e) on exact cells."""
-    a = min_diameter_cover(space_n, eps, budget)
-    c = min_diameter_cover(space_m, eps, budget)
-    ab = min_diameter_cover(space_nm, eps, budget)
-    detail = {"eps": float(eps)}
-    if "exact" not in (a.mode,) or c.mode != "exact" or ab.mode != "exact":
-        return CheckResult("subadditivity", INCONCLUSIVE, detail)
-    status = PASS if ab.value <= a.value * c.value else FAIL
-    detail.update(combined=ab.value, left=a.value, right=c.value)
-    return CheckResult("subadditivity", status, detail)

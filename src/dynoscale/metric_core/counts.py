@@ -15,7 +15,7 @@ side) and never raise on budget exhaustion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -169,15 +169,14 @@ def _spanning_lower(space: FiniteMetricSpace, eps, greedy: list[int]) -> int:
     return max(1, min(len(sep), len(greedy)))
 
 
-def min_ball_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET) -> CountBracket:
+def min_ball_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
+                   horizon: int = 1) -> CountBracket:
     """Minimum number of open eps-balls covering the space.
 
     On a finite space every candidate centre is a point, so this coincides
     with the spanning count; the quantity tag differs for reporting.
     """
-    b = min_spanning(space, eps, budget)
-    return CountBracket(BALL_COVER, b.scale, 1, b.lower, b.upper, b.mode,
-                        method=b.method, witness=b.witness)
+    return replace(min_spanning(space, eps, budget, horizon), quantity=BALL_COVER)
 
 
 # -- diameter covers -----------------------------------------------------------
@@ -202,7 +201,7 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
     near = space.close_mask(eps, strict=True)
     np.fill_diagonal(near, False)  # clique enumeration wants an irreflexive graph
     try:
-        cliques = solvers.maximal_cliques(near, limit=100_000)
+        cliques = solvers.maximal_cliques(near, budget)
         masks = np.stack(cliques)
         chosen = solvers.exact_min_set_cover(masks, budget)
         return CountBracket(DIAMETER_COVER, eps_f, horizon, len(chosen), len(chosen),
@@ -226,5 +225,6 @@ def _diameter_cover_bracket(space: FiniteMetricSpace, eps, horizon: int) -> Coun
 QUANTITY_OPS = {
     SEPARATED: max_separated,
     SPANNING: min_spanning,
+    BALL_COVER: min_ball_cover,
     DIAMETER_COVER: min_diameter_cover,
 }

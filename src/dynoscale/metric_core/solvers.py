@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BudgetExceededError
+from ..errors import BudgetExceededError, DynoscaleError
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -175,10 +175,13 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list
 
     Disjoint instances (ultrametric ball families) resolve directly; the
     rest goes through an exact integer program (HiGHS branch and cut) with
-    the node budget mapped onto the solver's node limit.
+    the node budget mapped onto the solver's node limit.  Dominated rows are
+    left to the solver's presolve.
     """
-    m, n = masks.shape
-    work, kept = dedupe_masks(masks)
+    n = masks.shape[1]
+    kept = np.sort(_unique_rows(masks))
+    kept = kept[masks[kept].any(axis=1)]
+    work = masks[kept]
     if not work.any(axis=0).all():
         raise ValueError("universe not coverable by the given sets")
     if int(work.sum()) == n:
@@ -205,7 +208,9 @@ def _milp_min_cover(work: np.ndarray, greedy_size: int, budget: int):
         return None
     picked = [i for i in range(k) if res.x[i] > 0.5]
     # HiGHS certifies optimality; the greedy can only confirm, never beat it
-    assert len(picked) <= greedy_size
+    if len(picked) > greedy_size:
+        raise DynoscaleError(
+            f"MILP optimum {len(picked)} exceeds the greedy cover {greedy_size}")
     return picked
 
 
@@ -302,14 +307,14 @@ def _union(masks: np.ndarray, idx: list[int], n: int) -> np.ndarray:
 # -- maximal cliques ------------------------------------------------------
 
 
-def maximal_cliques(adj: np.ndarray, limit: int = 200_000) -> list[np.ndarray]:
-    """All maximal cliques (Bron-Kerbosch with pivot); raises on blowup."""
+def maximal_cliques(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[np.ndarray]:
+    """All maximal cliques (Bron-Kerbosch with pivot); one budget node per call."""
     n = adj.shape[0]
+    b = _Budget(budget)
     cliques: list[np.ndarray] = []
 
     def expand(r: list[int], p: np.ndarray, x: np.ndarray) -> None:
-        if len(cliques) > limit:
-            raise BudgetExceededError("clique enumeration overflow")
+        b.spend()
         if not p.any() and not x.any():
             mask = np.zeros(n, dtype=bool)
             mask[r] = True

@@ -9,7 +9,7 @@ sweep algorithms without ever materialising a matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class FiniteMetricSpace:
         comparison layer exact.
     labels:
         Opaque per-point descriptors; defaults to the indices.
-    exact_dist:
-        Optional callable ``(i, j) -> Fraction`` used to break ties when a
-        float comparison lands exactly on a threshold.
     """
 
     def __init__(
@@ -46,14 +43,12 @@ class FiniteMetricSpace:
         coords: Sequence | None = None,
         labels: Sequence | None = None,
         name: str = "space",
-        exact_dist: Callable[[int, int], Fraction] | None = None,
         check: bool = True,
         seed: int = 0,
     ):
         if (matrix is None) == (coords is None):
             raise ParameterError("exactly one of matrix/coords must be given")
         self.name = name
-        self.exact_dist = exact_dist
         self.coords = None
         self._matrix = None
         if coords is not None:
@@ -132,8 +127,6 @@ class FiniteMetricSpace:
         """Exact distance when available (Fractions), else the float value."""
         if self.coords is not None and isinstance(self.coords[i], Fraction):
             return abs(self.coords[i] - self.coords[j])
-        if self.exact_dist is not None:
-            return self.exact_dist(i, j)
         return self.dist(i, j)
 
     def label(self, i: int):
@@ -160,20 +153,10 @@ class FiniteMetricSpace:
         return self._matrix
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
-        """Boolean table of pairs with d < eps (strict) or d <= eps.
-
-        Ties at exactly ``eps`` are re-decided through ``exact_dist`` when
-        the space carries one.
-        """
+        """Boolean table of pairs with d < eps (strict) or d <= eps."""
         m = self.as_matrix()
         eps_f = float(eps)
-        mask = (m < eps_f) if strict else (m <= eps_f)
-        if self.exact_dist is not None and isinstance(eps, Fraction):
-            border = np.argwhere(np.isclose(m, eps_f, rtol=1e-12, atol=0))
-            for i, j in border:
-                d = self.exact_dist(int(i), int(j))
-                mask[i, j] = (d < eps) if strict else (d <= eps)
-        return mask
+        return (m < eps_f) if strict else (m <= eps_f)
 
     def permuted(self, perm: Sequence[int]) -> "FiniteMetricSpace":
         """Same space with points reindexed by ``perm`` (for invariance tests)."""
@@ -190,7 +173,6 @@ class FiniteMetricSpace:
             matrix=self._matrix[np.ix_(idx, idx)],
             labels=[self.labels[p] for p in perm],
             name=self.name,
-            exact_dist=None,
             check=False,
         )
 

@@ -9,12 +9,15 @@ live in the CLI: any failure is a verification failure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .metric_core.checks import CheckResult, PASS, FAIL, INCONCLUSIVE, verify_chain
+from .errors import BudgetExceededError
+from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_check,
+                                 verify_chain)
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
 from .metric_core.solvers import DEFAULT_BUDGET
 from .metric_core.space import FiniteMetricSpace
@@ -62,6 +65,10 @@ def _grid_for(system: DynamicalSystem) -> list[float]:
     return [diam * 0.43 * 0.57**i for i in range(4)]
 
 
+def _below_product(whole: int, left: int, right: int) -> bool:
+    return whole <= left * right
+
+
 def chain_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """The count chain and the ball/separated bracket on every shipped system."""
     report = VerificationReport("chain")
@@ -91,13 +98,9 @@ def subadditivity_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verifica
                 b = min_diameter_cover(bowen_space(system, m), eps, budget, m)
                 ab = min_diameter_cover(bowen_space(system, n + m), eps, budget, n + m)
                 detail = {"system": system.name, "n": n, "m": m, "eps": eps}
-                if "exact" != a.mode or b.mode != "exact" or ab.mode != "exact":
-                    report.checks.append(CheckResult("subadditivity", INCONCLUSIVE, detail))
-                    continue
-                ok = ab.value <= a.value * b.value
-                detail.update(combined=ab.value, left=a.value, right=b.value)
-                report.checks.append(
-                    CheckResult("subadditivity", PASS if ok else FAIL, detail))
+                report.checks.append(exact_check(
+                    "subadditivity", detail, _below_product,
+                    combined=ab, left=a, right=b))
     return report
 
 
@@ -116,12 +119,8 @@ def power_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRepo
                     lhs = max_separated(bowen_space(powered, n), eps, budget, n)
                     rhs = max_separated(bowen_space(system, ell * n), eps, budget, ell * n)
                     detail = {"system": system.name, "power": ell, "n": n, "eps": eps}
-                    if lhs.mode != "exact" or rhs.mode != "exact":
-                        report.checks.append(CheckResult("power", INCONCLUSIVE, detail))
-                        continue
-                    detail.update(lhs=lhs.value, rhs=rhs.value)
-                    report.checks.append(CheckResult(
-                        "power", PASS if lhs.value <= rhs.value else FAIL, detail))
+                    report.checks.append(exact_check(
+                        "power", detail, operator.le, lhs=lhs, rhs=rhs))
     return report
 
 
@@ -137,12 +136,8 @@ def product_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRe
             rb = min_spanning(bowen_space(b, n), eps, budget, n)
             rz = min_spanning(bowen_space(z, n), eps, budget, n)
             detail = {"system": z.name, "n": n, "eps": eps}
-            if any(r.mode != "exact" for r in (ra, rb, rz)):
-                report.checks.append(CheckResult("product", INCONCLUSIVE, detail))
-                continue
-            detail.update(combined=rz.value, left=ra.value, right=rb.value)
-            report.checks.append(CheckResult(
-                "product", PASS if rz.value <= ra.value * rb.value else FAIL, detail))
+            report.checks.append(exact_check(
+                "product", detail, _below_product, combined=rz, left=ra, right=rb))
     return report
 
 
@@ -164,12 +159,8 @@ def nonwandering_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
                 big = max_separated(dn, 2 * eps, budget, n)
                 small = max_separated(dn, eps, budget, n)
                 detail = {"system": system.name, "n": n, "eps": eps}
-                if big.mode != "exact" or small.mode != "exact":
-                    report.checks.append(CheckResult("nonwandering", INCONCLUSIVE, detail))
-                    continue
-                detail.update(lhs=big.value, rhs=small.value)
-                report.checks.append(CheckResult(
-                    "nonwandering", PASS if big.value <= small.value else FAIL, detail))
+                report.checks.append(exact_check(
+                    "nonwandering", detail, operator.le, lhs=big, rhs=small))
     return report
 
 
@@ -199,26 +190,19 @@ def shift_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
                 span_alpha = min_spanning(alphabet, eps, budget)
                 sep_shift = max_separated(bowen_space(system, n), eps, budget, n)
                 span_shift = min_spanning(bowen_space(system, n), eps, budget, n)
-                detail = {"system": system.name, "n": n, "eps": eps}
-                if any(b.mode != "exact" for b in
-                       (sep_alpha, span_alpha, sep_shift, span_shift)):
-                    report.checks.append(CheckResult("shift-bounds", INCONCLUSIVE, detail))
-                    continue
                 # net truncation caps the realized prefix count
-                depth = system.meta["depth"]
-                symbols = system.meta["symbols"]
-                sep_target = min(sep_alpha.value**n, symbols**depth)
-                ok_sep = sep_shift.value >= sep_target
-                ok_span = (math.log(span_shift.value)
-                           <= (n + scale_cap(eps)) * math.log(max(span_alpha.value, 2))
-                           + 1e-9)
-                detail.update(sep_shift=sep_shift.value, sep_target=sep_target,
-                              span_shift=span_shift.value, span_alpha=span_alpha.value,
-                              exponent=n + scale_cap(eps))
-                report.checks.append(CheckResult(
-                    "shift-separated-bound", PASS if ok_sep else FAIL, dict(detail)))
-                report.checks.append(CheckResult(
-                    "shift-spanning-bound", PASS if ok_span else FAIL, dict(detail)))
+                cap = system.meta["symbols"] ** system.meta["depth"]
+                exponent = n + scale_cap(eps)
+                detail = {"system": system.name, "n": n, "eps": eps}
+                report.checks.append(exact_check(
+                    "shift-separated-bound", dict(detail, cap=cap),
+                    lambda shift, alpha: shift >= min(alpha**n, cap),
+                    sep_shift=sep_shift, sep_alpha=sep_alpha))
+                report.checks.append(exact_check(
+                    "shift-spanning-bound", dict(detail, exponent=exponent),
+                    lambda shift, alpha: (math.log(shift)
+                                          <= exponent * math.log(max(alpha, 2)) + 1e-9),
+                    span_shift=span_shift, span_alpha=span_alpha))
     return report
 
 
@@ -246,18 +230,13 @@ def quantization_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Ve
                                                 budget=budget, horizon=n)
                         detail = {"system": system.name, "n": n, "eps": eps,
                                   "kind": kind, "support": mu.support_size}
-                        if cover.mode != "exact" or q.mode != "exact":
-                            report.checks.append(
-                                CheckResult("q-below-cover", INCONCLUSIVE, detail))
-                            continue
-                        detail.update(q=q.count, cover=cover.value)
-                        report.checks.append(CheckResult(
-                            "q-below-cover",
-                            PASS if q.count <= cover.value else FAIL, detail))
+                        report.checks.append(exact_check(
+                            "q-below-cover", detail, operator.le, q=q, cover=cover))
     return report
 
 
-def transport_floor_suite(seed: int = 0, instances: int = 200) -> VerificationReport:
+def transport_floor_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
+                          instances: int = 200) -> VerificationReport:
     """W_1 against the uniform-separated floor on constructed instances."""
     report = VerificationReport("transport-floor")
     rng = np.random.default_rng(seed)
@@ -266,8 +245,8 @@ def transport_floor_suite(seed: int = 0, instances: int = 200) -> VerificationRe
         n = int(rng.integers(1, 4))
         dn = bowen_space(system, n)
         eps = float(rng.choice([0.9, 0.3, 0.12, 0.04]))
-        bracket = max_separated(dn, eps, horizon=n)
-        atoms = bracket.witness
+        # a heuristic bracket still witnesses an eps-separated set
+        atoms = max_separated(dn, eps, budget, horizon=n).witness
         if len(atoms) < 2:
             continue
         c_nu = int(rng.integers(1, len(atoms)))
@@ -283,7 +262,8 @@ def transport_floor_suite(seed: int = 0, instances: int = 200) -> VerificationRe
     return report
 
 
-def domination_suite(seed: int = 0, pairs: int = 100) -> VerificationReport:
+def domination_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
+                     pairs: int = 100) -> VerificationReport:
     """Q(nu, t*e) >= Q(eta, e) whenever nu dominates t * eta."""
     report = VerificationReport("domination")
     rng = np.random.default_rng(seed)
@@ -303,19 +283,17 @@ def domination_suite(seed: int = 0, pairs: int = 100) -> VerificationReport:
         assert nu.dominates(eta, t)
         eps = float(rng.choice([0.4, 0.2, 0.1]))
         kind = LP_KIND if t_idx % 2 == 0 else W_KIND
-        q_eta = quantization_number(dn, eta, eps, kind=kind, horizon=n)
-        q_nu = quantization_number(dn, nu, float(t) * eps, kind=kind, horizon=n)
+        q_eta = quantization_number(dn, eta, eps, kind=kind, budget=budget, horizon=n)
+        q_nu = quantization_number(dn, nu, float(t) * eps, kind=kind, budget=budget,
+                                   horizon=n)
         detail = {"pair": t_idx, "n": n, "eps": eps, "t": str(t), "kind": kind}
-        if q_eta.mode != "exact" or q_nu.mode != "exact":
-            report.checks.append(CheckResult("domination", INCONCLUSIVE, detail))
-            continue
-        detail.update(q_eta=q_eta.count, q_nu=q_nu.count)
-        report.checks.append(CheckResult(
-            "domination", PASS if q_nu.count >= q_eta.count else FAIL, detail))
+        report.checks.append(exact_check(
+            "domination", detail, operator.le, q_eta=q_eta, q_nu=q_nu))
     return report
 
 
-def oracle_equivalence_suite(seed: int = 0, instances: int = 200) -> VerificationReport:
+def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
+                             instances: int = 200) -> VerificationReport:
     """Main solvers against the exhaustive oracles on random small instances."""
     report = VerificationReport("oracle-equivalence")
     rng = np.random.default_rng(seed)
@@ -325,16 +303,16 @@ def oracle_equivalence_suite(seed: int = 0, instances: int = 200) -> Verificatio
         space = random_space(pts, int(rng.integers(1 << 30)))
         dense = FiniteMetricSpace(matrix=space.as_matrix(), name="dense", check=False)
         eps = float(rng.uniform(0.05, 0.8)) * space.diameter
-        sep = max_separated(dense, eps)
-        span = min_spanning(dense, eps)
-        cover = min_diameter_cover(dense, eps)
-        ok = (sep.mode == span.mode == cover.mode == "exact"
-              and sep.value == oracle.brute_max_separated(space, eps)
-              and span.value == oracle.brute_min_spanning(space, eps)
-              and cover.value == oracle.brute_min_diameter_cover(space, eps))
-        report.checks.append(CheckResult(
-            "counts-vs-oracle", PASS if ok else FAIL,
-            {"instance": t, "points": pts, "eps": eps}))
+        sep = max_separated(dense, eps, budget)
+        span = min_spanning(dense, eps, budget)
+        cover = min_diameter_cover(dense, eps, budget)
+        brute = (oracle.brute_max_separated(space, eps),
+                 oracle.brute_min_spanning(space, eps),
+                 oracle.brute_min_diameter_cover(space, eps))
+        detail = {"instance": t, "points": pts, "eps": eps, "brute": brute}
+        report.checks.append(exact_check(
+            "counts-vs-oracle", detail, lambda *got: got == brute,
+            sep=sep, span=span, cover=cover))
 
     system = doubling_grid(16, horizon_cap=3)
     for t in range(instances):
@@ -365,8 +343,13 @@ def oracle_equivalence_suite(seed: int = 0, instances: int = 200) -> Verificatio
         raw = [int(x) for x in rng.integers(1, 9, size=n)]
         weights = [Fraction(r, sum(raw)) for r in raw]
         target = Fraction(int(rng.integers(1, 10)), 10)
-        got = len(exact_min_partial_cover(masks, weights, target))
         want = oracle.brute_partial_cover(masks, weights, target)
+        try:
+            got = len(exact_min_partial_cover(masks, weights, target, budget))
+        except BudgetExceededError:
+            report.checks.append(CheckResult(
+                "partial-cover-vs-oracle", INCONCLUSIVE, {"instance": t, "want": want}))
+            continue
         report.checks.append(CheckResult(
             "partial-cover-vs-oracle", PASS if got == want else FAIL,
             {"instance": t, "got": got, "want": want}))
@@ -395,8 +378,4 @@ def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verific
         return merged
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)} and 'all'")
-    fn = SUITES[name]
-    try:
-        return fn(seed=seed, budget=budget)
-    except TypeError:
-        return fn(seed=seed)
+    return SUITES[name](seed=seed, budget=budget)

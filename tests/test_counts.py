@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from dynoscale.errors import ParameterError
+from dynoscale.errors import BudgetExceededError, ParameterError
 from dynoscale.metric_core import (CountBracket, ScaleGrid, max_separated,
                                    min_ball_cover, min_diameter_cover,
                                    min_spanning, verify_chain)
+from dynoscale.metric_core import solvers
+from dynoscale.metric_core.counts import IRRATIONAL_OFFSET
 from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import (brute_max_separated, brute_min_diameter_cover,
                               brute_min_spanning)
-from dynoscale.systems import null_sequence_space, random_space
+from dynoscale.systems import (bowen_space, doubling_grid, null_sequence_space,
+                               random_space)
 
 
 def _one_point():
@@ -103,6 +106,34 @@ def test_separated_matches_brute_at_fifteen_points():
         got = max_separated(dense, eps)
         assert got.mode == "exact"
         assert got.value == brute_max_separated(sp, eps)
+
+
+def _exhausted(*args, **kwargs):
+    raise BudgetExceededError("forced")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_heuristic_fallback_sandwiches_the_oracle(seed, monkeypatch):
+    monkeypatch.setattr(solvers, "exact_max_independent_set", _exhausted)
+    monkeypatch.setattr(solvers, "exact_min_set_cover", _exhausted)
+    sp = random_space(6 + seed % 3, seed=40 + seed)
+    dense = FiniteMetricSpace(matrix=sp.as_matrix(), check=False)
+    for frac in (0.15, 0.3, 0.6):
+        eps = frac * sp.diameter
+        for op, brute in [(max_separated, brute_max_separated),
+                          (min_spanning, brute_min_spanning),
+                          (min_ball_cover, brute_min_spanning),
+                          (min_diameter_cover, brute_min_diameter_cover)]:
+            got = op(dense, eps)
+            assert got.mode == "heuristic" and got.method == "greedy"
+            assert got.lower <= brute(sp, eps) <= got.upper, (op.__name__, eps)
+
+
+def test_diameter_cover_budget_bounds_clique_enumeration():
+    dn = bowen_space(doubling_grid(256, horizon_cap=5), 3)
+    got = min_diameter_cover(dn, 0.5 * IRRATIONAL_OFFSET, budget=1000)
+    assert got.mode == "heuristic"
+    assert got.lower <= 8 <= got.upper
 
 
 def test_bracket_invariants():

@@ -1,5 +1,6 @@
 """Descriptors, configs, CLI exit codes, determinism contract."""
 
+import csv
 import json
 
 import pytest
@@ -88,6 +89,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["sweep", "--config", str(bad_path), "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_ball_cover_sweep_writes_each_horizon(tmp_path):
+    cfg = parse_config(dict(GOOD, quantities=["ball_cover"], horizons=[1, 2]))
+    path = run_sweep(cfg, tmp_path)[0]
+    rows = list(csv.DictReader(path.open()))
+    assert [r["horizon"] for r in rows] == ["1"] * 3 + ["2"] * 3
+
+
+def test_cli_unknown_suite_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
 
 
 def test_cli_quantize_and_estimate(tmp_path):

@@ -69,13 +69,21 @@ def _brute_cover(masks):
     raise AssertionError
 
 
-@pytest.mark.parametrize("seed", range(30))
+# disjoint once the empty row is dropped; kept, it would count as a third set
+EMPTY_ROW_COVER = [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("seed", [*range(30), "empty-row"])
 def test_set_cover_matches_brute(seed):
-    rng = np.random.default_rng(100 + seed)
-    n = int(rng.integers(4, 10))
-    m = int(rng.integers(3, 9))
-    masks = rng.random((m, n)) < 0.45
-    masks[rng.integers(m), :] |= ~masks.any(axis=0)  # make coverable
+    if seed == "empty-row":
+        masks = np.array(EMPTY_ROW_COVER, dtype=bool)
+        n = masks.shape[1]
+    else:
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(4, 10))
+        m = int(rng.integers(3, 9))
+        masks = rng.random((m, n)) < 0.45
+        masks[rng.integers(m), :] |= ~masks.any(axis=0)  # make coverable
     got = exact_min_set_cover(masks)
     union = np.zeros(n, dtype=bool)
     for s in got:

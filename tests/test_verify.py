@@ -22,6 +22,14 @@ def test_sampled_suites_pass_with_reduced_instance_counts():
     assert domination_suite(seed=1, pairs=25).passed
 
 
+def test_budget_reaches_sampled_suites():
+    # exhausted budgets turn exact comparisons inconclusive, never failed
+    from dynoscale.verify import oracle_equivalence_suite
+    report = oracle_equivalence_suite(seed=0, budget=1, instances=20)
+    assert report.passed, report.failures()
+    assert report.counts()["inconclusive"] > 0
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
