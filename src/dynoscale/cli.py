@@ -21,6 +21,13 @@ from .metric_core.space import FiniteMetricSpace
 from . import oracle
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynoscale",
@@ -30,19 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="count quantities over a (n, eps) grid")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--budget", type=int, help="override the config budget")
+    sweep.add_argument("--budget", type=positive_int, help="override the config budget")
     sweep.add_argument("--seed", type=int, help="override the config seed")
 
     est = sub.add_parser("estimate", help="slope estimates from a sweep config")
     est.add_argument("--config", required=True)
     est.add_argument("--out", required=True)
-    est.add_argument("--budget", type=int, help="override the config budget")
+    est.add_argument("--budget", type=positive_int, help="override the config budget")
     est.add_argument("--seed", type=int, help="override the config seed")
 
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ver.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
 
     quant = sub.add_parser("quantize", help="quantization numbers over a grid")
     quant.add_argument("--config", required=True)
@@ -53,29 +60,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _field(data: dict, key: str, convert, default=None):
+    """``convert(data[key])``; a missing or malformed value is a config error."""
+    if key not in data and default is None:
+        raise ConfigError(f"instance.{key}", "missing required key")
+    try:
+        return convert(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"instance.{key}", str(exc))
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
 def _run_oracle(path: str) -> int:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ConfigError("instance", "must be an object")
     kind = data.get("kind")
     if kind in ("separated", "spanning", "diameter_cover"):
-        matrix = np.array(data["matrix"], dtype=float)
+        matrix = _field(data, "matrix", _floats)
         space = FiniteMetricSpace(matrix=matrix, name="instance", check=False)
-        eps = float(data["eps"])
+        eps = _field(data, "eps", float)
         fn = {"separated": oracle.brute_max_separated,
               "spanning": oracle.brute_min_spanning,
               "diameter_cover": oracle.brute_min_diameter_cover}[kind]
         print(json.dumps({"kind": kind, "value": fn(space, eps)}))
         return 0
     if kind == "coupling":
-        cost = np.array(data["cost"], dtype=float)
-        a = np.array(data["a"], dtype=float)
-        b = np.array(data["b"], dtype=float)
-        value = oracle.brute_wasserstein(cost, a, b, p=float(data.get("p", 1.0)))
+        cost, a, b = (_field(data, key, _floats) for key in ("cost", "a", "b"))
+        value = oracle.brute_wasserstein(cost, a, b, p=_field(data, "p", float, 1.0))
         print(json.dumps({"kind": kind, "value": value}))
         return 0
     if kind == "partial_cover":
-        masks = np.array(data["masks"], dtype=bool)
-        value = oracle.brute_partial_cover(masks, [float(w) for w in data["weights"]],
-                                           float(data["target"]))
+        masks = _field(data, "masks", lambda v: np.array(v, dtype=bool))
+        weights = _field(data, "weights", lambda v: [float(w) for w in v])
+        value = oracle.brute_partial_cover(masks, weights, _field(data, "target", float))
         print(json.dumps({"kind": kind, "value": value}))
         return 0
     raise ConfigError("instance.kind", f"unknown oracle kind {kind!r}")

@@ -38,25 +38,6 @@ class ScaleSweep:
         got = [(br.scale, br) for br in self.rows if br.horizon == n]
         return sorted(got, reverse=True)
 
-    def check_monotone(self) -> list[str]:
-        """Bracket-consistency report: counts should not decrease with the
-        horizon nor increase with the scale (within bracket slack)."""
-        problems = []
-        horizons = sorted({br.horizon for br in self.rows})
-        scales = sorted({br.scale for br in self.rows}, reverse=True)
-        table = {(br.horizon, br.scale): br for br in self.rows}
-        for eps in scales:
-            for a, b in zip(horizons, horizons[1:]):
-                x, y = table.get((a, eps)), table.get((b, eps))
-                if x and y and y.upper < x.lower:
-                    problems.append(f"count drops from n={a} to n={b} at eps={eps}")
-        for n in horizons:
-            for e1, e2 in zip(scales, scales[1:]):  # e1 > e2
-                x, y = table.get((n, e1)), table.get((n, e2))
-                if x and y and y.upper < x.lower:
-                    problems.append(f"count drops from eps={e1} to eps={e2} at n={n}")
-        return problems
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

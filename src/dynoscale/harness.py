@@ -53,32 +53,43 @@ def parse_config(data: dict) -> ExperimentConfig:
     for q in data["quantities"]:
         if q not in QUANTITY_OPS:
             raise ConfigError("config.quantities", f"unknown quantity {q!r}")
-    g = data["grid"]
-    if not isinstance(g, dict):
-        raise ConfigError("config.grid", "must be an object")
-    for key in g:
-        if key not in {"start", "ratio", "count", "offset"}:
-            raise ConfigError(f"config.grid.{key}", "unknown key")
-    try:
-        grid = ScaleGrid(float(g["start"]), float(g["ratio"]), int(g["count"]),
-                         bool(g.get("offset", True)))
-    except KeyError as missing:
-        raise ConfigError(f"config.grid.{missing.args[0]}", "missing required key")
-    except Exception as exc:  # domain errors from ScaleGrid
-        raise ConfigError("config.grid", str(exc))
-    horizons = data["horizons"]
-    if (not isinstance(horizons, list) or not horizons
-            or any(not isinstance(n, int) or n < 1 for n in horizons)):
-        raise ConfigError("config.horizons", "must be a nonempty list of n >= 1")
-    budget = data.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget <= 0:
-        raise ConfigError("config.budget", "must be a positive integer")
+    grid = _parse_grid(data["grid"], "config.grid")
+    horizons = _parse_horizons(data["horizons"], "config.horizons")
+    budget = _parse_budget(data.get("budget", DEFAULT_BUDGET), "config.budget")
     seed = data.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("config.seed", "must be an integer")
     return ExperimentConfig(data["system"], list(data["quantities"]), grid,
                             sorted(set(horizons)), budget, seed,
                             bool(data.get("cache", True)), raw=data)
+
+
+def _parse_grid(g, path: str) -> ScaleGrid:
+    if not isinstance(g, dict):
+        raise ConfigError(path, "must be an object")
+    for key in g:
+        if key not in {"start", "ratio", "count", "offset"}:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    try:
+        return ScaleGrid(float(g["start"]), float(g["ratio"]), int(g["count"]),
+                         bool(g.get("offset", True)))
+    except KeyError as missing:
+        raise ConfigError(f"{path}.{missing.args[0]}", "missing required key")
+    except Exception as exc:  # non-numeric values, domain errors from ScaleGrid
+        raise ConfigError(path, str(exc))
+
+
+def _parse_horizons(horizons, path: str) -> list[int]:
+    if (not isinstance(horizons, list) or not horizons
+            or any(not isinstance(n, int) or n < 1 for n in horizons)):
+        raise ConfigError(path, "must be a nonempty list of n >= 1")
+    return horizons
+
+
+def _parse_budget(budget, path: str) -> int:
+    if not isinstance(budget, int) or budget <= 0:
+        raise ConfigError(path, "must be a positive integer")
+    return budget
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -208,19 +219,20 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     if isinstance(system, KolyadaSnohaMap):
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
     mu = measure_from_json(json.dumps(data["measure"]))
-    g = data["grid"]
-    grid = ScaleGrid(float(g["start"]), float(g["ratio"]), int(g["count"]),
-                     bool(g.get("offset", True)))
-    horizons = data.get("horizons", [1])
+    grid = _parse_grid(data["grid"], "quantize.grid")
+    horizons = _parse_horizons(data.get("horizons", [1]), "quantize.horizons")
+    budget = _parse_budget(data.get("budget", DEFAULT_BUDGET), "quantize.budget")
+    try:
+        p = float(data.get("p", 1.0))
+    except (TypeError, ValueError):
+        raise ConfigError("quantize.p", "must be a number")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
     for n in horizons:
         dn = bowen_space(system, n)
         for eps in grid.scales():
-            rep = quantization_number(dn, mu, eps, kind=kind,
-                                      p=float(data.get("p", 1.0)),
-                                      budget=int(data.get("budget", DEFAULT_BUDGET)),
+            rep = quantization_number(dn, mu, eps, kind=kind, p=p, budget=budget,
                                       horizon=n)
             lines.append(",".join(str(x) for x in rep.csv_row()))
     path = out / "quantization.csv"

@@ -187,7 +187,10 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
     """Minimum number of diameter-<eps sets covering the space.
 
     A set has diameter < eps exactly when it is a clique of the d<eps
-    graph, so the exact value is a set cover over maximal cliques.
+    graph, so the exact value is a minimum clique cover of that graph.
+    Points pairwise >= eps apart lie in distinct sets (the lower bound);
+    the greedy clique cover is the upper bound.  When the budget runs out
+    these two bounds are the heuristic bracket.
     """
     eps_f = float(eps)
     if eps_f > space.diameter:
@@ -199,27 +202,16 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
         return CountBracket(DIAMETER_COVER, eps_f, horizon, count, count,
                             "exact", method="line-sweep")
     near = space.close_mask(eps, strict=True)
-    np.fill_diagonal(near, False)  # clique enumeration wants an irreflexive graph
+    np.fill_diagonal(near, False)  # the clique-cover solver wants an irreflexive graph
     try:
-        cliques = solvers.maximal_cliques(near, budget)
-        masks = np.stack(cliques)
-        chosen = solvers.exact_min_set_cover(masks, budget)
-        return CountBracket(DIAMETER_COVER, eps_f, horizon, len(chosen), len(chosen),
+        count = solvers.exact_min_clique_cover(near, budget)
+        return CountBracket(DIAMETER_COVER, eps_f, horizon, count, count,
                             "exact", method="clique-cover-bnb")
     except BudgetExceededError:
-        return _diameter_cover_bracket(space, eps, horizon)
-
-
-def _diameter_cover_bracket(space: FiniteMetricSpace, eps, horizon: int) -> CountBracket:
-    # lower: any strictly-eps-separated set; upper: cover by (eps/2)-balls
-    conflict = space.close_mask(eps, strict=False)
-    np.fill_diagonal(conflict, False)
-    sep = solvers.greedy_independent_set(conflict)
-    half = _as_cmp_scale(eps) / 2
-    masks = space.close_mask(half, strict=True)
-    greedy = solvers.greedy_set_cover(masks)
-    return CountBracket(DIAMETER_COVER, float(eps), horizon,
-                        max(1, len(sep)), len(greedy), "heuristic", method="greedy")
+        lower = len(solvers.greedy_independent_set(near))
+        upper = solvers.greedy_clique_cover(near)
+        return CountBracket(DIAMETER_COVER, eps_f, horizon, lower, upper,
+                            "heuristic", method="greedy")
 
 
 QUANTITY_OPS = {

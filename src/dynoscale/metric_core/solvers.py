@@ -128,6 +128,126 @@ def _component_mask(adj: np.ndarray, start: int) -> np.ndarray:
     return mask
 
 
+# -- clique covers ---------------------------------------------------------
+
+
+def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum number of cliques covering an irreflexive graph, exactly.
+
+    The greedy independent set (no two of its vertices share a clique) and
+    the greedy clique cover bracket the answer; when they meet, the root
+    closes without spending budget.  Otherwise each connected component is
+    covered on its own: a clique cover is a colouring of the complement
+    graph, found by DSatur branch and bound (Brelaz 1979) with one budget
+    node per branch.
+    """
+    upper = greedy_clique_cover(adj)
+    if len(greedy_independent_set(adj)) == upper:
+        return upper
+    n = adj.shape[0]
+    b = _Budget(budget)
+    total = 0
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = _component_mask(adj, start)
+        seen |= comp
+        total += _clique_cover_on_component(adj, comp, b)
+    return total
+
+
+def _clique_cover_on_component(adj: np.ndarray, comp: np.ndarray, b: _Budget) -> int:
+    lower = greedy_independent_set(adj, comp)
+    upper = greedy_clique_cover(adj, comp)
+    if len(lower) == upper:
+        return upper
+    idx = np.flatnonzero(comp)
+    far = ~adj[np.ix_(idx, idx)]
+    np.fill_diagonal(far, False)
+    packed = np.packbits(far, axis=1, bitorder="little")
+    far_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    local = {int(v): i for i, v in enumerate(idx)}
+    return _dsatur(far_bits, [local[v] for v in lower], upper, b)
+
+
+def _dsatur(far_bits: list[int], clique: list[int], upper: int, b: _Budget) -> int:
+    """Chromatic number of the graph with neighbour bitsets ``far_bits``.
+
+    ``clique`` is a clique of that graph (a lower bound, coloured first)
+    and ``upper`` the size of a known colouring.  The next vertex is the
+    uncoloured one with the most distinct neighbour colours, then the most
+    uncoloured neighbours, then the lowest index; it tries every colour in
+    use and one new colour while that can still beat the best colouring.
+    """
+    k = len(far_bits)
+    lower, best = len(clique), upper
+    colour = [-1] * k
+    forbid = [0] * k  # bitset of the colours on each vertex's neighbours
+    uncoloured = (1 << k) - 1
+
+    def paint(v: int, c: int) -> list[int]:
+        nonlocal uncoloured
+        colour[v] = c
+        uncoloured &= ~(1 << v)
+        bit, changed = 1 << c, []
+        rest = far_bits[v] & uncoloured
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if not forbid[u] & bit:
+                forbid[u] |= bit
+                changed.append(u)
+        return changed
+
+    def unpaint(v: int, changed: list[int]) -> None:
+        nonlocal uncoloured
+        mask = ~(1 << colour[v])
+        colour[v] = -1
+        uncoloured |= 1 << v
+        for u in changed:
+            forbid[u] &= mask
+
+    def pick() -> int:
+        best_v, best_key, rest = -1, (-1, -1), uncoloured
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            key = (forbid[u].bit_count(), (far_bits[u] & uncoloured).bit_count())
+            if key > best_key:
+                best_v, best_key = u, key
+        return best_v
+
+    for c, v in enumerate(clique):
+        paint(v, c)
+    # frame: [vertex, next colour to try, colours in use before it, undo list]
+    stack = [[pick(), 0, lower, None]]
+    while stack:
+        frame = stack[-1]
+        v, c, used, changed = frame
+        if changed is not None:
+            unpaint(v, changed)
+            frame[3] = None
+        limit = min(used + 1, best - 1)
+        while c < limit and forbid[v] >> c & 1:
+            c += 1
+        if c >= limit:
+            stack.pop()
+            continue
+        b.spend()
+        frame[1] = c + 1
+        frame[3] = paint(v, c)
+        if uncoloured:
+            stack.append([pick(), 0, max(used, c + 1), None])
+            continue
+        best = max(used, c + 1)
+        if best == lower:
+            break
+    return best
+
+
 # -- set cover -----------------------------------------------------------
 
 
@@ -308,7 +428,11 @@ def _union(masks: np.ndarray, idx: list[int], n: int) -> np.ndarray:
 
 
 def maximal_cliques(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[np.ndarray]:
-    """All maximal cliques (Bron-Kerbosch with pivot); one budget node per call."""
+    """All maximal cliques (Bron-Kerbosch with pivot); one budget node per call.
+
+    No count uses it; a set cover over its cliques cross-checks
+    ``exact_min_clique_cover``.
+    """
     n = adj.shape[0]
     b = _Budget(budget)
     cliques: list[np.ndarray] = []

@@ -73,6 +73,8 @@ def resolve_system(data: Any, path: str = "system"):
         raise ConfigError(f"{path}.kind", f"unknown system kind {kind!r}")
     _check_keys(data, _SCHEMAS[kind], path)
     cap = data.get("horizon_cap")
+    if cap is not None and cap < 1:
+        raise ConfigError(f"{path}.horizon_cap", f"must be >= 1, got {cap}")
     if kind == "shift":
         metric = data.get("metric", "exp")
         alphabet = None

@@ -116,6 +116,7 @@ def _exhausted(*args, **kwargs):
 def test_heuristic_fallback_sandwiches_the_oracle(seed, monkeypatch):
     monkeypatch.setattr(solvers, "exact_max_independent_set", _exhausted)
     monkeypatch.setattr(solvers, "exact_min_set_cover", _exhausted)
+    monkeypatch.setattr(solvers, "exact_min_clique_cover", _exhausted)
     sp = random_space(6 + seed % 3, seed=40 + seed)
     dense = FiniteMetricSpace(matrix=sp.as_matrix(), check=False)
     for frac in (0.15, 0.3, 0.6):
@@ -130,10 +131,37 @@ def test_heuristic_fallback_sandwiches_the_oracle(seed, monkeypatch):
 
 
 def test_diameter_cover_budget_bounds_clique_enumeration():
+    # the greedy bounds meet, so the small budget is never spent
     dn = bowen_space(doubling_grid(256, horizon_cap=5), 3)
     got = min_diameter_cover(dn, 0.5 * IRRATIONAL_OFFSET, budget=1000)
-    assert got.mode == "heuristic"
-    assert got.lower <= 8 <= got.upper
+    assert got.mode == "exact"
+    assert got.value == 8
+
+
+def test_doubling_256_diameter_covers_are_exact():
+    system = doubling_grid(256, horizon_cap=5)
+    scales = ScaleGrid(0.5, 0.6, 6).scales()
+    cells = [min_diameter_cover(bowen_space(system, n), eps, horizon=n)
+             for n in range(1, 6) for eps in scales]
+    assert len(cells) == 30
+    assert all(c.mode == "exact" for c in cells)
+
+
+def _pentagon():
+    # neighbours on the circle are 1.18 apart, the other pairs 1.90, so the
+    # d < 1.5 graph is the 5-cycle, whose greedy bounds 2 and 3 do not meet
+    angles = 2 * np.pi * np.arange(5) / 5
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return FiniteMetricSpace(
+        matrix=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)), check=False)
+
+
+def test_diameter_cover_exhausted_budget_brackets_the_oracle():
+    sp = _pentagon()
+    assert min_diameter_cover(sp, 1.5).value == brute_min_diameter_cover(sp, 1.5) == 3
+    got = min_diameter_cover(sp, 1.5, budget=1)
+    assert got.mode == "heuristic" and got.method == "greedy"
+    assert got.lower <= 3 <= got.upper
 
 
 def test_bracket_invariants():

@@ -132,3 +132,87 @@ def test_cli_oracle_instances(tmp_path, capsys):
         "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
     assert main(["oracle", "--instance", str(inst)]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 2
+
+
+QUANTIZE = {
+    "system": {"kind": "doubling", "grid": 16},
+    "measure": {"atoms": [0, 5, 9], "weights": ["1/3", "1/3", "1/3"]},
+    "grid": {"start": 0.4, "ratio": 0.5, "count": 3},
+}
+
+
+def _exit_code(argv, capsys):
+    """Exit code of the CLI and its stderr; a traceback fails the test."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_cli_quantize_grid_without_count_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(QUANTIZE))
+    del cfg["grid"]["count"]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _exit_code(["quantize", "--config", str(path), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2 and "quantize.grid.count" in err
+
+
+def test_cli_quantize_non_numeric_p_exits_2(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(dict(QUANTIZE, kind="wasserstein", p="abc")))
+    code, err = _exit_code(["quantize", "--config", str(path), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2 and "quantize.p" in err
+
+
+def test_cli_oracle_without_eps_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "separated", "matrix": [[0, 1], [1, 0]]}))
+    code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
+    assert code == 2 and "instance.eps" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimate", "verify"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_nonpositive_budget_exits_2(command, budget, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(GOOD))
+    args = [command, "--budget", budget]
+    if command != "verify":
+        args += ["--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    code, err = _exit_code(args, capsys)
+    assert code == 2 and "--budget" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_horizon_cap_zero_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        GOOD, system={"kind": "doubling", "grid": 16, "horizon_cap": 0})))
+    code, err = _exit_code(["sweep", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and "system.horizon_cap" in err
+
+
+def test_python_m_dynoscale_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dynoscale
+    env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "separated", "eps": 1.0,
+                                "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    ok = subprocess.run([sys.executable, "-m", "dynoscale", "oracle",
+                         "--instance", str(inst)], env=env, capture_output=True,
+                        text=True)
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["value"] == 2
+    bad = subprocess.run([sys.executable, "-m", "dynoscale", "verify", "--budget", "0"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError
 from dynoscale.metric_core.solvers import (
-    dedupe_masks, exact_max_independent_set, exact_min_partial_cover,
-    exact_min_set_cover, greedy_clique_cover, greedy_independent_set,
-    line_max_separated, line_min_ball_cover, line_min_diameter_cover,
-    maximal_cliques)
-from dynoscale.oracle import brute_partial_cover
+    dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
+    exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
+    greedy_independent_set, line_max_separated, line_min_ball_cover,
+    line_min_diameter_cover, maximal_cliques)
+from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
 
 
 def _random_graph(rng, n, p):
@@ -131,6 +132,56 @@ def test_maximal_cliques_triangle_plus_edge():
     cliques = maximal_cliques(adj)
     as_sets = {frozenset(np.flatnonzero(c)) for c in cliques}
     assert as_sets == {frozenset({0, 1, 2}), frozenset({2, 3})}
+
+
+def _planar(seed, lo, hi):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((int(rng.integers(lo, hi + 1)), 2))
+    return np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+
+
+def _near(dist, eps):
+    near = dist < eps
+    np.fill_diagonal(near, False)
+    return near
+
+
+def _root_closes(adj):
+    return len(greedy_independent_set(adj)) == greedy_clique_cover(adj)
+
+
+def test_five_cycle_clique_cover_searches_within_budget():
+    # independent sets of C5 have 2 vertices; covering it takes 3 edges
+    c5 = np.roll(np.eye(5, dtype=bool), 1, axis=1)
+    c5 |= c5.T
+    assert not _root_closes(c5)
+    assert exact_min_clique_cover(c5) == 3
+    with pytest.raises(BudgetExceededError):
+        exact_min_clique_cover(c5, budget=1)
+
+
+def test_clique_cover_matches_brute_where_the_root_does_not_close():
+    searched = 0
+    for seed in range(40):
+        dist = _planar(seed, 7, 9)
+        sp = FiniteMetricSpace(matrix=dist, check=False)
+        for eps in (0.2, 0.35, 0.5):
+            near = _near(dist, eps)
+            if _root_closes(near):
+                continue
+            searched += 1
+            assert exact_min_clique_cover(near) == brute_min_diameter_cover(sp, eps), \
+                (seed, eps)
+    assert searched >= 20
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_clique_cover_matches_set_cover_over_maximal_cliques(seed):
+    dist = _planar(1000 + seed, 30, 30)
+    for eps in (0.2, 0.35, 0.5):
+        near = _near(dist, eps)
+        want = len(exact_min_set_cover(np.stack(maximal_cliques(near))))
+        assert exact_min_clique_cover(near) == want, eps
 
 
 def test_line_sweeps_match_generic_on_random_sets():

@@ -1,7 +1,11 @@
 """Verification suites: everything shipped passes; failures carry payloads."""
 
+import inspect
+
 import pytest
 
+from dynoscale.errors import BudgetExceededError
+from dynoscale.metric_core import solvers
 from dynoscale.metric_core.checks import CheckResult, FAIL
 from dynoscale.verify import VerificationReport, run_suite
 
@@ -22,12 +26,37 @@ def test_sampled_suites_pass_with_reduced_instance_counts():
     assert domination_suite(seed=1, pairs=25).passed
 
 
-def test_budget_reaches_sampled_suites():
-    # exhausted budgets turn exact comparisons inconclusive, never failed
+EXACT_SOLVERS = ["exact_max_independent_set", "exact_min_set_cover",
+                 "exact_min_clique_cover", "exact_min_partial_cover"]
+
+
+def test_budget_reaches_sampled_suites(monkeypatch):
     from dynoscale.verify import oracle_equivalence_suite
+    budgets = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            budgets.append((fn.__name__,
+                            inspect.signature(fn).bind(*args, **kwargs).arguments["budget"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in EXACT_SOLVERS:
+        monkeypatch.setattr(solvers, name, spy(getattr(solvers, name)))
     report = oracle_equivalence_suite(seed=0, budget=1, instances=20)
     assert report.passed, report.failures()
-    assert report.counts()["inconclusive"] > 0
+    assert {name for name, _ in budgets} == set(EXACT_SOLVERS)
+    assert all(budget == 1 for _, budget in budgets)
+
+    # an exhausted budget turns exact comparisons inconclusive, never failed
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("forced")
+
+    monkeypatch.setattr(solvers, "exact_min_clique_cover", exhausted)
+    report = oracle_equivalence_suite(seed=0, budget=1, instances=20)
+    assert report.passed, report.failures()
+    statuses = {c.status for c in report.checks if c.name == "counts-vs-oracle"}
+    assert statuses == {"inconclusive"}
 
 
 def test_unknown_suite_rejected():
