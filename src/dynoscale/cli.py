@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DynoscaleError
 from .harness import load_config, run_sweep, run_estimates, run_quantize
+from .schema import boolean, build, list_of, load_json, number, tagged
 from .verify import run_suite, SUITES
 from .metric_core.solvers import DEFAULT_BUDGET
 from .metric_core.space import FiniteMetricSpace
@@ -60,46 +60,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field(data: dict, key: str, convert, default=None):
-    """``convert(data[key])``; a missing or malformed value is a config error."""
-    if key not in data and default is None:
-        raise ConfigError(f"instance.{key}", "missing required key")
-    try:
-        return convert(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"instance.{key}", str(exc))
+def _table(item):
+    """Field type: a rectangular nonempty list of nonempty rows, as an array."""
+    def convert(value, path):
+        rows = list_of(list_of(item))(value, path)
+        if len({len(row) for row in rows}) > 1:
+            raise ConfigError(path, "rows must have equal lengths")
+        return np.array(rows)
+    return convert
 
 
-def _floats(value) -> np.ndarray:
-    return np.array(value, dtype=float)
+def _vector(value, path):
+    return np.array(list_of(number)(value, path))
+
+
+def _space(matrix):
+    return FiniteMetricSpace(matrix=matrix, name="instance", check=False)
+
+
+_MATRIX = {"matrix": _table(number), "eps": number}
+
+# each kind's builder looks its oracle up at call time, so wrappers bound on
+# the oracle module see the call
+_ORACLES = {
+    "separated": build(lambda matrix, eps: oracle.brute_max_separated(_space(matrix), eps),
+                       _MATRIX),
+    "spanning": build(lambda matrix, eps: oracle.brute_min_spanning(_space(matrix), eps),
+                      _MATRIX),
+    "diameter_cover": build(
+        lambda matrix, eps: oracle.brute_min_diameter_cover(_space(matrix), eps), _MATRIX),
+    "coupling": build(lambda **kw: oracle.brute_wasserstein(**kw),
+                      {"cost": _table(number), "a": _vector, "b": _vector,
+                       "p": (number, 1.0)}),
+    "partial_cover": build(lambda **kw: oracle.brute_partial_cover(**kw),
+                           {"masks": _table(boolean), "weights": list_of(number),
+                            "target": number}),
+}
 
 
 def _run_oracle(path: str) -> int:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigError("instance", "must be an object")
-    kind = data.get("kind")
-    if kind in ("separated", "spanning", "diameter_cover"):
-        matrix = _field(data, "matrix", _floats)
-        space = FiniteMetricSpace(matrix=matrix, name="instance", check=False)
-        eps = _field(data, "eps", float)
-        fn = {"separated": oracle.brute_max_separated,
-              "spanning": oracle.brute_min_spanning,
-              "diameter_cover": oracle.brute_min_diameter_cover}[kind]
-        print(json.dumps({"kind": kind, "value": fn(space, eps)}))
-        return 0
-    if kind == "coupling":
-        cost, a, b = (_field(data, key, _floats) for key in ("cost", "a", "b"))
-        value = oracle.brute_wasserstein(cost, a, b, p=_field(data, "p", float, 1.0))
-        print(json.dumps({"kind": kind, "value": value}))
-        return 0
-    if kind == "partial_cover":
-        masks = _field(data, "masks", lambda v: np.array(v, dtype=bool))
-        weights = _field(data, "weights", lambda v: [float(w) for w in v])
-        value = oracle.brute_partial_cover(masks, weights, _field(data, "target", float))
-        print(json.dumps({"kind": kind, "value": value}))
-        return 0
-    raise ConfigError("instance.kind", f"unknown oracle kind {kind!r}")
+    data = load_json(path)
+    value = tagged(data, "kind", _ORACLES, "instance")
+    print(json.dumps({"kind": data["kind"], "value": value}))
+    return 0
 
 
 def _load_with_overrides(args):
@@ -136,12 +139,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report.passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
     except DynoscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ class BudgetExceededError(DynoscaleError):
     """
 
 
-class ConfigError(DynoscaleError):
-    """An experiment configuration or descriptor failed validation."""
+class ConfigError(ParameterError):
+    """A JSON input (config, descriptor, measure, instance) failed validation."""
 
     def __init__(self, path: str, message: str):
         self.path = path

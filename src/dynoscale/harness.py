@@ -7,11 +7,12 @@ same config, byte-identical CSV and cache outputs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
+from .schema import (boolean, build, check, choice, integer, list_of, load_json,
+                     number)
 from .metric_core.counts import (QUANTITY_OPS, ScaleGrid, max_separated,
                                  min_ball_cover, SEPARATED, BALL_COVER)
 from .metric_core.cache import write_cache
@@ -24,7 +25,7 @@ from .systems.base import DynamicalSystem, bowen_space
 from .systems.descriptor import resolve_system
 from .systems.kolyada import KolyadaSnohaMap
 from .systems.probe import entropy_scale_table, ladder_grid
-from .measures.atomic import measure_from_json
+from .measures.atomic import MEASURE
 from .measures.quantization import quantization_number, LP_KIND, W_KIND
 
 
@@ -35,70 +36,31 @@ class ExperimentConfig:
     grid: ScaleGrid
     horizons: list[int]
     budget: int = DEFAULT_BUDGET
-    seed: int = 0
+    seed: int = 0  # accepted and overridable by --seed; nothing reads it yet
     cache: bool = True
-    raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.horizons = sorted(set(self.horizons))
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    allowed = {"system", "quantities", "grid", "horizons", "budget", "seed", "cache"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"config.{key}", "unknown key")
-    for key in ("system", "quantities", "grid", "horizons"):
-        if key not in data:
-            raise ConfigError(f"config.{key}", "missing required key")
-    if not isinstance(data["quantities"], list) or not data["quantities"]:
-        raise ConfigError("config.quantities", "must be a nonempty list")
-    for q in data["quantities"]:
-        if q not in QUANTITY_OPS:
-            raise ConfigError("config.quantities", f"unknown quantity {q!r}")
-    grid = _parse_grid(data["grid"], "config.grid")
-    horizons = _parse_horizons(data["horizons"], "config.horizons")
-    budget = _parse_budget(data.get("budget", DEFAULT_BUDGET), "config.budget")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config.seed", "must be an integer")
-    return ExperimentConfig(data["system"], list(data["quantities"]), grid,
-                            sorted(set(horizons)), budget, seed,
-                            bool(data.get("cache", True)), raw=data)
+_GRID = build(ScaleGrid, {"start": number, "ratio": number, "count": integer(),
+                         "offset": (boolean, True)})
+_HORIZONS = list_of(integer(1))
+_BUDGET = (integer(1), DEFAULT_BUDGET)
+
+_CONFIG = build(ExperimentConfig, {
+    "system": lambda value, path: value,  # resolved when the sweep runs
+    "quantities": list_of(choice(*QUANTITY_OPS)), "grid": _GRID,
+    "horizons": _HORIZONS, "budget": _BUDGET, "seed": (integer(), 0),
+    "cache": (boolean, True)})
 
 
-def _parse_grid(g, path: str) -> ScaleGrid:
-    if not isinstance(g, dict):
-        raise ConfigError(path, "must be an object")
-    for key in g:
-        if key not in {"start", "ratio", "count", "offset"}:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    try:
-        return ScaleGrid(float(g["start"]), float(g["ratio"]), int(g["count"]),
-                         bool(g.get("offset", True)))
-    except KeyError as missing:
-        raise ConfigError(f"{path}.{missing.args[0]}", "missing required key")
-    except Exception as exc:  # non-numeric values, domain errors from ScaleGrid
-        raise ConfigError(path, str(exc))
-
-
-def _parse_horizons(horizons, path: str) -> list[int]:
-    if (not isinstance(horizons, list) or not horizons
-            or any(not isinstance(n, int) or n < 1 for n in horizons)):
-        raise ConfigError(path, "must be a nonempty list of n >= 1")
-    return horizons
-
-
-def _parse_budget(budget, path: str) -> int:
-    if not isinstance(budget, int) or budget <= 0:
-        raise ConfigError(path, "must be a positive integer")
-    return budget
+def parse_config(data) -> ExperimentConfig:
+    return _CONFIG(data, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:line {exc.lineno}", exc.msg)
-    return parse_config(data)
+    return parse_config(load_json(path))
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
@@ -136,7 +98,8 @@ def _run_kolyada_sweep(config: ExperimentConfig, tmap: KolyadaSnohaMap,
     for n in config.horizons:
         for eps in config.grid.scales():
             sweep.add(tmap.separated_bracket(n, eps))
-    path = out / f"sweep_kolyada_{tmap.family}_{SEPARATED}.csv"
+    # F2 names carry beta as a fraction, and a "/" would name a subdirectory
+    path = out / f"sweep_kolyada_{tmap.family.replace('/', '-')}_{SEPARATED}.csv"
     sweep.write_csv(path)
     return [path]
 
@@ -198,42 +161,27 @@ def _row(quantity: str, system: str, x: float, est) -> dict:
             "flag": est.flagged}
 
 
+_QUANTIZE = {
+    "system": resolve_system, "measure": MEASURE, "grid": _GRID,
+    "horizons": (_HORIZONS, [1]), "kind": (choice(LP_KIND, W_KIND), LP_KIND),
+    "p": (number, 1.0), "budget": _BUDGET}
+
+
 def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     """Quantization numbers over a grid for a measure file + system descriptor."""
-    text = Path(config_path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{config_path}:line {exc.lineno}", exc.msg)
-    allowed = {"system", "measure", "grid", "horizons", "kind", "p", "budget"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"quantize.{key}", "unknown key")
-    for key in ("system", "measure", "grid"):
-        if key not in data:
-            raise ConfigError(f"quantize.{key}", "missing required key")
-    kind = data.get("kind", LP_KIND)
-    if kind not in (LP_KIND, W_KIND):
-        raise ConfigError("quantize.kind", f"unknown kind {kind!r}")
-    system = resolve_system(data["system"])
-    if isinstance(system, KolyadaSnohaMap):
+    q = check(load_json(config_path), _QUANTIZE, "quantize")
+    if isinstance(q["system"], KolyadaSnohaMap):
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
-    mu = measure_from_json(json.dumps(data["measure"]))
-    grid = _parse_grid(data["grid"], "quantize.grid")
-    horizons = _parse_horizons(data.get("horizons", [1]), "quantize.horizons")
-    budget = _parse_budget(data.get("budget", DEFAULT_BUDGET), "quantize.budget")
-    try:
-        p = float(data.get("p", 1.0))
-    except (TypeError, ValueError):
-        raise ConfigError("quantize.p", "must be a number")
+    if q["kind"] == W_KIND and q["p"] < 1:
+        raise ConfigError("quantize.p", f"the W_p order must be >= 1, got {q['p']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
-    for n in horizons:
-        dn = bowen_space(system, n)
-        for eps in grid.scales():
-            rep = quantization_number(dn, mu, eps, kind=kind, p=p, budget=budget,
-                                      horizon=n)
+    for n in q["horizons"]:
+        dn = bowen_space(q["system"], n)
+        for eps in q["grid"].scales():
+            rep = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
+                                      budget=q["budget"], horizon=n)
             lines.append(",".join(str(x) for x in rep.csv_row()))
     path = out / "quantization.csv"
     path.write_text("\n".join(lines) + "\n")

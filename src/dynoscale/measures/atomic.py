@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterError, RepresentationError
+from ..schema import build, integer, list_of, load_json, rational
 
 FLOAT_WEIGHT_TOL = Fraction(1, 10**12)
 
@@ -34,6 +35,8 @@ class AtomicMeasure:
     @classmethod
     def from_weights(cls, atoms, weights) -> "AtomicMeasure":
         """Build from floats or rationals; float totals within 1e-12 renormalise."""
+        if len(atoms) != len(weights):
+            raise ParameterError(f"{len(atoms)} atoms but {len(weights)} weights")
         fr = [Fraction(w) if not isinstance(w, float) else Fraction(w).limit_denominator(10**15)
               for w in weights]
         total = sum(fr)
@@ -112,11 +115,11 @@ def measure_to_json(mu: AtomicMeasure) -> str:
                        "weights": [str(w) for w in mu.weights]})
 
 
+# Field type of a measure object: exactly 'atoms' and 'weights', rational weights.
+MEASURE = build(AtomicMeasure.from_weights,
+                {"atoms": list_of(integer()), "weights": list_of(rational)})
+
+
 def measure_from_json(text: str | Path) -> AtomicMeasure:
-    if isinstance(text, Path):
-        text = text.read_text()
-    data = json.loads(text)
-    if set(data) != {"atoms", "weights"}:
-        raise ParameterError("measure files carry exactly 'atoms' and 'weights'")
-    weights = [Fraction(w) for w in data["weights"]]
-    return AtomicMeasure.from_weights(data["atoms"], weights)
+    data = load_json(text) if isinstance(text, Path) else json.loads(text)
+    return MEASURE(data, "measure")

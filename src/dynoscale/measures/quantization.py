@@ -69,6 +69,8 @@ def quantization_number(space: FiniteMetricSpace, mu: AtomicMeasure, eps,
     if kind == LP_KIND:
         return _lp_number(space, mu, eps, sites, budget, horizon)
     if kind == W_KIND:
+        if not p >= 1:
+            raise ParameterError("order p must be >= 1")
         return _w_number(space, mu, eps, p, sites, budget, horizon)
     raise ParameterError(f"unknown quantization kind {kind!r}")
 

@@ -72,19 +72,6 @@ class FiniteMetricSpace:
         if check:
             self._validate(seed)
 
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_line(cls, coords: Sequence, name: str = "line", labels=None) -> "FiniteMetricSpace":
-        """Space on the real line; coords are sorted ascending."""
-        pairs = sorted(zip(coords, labels if labels is not None else coords))
-        return cls(
-            coords=[p[0] for p in pairs],
-            labels=[p[1] for p in pairs],
-            name=name,
-            check=False,
-        )
-
     # -- validation ------------------------------------------------------
 
     def _validate(self, seed: int) -> None:

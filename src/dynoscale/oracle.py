@@ -18,10 +18,6 @@ from .metric_core.space import FiniteMetricSpace
 ORACLE_POINT_LIMIT = 15
 
 
-def _pairs_ok(space, subset, eps) -> bool:
-    return all(space.dist(i, j) > eps for i, j in itertools.combinations(subset, 2))
-
-
 def brute_max_separated(space: FiniteMetricSpace, eps) -> int:
     """Largest strictly-eps-separated subset by full subset enumeration."""
     n = space.size
@@ -55,7 +51,7 @@ def brute_min_spanning(space: FiniteMetricSpace, eps,
         for centers in itertools.combinations(range(n), k):
             if all(any(space.dist(x, c) < eps for c in centers) for x in range(n)):
                 return k
-    raise AssertionError("the full point set always spans")
+    raise ParameterError("no subset spans: eps must exceed every self-distance")
 
 
 def brute_min_diameter_cover(space: FiniteMetricSpace, eps) -> int:
@@ -90,6 +86,8 @@ def brute_partial_cover(masks: np.ndarray, weights, target) -> int:
     m = masks.shape[0]
     if m > ORACLE_POINT_LIMIT:
         raise ParameterError("partial-cover oracle limited to 15 sets")
+    if masks.shape[1] != len(weights):
+        raise ParameterError("each mask needs one entry per weight")
     if target <= 0:
         return 0
     for k in range(1, m + 1):
@@ -99,7 +97,7 @@ def brute_partial_cover(masks: np.ndarray, weights, target) -> int:
                 mask |= masks[s]
             if sum(w for w, hit in zip(weights, mask) if hit) >= target:
                 return k
-    raise AssertionError("all sets together must reach any target <= 1")
+    raise ParameterError("all sets together fall short of the target mass")
 
 
 def brute_k_median_cost(dist_pow: np.ndarray, weights: np.ndarray, k: int) -> float:
@@ -195,6 +193,10 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Minimum transport cost over all basic feasible couplings."""
     if a.size > 4 or b.size > 4:
         raise ParameterError("coupling oracle limited to 4 atoms per side")
+    if cost.shape != (a.size, b.size):
+        raise ParameterError("cost must be len(a) x len(b)")
+    if not p >= 1:
+        raise ParameterError("order p must be >= 1")
     best = np.inf
     cp = cost if p == 1.0 else cost**p
     found = False
@@ -202,5 +204,5 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         found = True
         best = min(best, float((cp * plan).sum()))
     if not found:
-        raise AssertionError("transportation polytope cannot be empty")
+        raise ParameterError("no coupling: marginals need equal mass, no negatives")
     return best ** (1.0 / p)

@@ -161,11 +161,6 @@ class KolyadaSnohaMap:
 
     # -- symbolic block counts ------------------------------------------------
 
-    def block_separated_upper(self, k: int, n: int, eps) -> int:
-        """Symbolic-model separated count of block k: upper bound, exact form."""
-        blk = self.block(k)
-        return symbolic_separated_count(blk.length, blk.branches, n, Fraction(eps))
-
     def block_separated_lower(self, k: int, n: int, eps) -> int:
         """Certified separated-set size in block k from non-adjacent branches."""
         blk = self.block(k)

@@ -104,8 +104,8 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
                               check=False)
     index_of = {lab: i for i, lab in enumerate(label)}
     step = np.array([index_of[lab[1:] + (tail,)] for lab in label])
-    cap = horizon_cap if horizon_cap is not None else depth
-    sys = system_from_step(space, step, max(cap, 2), name=space.name,
+    cap = horizon_cap if horizon_cap is not None else max(depth, 2)
+    sys = system_from_step(space, step, cap, name=space.name,
                            meta={"kind": "shift", "metric": metric,
                                  "symbols": symbols, "depth": depth,
                                  "tail": tail, "omega_full": True,

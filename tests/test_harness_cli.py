@@ -1,9 +1,13 @@
 """Descriptors, configs, CLI exit codes, determinism contract."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynoscale.cli import main
 from dynoscale.errors import ConfigError
@@ -216,3 +220,117 @@ def test_python_m_dynoscale_runs_the_cli(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "dynoscale", "verify", "--budget", "0"],
                          env=env, capture_output=True, text=True)
     assert bad.returncode == 2 and "Traceback" not in bad.stderr
+
+
+def test_shift_descriptor_keeps_an_explicit_horizon_cap(tmp_path):
+    shift = {"kind": "shift", "depth": 5, "horizon_cap": 1}
+    assert resolve_system(shift).horizon_cap == 1
+    assert resolve_system({"kind": "shift", "depth": 1}).horizon_cap == 2
+    path = run_sweep(parse_config(dict(GOOD, system=shift, horizons=[1, 2])), tmp_path)[0]
+    assert {r["horizon"] for r in csv.DictReader(path.open())} == {"1"}
+
+
+def test_kolyada_f2_sweep_writes_its_csv(tmp_path):
+    system = {"kind": "kolyada", "family": "F2", "k_max": 3, "beta": "1/3"}
+    path = run_sweep(parse_config(dict(GOOD, system=system, horizons=[1])), tmp_path)[0]
+    assert path.parent == tmp_path and len(path.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("eps", [0, -1])
+def test_cli_spanning_oracle_without_spanning_set_exits_2(eps, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "spanning", "eps": eps,
+                                "matrix": [[0, 1], [1, 0]]}))
+    code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
+    assert code == 2 and "instance" in err
+
+
+def _mutate(config, key_path, value):
+    """A deep copy of ``config`` with the entry at ``key_path`` set to ``value``."""
+    if not key_path:
+        return value
+    out = json.loads(json.dumps(config))
+    parent = out
+    for key in key_path[:-1]:
+        parent = parent[key]
+    parent[key_path[-1]] = value
+    return out
+
+
+W_QUANTIZE = dict(QUANTIZE, kind="wasserstein", p=2, horizons=[1, 2], budget=10000)
+
+
+@pytest.mark.parametrize("command, config, key_path, value, where", [
+    ("sweep", GOOD, ("horizons",), [True], "config.horizons[0]"),
+    ("sweep", GOOD, ("budget",), True, "config.budget"),
+    ("sweep", GOOD, ("cache",), "no", "config.cache"),
+    ("sweep", GOOD, ("grid", "count"), 2.7, "config.grid.count"),
+    ("sweep", GOOD, ("grid", "offset"), "no", "config.grid.offset"),
+    ("quantize", W_QUANTIZE, ("p",), 0, "quantize.p"),
+    ("quantize", W_QUANTIZE, ("p",), float("nan"), "quantize.p"),
+    ("quantize", QUANTIZE, ("measure", "weights"), ["1/3"], "quantize.measure"),
+    ("quantize", QUANTIZE, ("measure", "atoms"), 3, "quantize.measure.atoms"),
+    ("quantize", QUANTIZE, ("measure", "weights"), ["x"], "quantize.measure.weights[0]"),
+])
+def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
+                                                   where, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_mutate(config, key_path, value)))
+    code, err = _exit_code([command, "--config", str(path), "--out", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2 and where in err
+
+
+FUZZ_VALUES = [None, True, False, 0, -1, 2.5, "x", "1/0", [], {}, [True],
+               float("nan"), float("inf")]
+FUZZ_INPUTS = [
+    ("sweep", "--config", GOOD),
+    ("quantize", "--config", W_QUANTIZE),
+    ("oracle", "--instance", {"kind": "separated", "eps": 1.0,
+                              "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
+    ("oracle", "--instance", {"kind": "spanning", "eps": 1.5,
+                              "matrix": [[0, 1], [1, 0]]}),
+    ("oracle", "--instance", {"kind": "coupling", "cost": [[0, 1], [1, 0]],
+                              "a": [0.5, 0.5], "b": [0.25, 0.75], "p": 1}),
+    ("oracle", "--instance", {"kind": "partial_cover", "masks": [[True, False],
+                                                                 [False, True]],
+                              "weights": [0.5, 0.5], "target": 0.75}),
+]
+
+
+def _key_paths(value, prefix=()):
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _key_paths(item, prefix + (key,))
+
+
+def _run_quiet(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@pytest.mark.parametrize("command, flag, config", FUZZ_INPUTS)
+def test_cli_fuzz_inputs_are_valid(command, flag, config, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(config))
+    extra = ["--out", str(tmp_path / "o")] if flag == "--config" else []
+    assert _run_quiet([command, flag, str(path), *extra]) == (0, "")
+
+
+@pytest.mark.parametrize("command, flag, config", FUZZ_INPUTS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(data=st.data())
+def test_cli_fuzz_one_mutated_key_exits_0_or_2(command, flag, config, data):
+    key_path = data.draw(st.sampled_from(list(_key_paths(config))), label="key path")
+    value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/in.json"
+        with open(path, "w") as fh:
+            json.dump(_mutate(config, key_path, value), fh)
+        extra = ["--out", f"{tmp}/o"] if flag == "--config" else []
+        code, err = _run_quiet([command, flag, path, *extra])
+    assert code in (0, 2), err
+    assert code == 0 or "error" in err

@@ -18,6 +18,13 @@ def test_weights_must_be_positive_and_sum_to_one():
         AtomicMeasure((0, 0), (Fraction(1, 2), Fraction(1, 2)))
 
 
+def test_from_weights_rejects_mismatched_lengths():
+    with pytest.raises(ParameterError):
+        AtomicMeasure.from_weights([0, 5, 9], [1])
+    with pytest.raises(ParameterError):
+        AtomicMeasure.from_weights([0], [Fraction(1, 2), Fraction(1, 2)])
+
+
 def test_float_weights_renormalise_within_tolerance():
     mu = AtomicMeasure.from_weights([0, 1, 2], [0.2, 0.3, 0.5 + 1e-13])
     assert sum(mu.weights) == 1

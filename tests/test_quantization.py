@@ -27,6 +27,13 @@ def test_dirac_needs_one_site(system):
         assert rep.count == 1 and rep.mode == "exact"
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan])
+def test_wasserstein_order_below_one_is_rejected(system, p):
+    from dynoscale.errors import ParameterError
+    with pytest.raises(ParameterError):
+        quantization_number(system.space, AtomicMeasure.dirac(5), 0.2, kind=W_KIND, p=p)
+
+
 def test_candidate_sites_must_contain_support(system):
     mu = AtomicMeasure.uniform([1, 2])
     from dynoscale.errors import ParameterError
