@@ -1,9 +1,10 @@
 """Named finite-scale proxies for the limit quantities.
 
-Inputs are (scale, count) or (horizon, count) rows carrying exact counts;
-heuristic cells never enter a regression (they flag the estimate or are
-dropped, per operation).  The convention log 0 = 0 applies wherever a
-count of 1 would otherwise produce log log 1.
+Inputs are (scale, count) or (horizon, count) rows.  Only exact rows enter
+a regression: a heuristic row is dropped, flags the estimate and is noted.
+The metric order also excludes count-1 rows, where log log 1 is undefined.
+The entropy-based estimates take per-scale entropy slopes instead, and
+``mdim_mo_estimate`` clamps through log+.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import ParameterError
 from ..metric_core.counts import CountBracket
-from .slopes import (SlopeEstimate, tail_regression, rank_corrected_fit,
-                     staircase_envelope, DEFAULT_TAIL)
+from .slopes import SlopeEstimate, tail_regression, fit, DEFAULT_TAIL
 
 
 def log_plus(t: float) -> float:
@@ -24,53 +24,43 @@ def log_plus(t: float) -> float:
     return math.log(t)
 
 
-def _exact_rows(rows: list[tuple[float, CountBracket]]):
-    keep = [(x, br) for x, br in rows if br.mode == "exact"]
-    dropped = len(rows) - len(keep)
-    return keep, dropped
+def abs_log(eps: float) -> float:
+    return abs(math.log(eps))
+
+
+def _count_fit(rows: list[tuple[float, CountBracket]], x, y, tail: int, need: str,
+               skip_unit: bool = False) -> SlopeEstimate:
+    """Tail regression of y(count) against x(key) over the exact rows."""
+    exact = [(key, br.value) for key, br in rows if br.mode == "exact"]
+    pts = [(x(key), y(value)) for key, value in exact if value > 1 or not skip_unit]
+    if len(pts) < 2:
+        raise ParameterError(need)
+    dropped, excluded = len(rows) - len(exact), len(exact) - len(pts)
+    notes = [f"dropped {dropped} heuristic cells" if dropped else "",
+             f"excluded {excluded} count-1 rows (log 0 = 0)" if excluded else ""]
+    xs, ys = zip(*pts)
+    return fit(xs, ys, window=tail, flagged=dropped > 0,
+               note="; ".join(filter(None, notes)))
 
 
 def entropy_at_scale(rows: list[tuple[int, CountBracket]],
                      tail: int = DEFAULT_TAIL) -> SlopeEstimate:
     """Growth rate of log(separated count) in the horizon at one scale."""
-    keep, dropped = _exact_rows(rows)
-    if len(keep) < 2:
-        raise ParameterError("need >= 2 exact horizons for an entropy slope")
-    ns = [n for n, _ in keep]
-    logs = [math.log(br.value) for _, br in keep]
-    note = f"dropped {dropped} heuristic cells" if dropped else ""
-    return tail_regression(ns, logs, window=tail, flagged=dropped > 0, note=note)
+    return _count_fit(rows, float, math.log, tail,
+                      "need >= 2 exact horizons for an entropy slope")
 
 
 def box_dimension_estimate(rows: list[tuple[float, CountBracket]],
                            tail: int = DEFAULT_TAIL) -> SlopeEstimate:
     """Regression of log(ball-cover count) against |log eps|."""
-    keep, dropped = _exact_rows(rows)
-    if len(keep) < 2:
-        raise ParameterError("need >= 2 exact scales")
-    xs = [abs(math.log(eps)) for eps, _ in keep]
-    ys = [math.log(br.value) for _, br in keep]
-    note = f"dropped {dropped} heuristic cells" if dropped else ""
-    return tail_regression(xs, ys, window=tail, flagged=dropped > 0, note=note)
+    return _count_fit(rows, abs_log, math.log, tail, "need >= 2 exact scales")
 
 
 def metric_order_estimate(rows: list[tuple[float, CountBracket]],
                           tail: int = DEFAULT_TAIL) -> SlopeEstimate:
     """Regression of log log(count) against |log eps|; count-1 rows excluded."""
-    keep, dropped = _exact_rows(rows)
-    pts = [(abs(math.log(eps)), math.log(math.log(br.value)))
-           for eps, br in keep if br.value > 1]
-    excluded = len(keep) - len(pts)
-    if len(pts) < 2:
-        raise ParameterError("need >= 2 usable scales (count > 1)")
-    xs, ys = zip(*pts)
-    notes = []
-    if dropped:
-        notes.append(f"dropped {dropped} heuristic cells")
-    if excluded:
-        notes.append(f"excluded {excluded} count-1 rows (log 0 = 0)")
-    return tail_regression(xs, ys, window=tail, flagged=dropped > 0,
-                           note="; ".join(notes))
+    return _count_fit(rows, abs_log, lambda c: math.log(math.log(c)), tail,
+                      "need >= 2 usable scales (count > 1)", skip_unit=True)
 
 
 def mdim_estimate(h_rows: list[tuple[float, SlopeEstimate]],
@@ -81,33 +71,21 @@ def mdim_estimate(h_rows: list[tuple[float, SlopeEstimate]],
     corners with the rank correction (see slopes module); ``corrected=False``
     gives the plain tail regression instead.
     """
-    flagged = any(h.flagged for _, h in h_rows)
-    xs = [abs(math.log(eps)) for eps, _ in h_rows]
-    ys = [h.value for _, h in h_rows]
-    if not corrected:
-        return tail_regression(xs, ys, flagged=flagged)
-    ex, ey = staircase_envelope(xs, ys)
-    if len(ex) < 2:
-        return tail_regression(xs, ys, flagged=flagged, note="degenerate ladder")
-    return rank_corrected_fit(ex, ey, flagged=flagged)
+    return fit([abs_log(eps) for eps, _ in h_rows], [h.value for _, h in h_rows],
+               flagged=any(h.flagged for _, h in h_rows), corrected=corrected)
 
 
 def mdim_mo_estimate(h_rows: list[tuple[float, SlopeEstimate]],
                      corrected: bool = True) -> SlopeEstimate:
     """Regression of log+ of the per-scale entropy against |log eps|."""
     flagged = any(h.flagged for _, h in h_rows)
-    xs = [abs(math.log(eps)) for eps, _ in h_rows]
     ys = [log_plus(h.value) for _, h in h_rows]
-    if all(y == 0.0 for y in ys):
-        return SlopeEstimate(0.0, len(xs), 0.0, 0.0, 0.0, flagged=flagged,
+    if not any(ys):
+        return SlopeEstimate(0.0, len(ys), 0.0, 0.0, 0.0, flagged=flagged,
                              method="clamped",
                              note="all entropies <= 1; log+ clamps to 0")
-    if not corrected:
-        return tail_regression(xs, ys, flagged=flagged)
-    ex, ey = staircase_envelope(xs, ys)
-    if len(ex) < 2:
-        return tail_regression(xs, ys, flagged=flagged, note="degenerate ladder")
-    return rank_corrected_fit(ex, ey, flagged=flagged)
+    return fit([abs_log(eps) for eps, _ in h_rows], ys, flagged=flagged,
+               corrected=corrected)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ liminf <= value <= limsup is kept in the corrected coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,10 +95,7 @@ def rank_corrected_fit(xs, ys, flagged: bool = False, note: str = "") -> SlopeEs
     ys = np.asarray(ys, dtype=float)
     if xs.size < 4:
         est = tail_regression(xs, ys, window=xs.size, flagged=flagged, note=note)
-        return SlopeEstimate(est.value, est.tail_window, est.residual,
-                             est.liminf_proxy, est.limsup_proxy,
-                             flagged=est.flagged, method="tail-ls(fallback)",
-                             note=note, plain_value=est.value)
+        return replace(est, method="tail-ls(fallback)", plain_value=est.value)
     ranks = np.arange(1, xs.size + 1, dtype=float)
     design = np.vstack([xs, np.log(ranks), np.ones_like(xs)]).T
     c1, c2, c3 = _ls(xs, ys, design)
@@ -113,3 +110,18 @@ def rank_corrected_fit(xs, ys, flagged: bool = False, note: str = "") -> SlopeEs
         limsup_proxy=float(max(steps.max(), c1)),
         flagged=flagged or resid > RESIDUAL_THRESHOLD,
         method="rank-corrected", note=note, plain_value=plain.value)
+
+
+def fit(xs, ys, window: int = DEFAULT_TAIL, flagged: bool = False, note: str = "",
+        corrected: bool = False) -> SlopeEstimate:
+    """Tail regression, or with ``corrected`` the rank-corrected corner fit.
+
+    The corrected fit runs on the staircase corners; a ladder with fewer
+    than two corners falls back to the tail regression, noted as degenerate.
+    """
+    if corrected:
+        ex, ey = staircase_envelope(xs, ys)
+        if len(ex) >= 2:
+            return rank_corrected_fit(ex, ey, flagged=flagged, note=note)
+        note = "; ".join(filter(None, [note, "degenerate ladder"]))
+    return tail_regression(xs, ys, window=window, flagged=flagged, note=note)

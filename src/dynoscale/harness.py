@@ -13,8 +13,7 @@ from pathlib import Path
 from .errors import ConfigError, ParameterError
 from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
-from .metric_core.counts import (QUANTITY_OPS, ScaleGrid, max_separated,
-                                 min_ball_cover, SEPARATED, BALL_COVER)
+from .metric_core.counts import QUANTITY_OPS, ScaleGrid, SEPARATED, BALL_COVER
 from .metric_core.cache import write_cache
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, write_estimates_csv
@@ -63,26 +62,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(load_json(path))
 
 
+def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentConfig,
+           horizons: list[int]) -> dict[str, ScaleSweep]:
+    """One sweep per quantity, horizon-major so each d_n is built once."""
+    sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
+    scales = config.grid.scales()
+    for n in horizons:
+        if n > system.horizon_cap:
+            continue
+        dn = bowen_space(system, n)
+        for quantity, sweep in sweeps.items():
+            for eps in scales:
+                sweep.add(QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
+    return sweeps
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Counts over the (horizon, scale) grid; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = resolve_system(config.system)
-    written: list[Path] = []
     if isinstance(resolved, KolyadaSnohaMap):
         return _run_kolyada_sweep(config, resolved, out)
     system: DynamicalSystem = resolved
-    scales = config.grid.scales()
+    written: list[Path] = []
+    sweeps = _count(system, config.quantities, config, config.horizons)
     for quantity in config.quantities:
-        sweep = ScaleSweep(system.name, quantity)
-        for n in config.horizons:
-            if n > system.horizon_cap:
-                continue
-            dn = bowen_space(system, n)
-            for eps in scales:
-                sweep.add(QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
         path = out / f"sweep_{system.name}_{quantity}.csv"
-        sweep.write_csv(path)
+        sweeps[quantity].write_csv(path)
         written.append(path)
     if config.cache and system.space.size <= 4096:
         cache_path = out / f"{system.name}.dyno"
@@ -94,6 +101,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
 def _run_kolyada_sweep(config: ExperimentConfig, tmap: KolyadaSnohaMap,
                        out: Path) -> list[Path]:
     """Ladder maps sweep through per-block symbolic brackets."""
+    for i, quantity in enumerate(config.quantities):
+        if quantity != SEPARATED:
+            raise ConfigError(f"config.quantities[{i}]",
+                              f"ladder maps count only {SEPARATED!r} sets")
     sweep = ScaleSweep(f"kolyada-{tmap.family}", SEPARATED)
     for n in config.horizons:
         for eps in config.grid.scales():
@@ -109,49 +120,41 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = resolve_system(config.system)
-    rows = []
     if isinstance(resolved, KolyadaSnohaMap):
+        name, rows, corrected = resolved.family, [], True
         h_rows = entropy_scale_table(resolved, ladder_grid(resolved))
-        for eps, est in h_rows:
-            rows.append(_row("entropy-at-scale", resolved.family, eps, est))
-        md = mdim_estimate(h_rows)
-        rows.append(_row("mdim", resolved.family, 0.0, md))
-        rows.append(_row("mdim-mo", resolved.family, 0.0, mdim_mo_estimate(h_rows)))
     else:
-        system = resolved
-        scales = config.grid.scales()
-        balls = ScaleSweep(system.name, BALL_COVER)
-        seps = ScaleSweep(system.name, SEPARATED)
-        for n in config.horizons:
-            if n > system.horizon_cap:
-                continue
-            dn = bowen_space(system, n)
-            for eps in scales:
-                if n == 1:
-                    balls.add(min_ball_cover(dn, eps, config.budget))
-                seps.add(max_separated(dn, eps, config.budget, horizon=n))
-        if balls.rows:
-            box = box_dimension_estimate(balls.at_horizon(1))
-            rows.append(_row("box-dimension", system.name, 0.0, box))
-        try:
-            mo = metric_order_estimate(seps.at_horizon(1))
-            rows.append(_row("metric-order", system.name, 0.0, mo))
-        except (ParameterError, KeyError):
-            pass  # all-unit counts or no horizon-1 rows: nothing to regress
-        h_rows = []
-        for eps in scales:
-            per_n = seps.at_scale(eps)
-            if len([1 for _, b in per_n if b.mode == "exact"]) >= 2:
-                est = entropy_at_scale(per_n)
-                h_rows.append((eps, est))
-                rows.append(_row("entropy-at-scale", system.name, eps, est))
-        if len(h_rows) >= 2:
-            rows.append(_row("mdim", system.name, 0.0,
-                             mdim_estimate(h_rows, corrected=False)))
-            rows.append(_row("mdim-mo", system.name, 0.0, mdim_mo_estimate(h_rows)))
+        name, corrected = resolved.name, False
+        rows, h_rows = _net_estimates(resolved, config)
+    rows += [_row("entropy-at-scale", name, eps, est) for eps, est in h_rows]
+    if len(h_rows) >= 2:
+        rows.append(_row("mdim", name, 0.0, mdim_estimate(h_rows, corrected=corrected)))
+        rows.append(_row("mdim-mo", name, 0.0, mdim_mo_estimate(h_rows)))
     path = out / "estimates.csv"
     write_estimates_csv(path, rows)
     return path
+
+
+def _net_estimates(system: DynamicalSystem, config: ExperimentConfig):
+    """Box dimension and metric order rows, and the per-scale entropies."""
+    rows = []
+    # the box dimension is a horizon-1 quantity
+    balls = _count(system, [BALL_COVER], config, [n for n in config.horizons if n == 1])
+    if balls[BALL_COVER].rows:
+        box = box_dimension_estimate(balls[BALL_COVER].at_horizon(1))
+        rows.append(_row("box-dimension", system.name, 0.0, box))
+    seps = _count(system, [SEPARATED], config, config.horizons)[SEPARATED]
+    try:
+        mo = metric_order_estimate(seps.at_horizon(1))
+        rows.append(_row("metric-order", system.name, 0.0, mo))
+    except ParameterError:
+        pass  # all-unit counts or no horizon-1 rows: nothing to regress
+    h_rows = []
+    for eps in config.grid.scales():
+        per_n = seps.at_scale(eps)
+        if sum(br.mode == "exact" for _, br in per_n) >= 2:
+            h_rows.append((eps, entropy_at_scale(per_n)))
+    return rows, h_rows
 
 
 def _row(quantity: str, system: str, x: float, est) -> dict:

@@ -26,10 +26,10 @@ import numpy as np
 
 from ..errors import BudgetExceededError, ParameterError
 from ..metric_core.space import FiniteMetricSpace
-from ..metric_core.solvers import (DEFAULT_BUDGET, exact_min_partial_cover,
+from ..metric_core.solvers import (DEFAULT_BUDGET, _Budget, exact_min_partial_cover,
                                    greedy_partial_cover)
-from ..estimators.slopes import SlopeEstimate, tail_regression
-from ..estimators.quantities import log_plus
+from ..estimators.slopes import SlopeEstimate, fit
+from ..estimators.quantities import abs_log, log_plus
 from .atomic import AtomicMeasure
 
 EXHAUSTIVE_SITES = 20
@@ -95,51 +95,47 @@ def _lp_number(space, mu, eps, sites, budget, horizon) -> QuantizationReport:
 
 
 def _w_number(space, mu, eps, p, sites, budget, horizon) -> QuantizationReport:
-    m = space.as_matrix()
-    dist = m[np.ix_(sites, list(mu.atoms))] ** p
+    dist = space.as_matrix()[np.ix_(sites, list(mu.atoms))] ** p
     w = np.array([float(x) for x in mu.weights])
-    bound = float(eps) ** p
-    n_sites = len(sites)
+    bound = float(eps) ** p + 1e-15
+    spent = _Budget(budget)
 
-    def cost(site_idx: tuple[int, ...]) -> float:
+    def cost(site_idx) -> float:
+        spent.spend()  # one node per site set evaluated
         return float((dist[list(site_idx)].min(axis=0) * w).sum())
 
-    # k grows until feasible; the support itself is always feasible (cost 0)
-    all_levels_certified = True
-    for k in range(1, len(mu.atoms) + 1):
-        exhaustive = n_sites <= EXHAUSTIVE_SITES or k <= EXHAUSTIVE_K
-        if not exhaustive:
-            all_levels_certified = False
-        if exhaustive:
-            best_sites, best_cost = None, math.inf
-            for combo in combinations(range(n_sites), k):
-                c = cost(combo)
-                if c < best_cost:
-                    best_sites, best_cost = combo, c
-            if best_cost <= bound + 1e-15:
-                return QuantizationReport(float(eps), horizon, W_KIND, p, k,
-                                          "exact",
-                                          tuple(sites[i] for i in best_sites),
-                                          method="k-enumeration")
-        else:
-            found = _local_search(dist, w, k, bound, seed=k)
-            if found is not None:
-                return QuantizationReport(float(eps), horizon, W_KIND, p, k,
-                                          "heuristic",
-                                          tuple(sites[i] for i in found),
-                                          method="local-search")
+    def report(k, mode, chosen, method):
+        return QuantizationReport(float(eps), horizon, W_KIND, p, k, mode,
+                                  tuple(sites[i] for i in chosen), method=method)
+
+    # k grows until feasible; the support itself is always feasible (cost 0),
+    # and it is also the answer, heuristic, once the budget runs out
+    certified = True
+    try:
+        for k in range(1, len(mu.atoms) + 1):
+            if len(sites) <= EXHAUSTIVE_SITES or k <= EXHAUSTIVE_K:
+                # ties go to the first site set in enumeration order
+                best_cost, best = min((cost(c), c) for c in combinations(range(len(sites)), k))
+                if best_cost <= bound:
+                    return report(k, "exact", best, "k-enumeration")
+            else:
+                certified = False
+                found = _local_search(cost, len(sites), k, bound, seed=k)
+                if found is not None:
+                    return report(k, "heuristic", found, "local-search")
+    except BudgetExceededError:
+        certified = False
     return QuantizationReport(float(eps), horizon, W_KIND, p, len(mu.atoms),
-                              "exact" if all_levels_certified else "heuristic",
-                              mu.atoms, method="support")
+                              "exact" if certified else "heuristic", mu.atoms,
+                              method="support")
 
 
-def _local_search(dist, w, k, bound, seed, restarts: int = 4, iters: int = 60):
+def _local_search(cost, n_sites, k, bound, seed, restarts: int = 4, iters: int = 60):
     """Seeded swap descent; deterministic, returns a feasible site set or None."""
-    n_sites = dist.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         current = list(rng.choice(n_sites, size=k, replace=False))
-        cur_cost = float((dist[current].min(axis=0) * w).sum())
+        cur_cost = cost(current)
         for _ in range(iters):
             improved = False
             for pos in range(k):
@@ -147,12 +143,12 @@ def _local_search(dist, w, k, bound, seed, restarts: int = 4, iters: int = 60):
                     if cand in current:
                         continue
                     trial = current[:pos] + [cand] + current[pos + 1:]
-                    c = float((dist[trial].min(axis=0) * w).sum())
+                    c = cost(trial)
                     if c < cur_cost - 1e-15:
                         current, cur_cost, improved = trial, c, True
-            if cur_cost <= bound + 1e-15 or not improved:
+            if cur_cost <= bound or not improved:
                 break
-        if cur_cost <= bound + 1e-15:
+        if cur_cost <= bound:
             return tuple(sorted(current))
     return None
 
@@ -164,12 +160,11 @@ def quantization_order(reports: list[QuantizationReport]) -> SlopeEstimate:
     """Regression of log log Q against |log eps| (log 0 = 0 at Q = 1)."""
     if len(reports) < 2:
         raise ParameterError("need >= 2 scales")
-    xs = [abs(math.log(r.scale)) for r in reports]
     ys = [math.log(math.log(r.count)) if r.count > 1 else 0.0 for r in reports]
     clamped = sum(1 for r in reports if r.count == 1)
-    flagged = any(r.mode != "exact" for r in reports)
     note = f"{clamped} unit counts contribute 0 (log 0 = 0)" if clamped else ""
-    return tail_regression(xs, ys, window=len(xs), flagged=flagged, note=note)
+    return fit([abs_log(r.scale) for r in reports], ys, window=len(ys),
+               flagged=any(r.mode != "exact" for r in reports), note=note)
 
 
 def dynamical_quantization_rate(per_horizon: list[QuantizationReport],
@@ -177,18 +172,15 @@ def dynamical_quantization_rate(per_horizon: list[QuantizationReport],
     """Per-scale growth rate of log Q over the horizon."""
     if len(per_horizon) < 2:
         raise ParameterError("need >= 2 horizons")
-    ns = [r.horizon for r in per_horizon]
-    ys = [math.log(r.count) for r in per_horizon]
-    flagged = any(r.mode != "exact" for r in per_horizon)
-    return tail_regression(ns, ys, window=tail, flagged=flagged)
+    return fit([r.horizon for r in per_horizon], [math.log(r.count) for r in per_horizon],
+               window=tail, flagged=any(r.mode != "exact" for r in per_horizon))
 
 
 def dynamical_quantization_order(rates: list[tuple[float, SlopeEstimate]]) -> SlopeEstimate:
     """Regression of log+ of the per-scale rates against |log eps|."""
     if len(rates) < 2:
         raise ParameterError("need >= 2 scales")
-    xs = [abs(math.log(eps)) for eps, _ in rates]
     ys = [log_plus(max(est.value, 0.0)) for _, est in rates]
-    flagged = any(est.flagged for _, est in rates)
     note = "" if any(ys) else "all rates clamp to 0 under log+"
-    return tail_regression(xs, ys, window=len(xs), flagged=flagged, note=note)
+    return fit([abs_log(eps) for eps, _ in rates], ys, window=len(ys),
+               flagged=any(est.flagged for _, est in rates), note=note)

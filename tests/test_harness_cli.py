@@ -334,3 +334,34 @@ def test_cli_fuzz_one_mutated_key_exits_0_or_2(command, flag, config, data):
         code, err = _run_quiet([command, flag, path, *extra])
     assert code in (0, 2), err
     assert code == 0 or "error" in err
+
+
+@pytest.mark.parametrize("command, config", [("sweep", GOOD), ("estimate", GOOD),
+                                             ("quantize", QUANTIZE)])
+def test_cli_out_naming_a_file_exits_2(command, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, err = _exit_code([command, "--config", str(path), "--out", str(taken)], capsys)
+    assert code == 2 and str(taken) in err and "Traceback" not in err
+
+
+def test_kolyada_sweep_rejects_quantities_it_cannot_count(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        GOOD, system={"kind": "kolyada", "family": "F1", "k_max": 3},
+        quantities=["separated", "spanning", "diameter_cover"])))
+    code, err = _exit_code(["sweep", "--config", str(path), "--out", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2 and "config.quantities[1]" in err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+@pytest.mark.parametrize("matrix", [[[0, 1], [2, 0]], [[0, -1], [-1, 0]], [[1, 1], [1, 1]],
+                                    [[0, 1, 5], [1, 0, 1], [5, 1, 0]]])
+def test_cli_oracle_rejects_a_matrix_that_is_not_a_metric(matrix, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "separated", "eps": 0.5, "matrix": matrix}))
+    code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
+    assert code == 2 and "error" in err

@@ -1,6 +1,7 @@
 """Quantization numbers and their orders."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,3 +138,13 @@ def test_orders_and_conventions(system):
         per_eps.append((eps, dynamical_quantization_rate(per_n)))
     order = dynamical_quantization_order(per_eps)
     assert math.isfinite(order.value)
+
+
+def test_w_kind_budget_bounds_the_site_search():
+    # k <= 3 is enumerated on any site set: C(256, 3) site sets without a budget
+    space = doubling_grid(256).space
+    mu = AtomicMeasure.from_weights([0, 40, 90, 130, 180, 230], [Fraction(1, 6)] * 6)
+    start = time.perf_counter()
+    rep = quantization_number(space, mu, 0.1, kind=W_KIND, budget=1000)
+    assert time.perf_counter() - start < 2.0
+    assert rep.mode == "heuristic" and rep.count == 6 and rep.witness_sites == mu.atoms
