@@ -28,6 +28,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynoscale",
@@ -48,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=non_negative_int, default=0)
     ver.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
 
     quant = sub.add_parser("quantize", help="quantization numbers over a grid")

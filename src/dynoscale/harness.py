@@ -2,7 +2,7 @@
 
 A config JSON names a system descriptor, the quantities to count, a scale
 grid, a horizon range, budgets and a seed.  ``run_sweep`` is deterministic:
-same config, byte-identical CSV and cache outputs.
+same config, byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .errors import ConfigError, ParameterError
 from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
 from .metric_core.counts import QUANTITY_OPS, ScaleGrid, SEPARATED, BALL_COVER
-from .metric_core.cache import write_cache
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
@@ -36,7 +35,6 @@ class ExperimentConfig:
     horizons: list[int]
     budget: int = DEFAULT_BUDGET
     seed: int = 0  # accepted and overridable by --seed; nothing reads it yet
-    cache: bool = True
 
     def __post_init__(self):
         self.horizons = sorted(set(self.horizons))
@@ -50,8 +48,7 @@ _BUDGET = (integer(1), DEFAULT_BUDGET)
 _CONFIG = build(ExperimentConfig, {
     "system": lambda value, path: value,  # resolved when the sweep runs
     "quantities": list_of(choice(*QUANTITY_OPS)), "grid": _GRID,
-    "horizons": _HORIZONS, "budget": _BUDGET, "seed": (integer(), 0),
-    "cache": (boolean, True)})
+    "horizons": _HORIZONS, "budget": _BUDGET, "seed": (integer(), 0)})
 
 
 def parse_config(data) -> ExperimentConfig:
@@ -91,10 +88,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         path = out / f"sweep_{system.name}_{quantity}.csv"
         sweeps[quantity].write_csv(path)
         written.append(path)
-    if config.cache and system.space.size <= 4096:
-        cache_path = out / f"{system.name}.dyno"
-        write_cache(cache_path, system.space)
-        written.append(cache_path)
     return written
 
 

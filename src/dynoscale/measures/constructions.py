@@ -19,10 +19,9 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..metric_core.space import FiniteMetricSpace
-from ..metric_core.counts import max_separated, CountBracket
-from ..metric_core.solvers import (DEFAULT_BUDGET, exact_max_independent_set,
-                                   greedy_independent_set)
-from ..errors import BudgetExceededError
+from ..metric_core import solvers
+from ..metric_core.counts import max_separated, CountBracket, graph_bracket
+from ..metric_core.solvers import DEFAULT_BUDGET
 from ..systems.base import DynamicalSystem, bowen_space
 from .atomic import AtomicMeasure
 from .wasserstein import wasserstein
@@ -126,19 +125,14 @@ def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
 
     Apartness fails when some cross-support pair sits strictly below eps,
     so the family is a maximum independent set of that violation graph.
+    When the budget runs out, the greedy independent set and the greedy
+    clique cover of that graph bracket it.
     """
-    k = len(measures)
-    if k == 0:
+    if not measures:
         raise ParameterError("need candidate measures")
     if cross_min is None:
         cross_min = support_cross_min(space, measures)
     conflict = cross_min < float(eps)
     np.fill_diagonal(conflict, False)
-    try:
-        picked = exact_max_independent_set(conflict, budget)
-        return CountBracket("apart", float(eps), 1, len(picked), len(picked),
-                            "exact", method="mis-bnb", witness=tuple(picked))
-    except BudgetExceededError:
-        greedy = greedy_independent_set(conflict)
-        return CountBracket("apart", float(eps), 1, len(greedy), k,
-                            "heuristic", method="greedy", witness=tuple(greedy))
+    return graph_bracket("apart", eps, 1, conflict, solvers.exact_max_independent_set,
+                         "mis-bnb", budget)

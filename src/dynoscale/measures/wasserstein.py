@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import ParameterError
 from ..metric_core.space import FiniteMetricSpace
@@ -60,6 +59,8 @@ def _cost_matrix(space: FiniteMetricSpace, rows, cols, p: float) -> np.ndarray:
 
 
 def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linprog
+
     m, n = cost.shape
     a_eq = []
     b_eq = []

@@ -81,15 +81,15 @@ class ScaleGrid:
         return [s0 * self.ratio**i for i in range(self.count)]
 
 
-# -- helpers ----------------------------------------------------------------
-
-
-def _line_coords(space: FiniteMetricSpace):
-    """Sorted (coords, original_index) view of a line space, else None."""
-    if space.coords is None:
-        return None
-    order = sorted(range(space.size), key=lambda i: space.coords[i])
-    return [space.coords[i] for i in order], order
+# -- the bracket pipeline ------------------------------------------------------
+#
+# Every graph count runs the same four stages, and the first that answers
+# returns: (1) one set answers past the diameter; (2) coordinate spaces take
+# the exact line sweep; (3) the budgeted exact solver runs on the threshold
+# graph; (4) when its budget runs out, a heuristic fallback brackets the
+# count.  Solvers are passed in as looked up on ``solvers`` at call time, so
+# wrappers bound there see every call.  Diameter covers name no sets: their
+# solvers return the count alone and their brackets carry no witness.
 
 
 def _as_cmp_scale(eps):
@@ -97,76 +97,86 @@ def _as_cmp_scale(eps):
     return eps if isinstance(eps, Fraction) else Fraction(float(eps))
 
 
-# -- separated sets ---------------------------------------------------------
+def _loopless(space: FiniteMetricSpace, eps, strict: bool) -> np.ndarray:
+    """Threshold graph d < eps (strict) or d <= eps, without self-loops."""
+    graph = space.close_mask(eps, strict=strict)
+    np.fill_diagonal(graph, False)
+    return graph
+
+
+def _exact(quantity: str, eps, horizon: int, found, method: str,
+           order: list[int] | None = None) -> CountBracket:
+    """Exact bracket from a solver's set, indexed through ``order`` if given."""
+    if quantity == DIAMETER_COVER:
+        return CountBracket(quantity, float(eps), horizon, found, found, "exact", method)
+    witness = tuple(found) if order is None else tuple(order[i] for i in found)
+    return CountBracket(quantity, float(eps), horizon, len(found), len(found), "exact",
+                        method, witness)
+
+
+def _closed_form(quantity: str, space: FiniteMetricSpace, eps, horizon: int,
+                 line_solver) -> CountBracket | None:
+    """Stages 1 and 2: the one-set answer, then the line sweep; else None."""
+    eps_f, diameter = float(eps), space.diameter
+    # no pair lies more than the diameter apart, while one open ball or one
+    # diameter-<eps set takes the whole space only past the diameter
+    if (eps_f >= diameter) if quantity == SEPARATED else (eps_f > diameter):
+        return _exact(quantity, eps, horizon, 1 if quantity == DIAMETER_COVER else [0],
+                      "diameter")
+    if space.coords is None:
+        return None
+    order = sorted(range(space.size), key=lambda i: space.coords[i])
+    found = line_solver([space.coords[i] for i in order], _as_cmp_scale(eps))
+    return _exact(quantity, eps, horizon, found, "line-sweep", order)
+
+
+def _independent_vs_clique_cover(graph: np.ndarray):
+    """Greedy independent set (lower bound, witness) against greedy clique cover."""
+    picked = solvers.greedy_independent_set(graph)
+    return len(picked), solvers.greedy_clique_cover(graph), picked
+
+
+def graph_bracket(quantity: str, eps, horizon: int, graph: np.ndarray, solver,
+                  method: str, budget: int,
+                  fallback=_independent_vs_clique_cover) -> CountBracket:
+    """Stages 3 and 4: ``solver(graph, budget)`` exactly, else the heuristic
+    bracket ``fallback(graph)`` returns as (lower, upper, witness)."""
+    try:
+        return _exact(quantity, eps, horizon, solver(graph, budget), method)
+    except BudgetExceededError:
+        lower, upper, picked = fallback(graph)
+    witness = None if quantity == DIAMETER_COVER else tuple(picked)
+    return CountBracket(quantity, float(eps), horizon, lower, upper, "heuristic",
+                        "greedy", witness)
+
+
+# -- the counts ----------------------------------------------------------------
 
 
 def max_separated(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
                   horizon: int = 1) -> CountBracket:
     """Maximal cardinality of a strictly-eps-separated subset."""
-    eps_f = float(eps)
-    if eps_f >= space.diameter:
-        return CountBracket(SEPARATED, eps_f, horizon, 1, 1, "exact",
-                            method="diameter", witness=(0,))
-    line = _line_coords(space)
-    if line is not None:
-        coords, order = line
-        picked = solvers.line_max_separated(coords, _as_cmp_scale(eps))
-        witness = tuple(order[i] for i in picked)
-        return CountBracket(SEPARATED, eps_f, horizon, len(picked), len(picked),
-                            "exact", method="line-sweep", witness=witness)
-    conflict = space.close_mask(eps, strict=False)  # d <= eps violates separation
-    np.fill_diagonal(conflict, False)
-    try:
-        picked = solvers.exact_max_independent_set(conflict, budget)
-        return CountBracket(SEPARATED, eps_f, horizon, len(picked), len(picked),
-                            "exact", method="mis-bnb", witness=tuple(picked))
-    except BudgetExceededError:
-        greedy = solvers.greedy_independent_set(conflict)
-        upper = solvers.greedy_clique_cover(conflict)
-        return CountBracket(SEPARATED, eps_f, horizon, len(greedy), upper,
-                            "heuristic", method="greedy", witness=tuple(greedy))
-
-
-# -- spanning sets / ball covers ---------------------------------------------
-
-
-def _ball_masks(space: FiniteMetricSpace, eps) -> np.ndarray:
-    return space.close_mask(eps, strict=True)  # row i: open ball around i
+    return (_closed_form(SEPARATED, space, eps, horizon, solvers.line_max_separated)
+            # d <= eps violates separation
+            or graph_bracket(SEPARATED, eps, horizon, _loopless(space, eps, strict=False),
+                             solvers.exact_max_independent_set, "mis-bnb", budget))
 
 
 def min_spanning(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
                  horizon: int = 1) -> CountBracket:
     """Minimum cardinality of a strictly-eps-spanning subset."""
-    eps_f = float(eps)
-    if eps_f > space.diameter:
-        return CountBracket(SPANNING, eps_f, horizon, 1, 1, "exact",
-                            method="diameter", witness=(0,))
-    line = _line_coords(space)
-    if line is not None:
-        coords, order = line
-        centers = solvers.line_min_ball_cover(coords, _as_cmp_scale(eps))
-        witness = tuple(order[i] for i in centers)
-        return CountBracket(SPANNING, eps_f, horizon, len(centers), len(centers),
-                            "exact", method="line-sweep", witness=witness)
-    masks = _ball_masks(space, eps)
-    try:
-        chosen = solvers.exact_min_set_cover(masks, budget)
-        return CountBracket(SPANNING, eps_f, horizon, len(chosen), len(chosen),
-                            "exact", method="cover-bnb", witness=tuple(chosen))
-    except BudgetExceededError:
-        greedy = solvers.greedy_set_cover(masks)
-        lower = _spanning_lower(space, eps, greedy)
-        return CountBracket(SPANNING, eps_f, horizon, lower, len(greedy),
-                            "heuristic", method="greedy", witness=tuple(greedy))
+    def fallback(balls):
+        greedy = solvers.greedy_set_cover(balls)
+        # chain bound: any strictly-2eps-separated set lower-bounds the
+        # diameter cover at 2eps, which lower-bounds the spanning count at eps
+        sep = solvers.greedy_independent_set(
+            _loopless(space, 2 * _as_cmp_scale(eps), strict=False))
+        return max(1, min(len(sep), len(greedy))), len(greedy), greedy
 
-
-def _spanning_lower(space: FiniteMetricSpace, eps, greedy: list[int]) -> int:
-    # chain bound: any strictly-2eps-separated set lower-bounds the
-    # diameter cover at 2eps, which lower-bounds the spanning count at eps
-    conflict = space.close_mask(2 * _as_cmp_scale(eps), strict=False)
-    np.fill_diagonal(conflict, False)
-    sep = solvers.greedy_independent_set(conflict)
-    return max(1, min(len(sep), len(greedy)))
+    return (_closed_form(SPANNING, space, eps, horizon, solvers.line_min_ball_cover)
+            # row i: the open ball around i
+            or graph_bracket(SPANNING, eps, horizon, space.close_mask(eps, strict=True),
+                             solvers.exact_min_set_cover, "cover-bnb", budget, fallback))
 
 
 def min_ball_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
@@ -179,9 +189,6 @@ def min_ball_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
     return replace(min_spanning(space, eps, budget, horizon), quantity=BALL_COVER)
 
 
-# -- diameter covers -----------------------------------------------------------
-
-
 def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
                        horizon: int = 1) -> CountBracket:
     """Minimum number of diameter-<eps sets covering the space.
@@ -192,26 +199,10 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
     the greedy clique cover is the upper bound.  When the budget runs out
     these two bounds are the heuristic bracket.
     """
-    eps_f = float(eps)
-    if eps_f > space.diameter:
-        return CountBracket(DIAMETER_COVER, eps_f, horizon, 1, 1, "exact",
-                            method="diameter")
-    line = _line_coords(space)
-    if line is not None:
-        count = solvers.line_min_diameter_cover(line[0], _as_cmp_scale(eps))
-        return CountBracket(DIAMETER_COVER, eps_f, horizon, count, count,
-                            "exact", method="line-sweep")
-    near = space.close_mask(eps, strict=True)
-    np.fill_diagonal(near, False)  # the clique-cover solver wants an irreflexive graph
-    try:
-        count = solvers.exact_min_clique_cover(near, budget)
-        return CountBracket(DIAMETER_COVER, eps_f, horizon, count, count,
-                            "exact", method="clique-cover-bnb")
-    except BudgetExceededError:
-        lower = len(solvers.greedy_independent_set(near))
-        upper = solvers.greedy_clique_cover(near)
-        return CountBracket(DIAMETER_COVER, eps_f, horizon, lower, upper,
-                            "heuristic", method="greedy")
+    return (_closed_form(DIAMETER_COVER, space, eps, horizon,
+                         solvers.line_min_diameter_cover)
+            or graph_bracket(DIAMETER_COVER, eps, horizon, _loopless(space, eps, strict=True),
+                             solvers.exact_min_clique_cover, "clique-cover-bnb", budget))
 
 
 QUANTITY_OPS = {

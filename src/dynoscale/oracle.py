@@ -8,7 +8,9 @@ oracles on randomized small instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -47,9 +49,12 @@ def brute_min_spanning(space: FiniteMetricSpace, eps,
     if n > limit:
         raise ParameterError(f"oracle limited to {limit} points")
     eps = float(eps)
+    # bit x of balls[c] is set when x lies in the open ball around c
+    balls = [sum(1 << x for x in range(n) if space.dist(x, c) < eps) for c in range(n)]
+    everything = (1 << n) - 1
     for k in range(1, n + 1):
-        for centers in itertools.combinations(range(n), k):
-            if all(any(space.dist(x, c) < eps for c in centers) for x in range(n)):
+        for centers in itertools.combinations(balls, k):
+            if functools.reduce(operator.or_, centers) == everything:
                 return k
     raise ParameterError("no subset spans: eps must exceed every self-distance")
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from dynoscale.errors import ParameterError
+from dynoscale.errors import BudgetExceededError, ParameterError
 from dynoscale.measures import (AtomicMeasure, apart_count,
                                 check_transport_lower_bound, dominated_layer,
                                 ladder_scale, ladder_construction,
                                 transport_lower_bound)
-from dynoscale.metric_core import max_separated
+from dynoscale.metric_core import max_separated, solvers
 from dynoscale.systems import bowen_space, random_space
 
 
@@ -111,3 +111,31 @@ def test_apart_count_matches_exhaustive_on_random_families():
             best = r
             break
     assert got.value == best
+
+
+def test_apart_count_exhausted_budget_brackets_the_exhaustive_count(monkeypatch):
+    import itertools
+
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("forced")
+
+    # the instance and the exhaustive count of the random-family test above
+    sp = random_space(10, seed=5)
+    dense_m = sp.as_matrix()
+    rng = np.random.default_rng(1)
+    measures = [AtomicMeasure.uniform(sorted(
+        rng.choice(10, int(rng.integers(1, 3)), replace=False).tolist()))
+        for _ in range(8)]
+    eps = 0.22
+
+    def apart(family):
+        return all(dense_m[np.ix_(a.atoms, b.atoms)].min() >= eps
+                   for a, b in itertools.combinations(family, 2))
+
+    best = max(r for r in range(1, len(measures) + 1)
+               if any(apart(c) for c in itertools.combinations(measures, r)))
+    monkeypatch.setattr(solvers, "exact_max_independent_set", exhausted)
+    got = apart_count(sp, measures, eps)
+    assert got.mode == "heuristic" and got.method == "greedy"
+    assert got.lower <= best <= got.upper <= len(measures)
+    assert got.lower == len(got.witness)

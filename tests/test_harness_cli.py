@@ -365,3 +365,35 @@ def test_cli_oracle_rejects_a_matrix_that_is_not_a_metric(matrix, tmp_path, caps
     inst.write_text(json.dumps({"kind": "separated", "eps": 0.5, "matrix": matrix}))
     code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
     assert code == 2 and "error" in err
+
+
+def test_sweep_writes_only_its_csvs(tmp_path):
+    config = parse_config(dict(GOOD, quantities=["separated", "spanning"]))
+    written = run_sweep(config, tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted(tmp_path.glob("sweep_*.csv"))
+    assert sorted(written) == sorted(tmp_path.iterdir())
+
+
+def test_cli_verify_negative_seed_exits_2(capsys):
+    code, err = _exit_code(["verify", "--suite", "product", "--seed", "-1"], capsys)
+    assert code == 2 and "--seed" in err
+
+
+def test_cli_import_and_system_build_leave_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dynoscale
+    env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
+    dense = {"kind": "shift", "symbols": 2, "depth": 12, "metric": "exp"}
+    code = ("import sys\n"
+            "import dynoscale.cli\n"
+            "from dynoscale.systems.descriptor import resolve_system\n"
+            f"resolve_system({dense!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
