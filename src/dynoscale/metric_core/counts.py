@@ -75,10 +75,14 @@ class ScaleGrid:
     def __post_init__(self):
         if not (self.start > 0 and 0 < self.ratio < 1 and self.count >= 1):
             raise ParameterError("need start > 0, ratio in (0,1), count >= 1")
+        if not self._scale(self.count - 1) > 0:
+            raise ParameterError("the smallest scale underflows to 0")
+
+    def _scale(self, i: int) -> float:
+        return self.start * (IRRATIONAL_OFFSET if self.offset else 1.0) * self.ratio**i
 
     def scales(self) -> list[float]:
-        s0 = self.start * (IRRATIONAL_OFFSET if self.offset else 1.0)
-        return [s0 * self.ratio**i for i in range(self.count)]
+        return [self._scale(i) for i in range(self.count)]
 
 
 # -- the bracket pipeline ------------------------------------------------------

@@ -7,6 +7,9 @@ when it runs out; callers fall back to certified greedy brackets.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import numpy as np
 
 from ..errors import BudgetExceededError, DynoscaleError
@@ -26,42 +29,83 @@ class _Budget:
             raise BudgetExceededError("node expansion budget exhausted")
 
 
+# -- the set format ----------------------------------------------------------
+#
+# Every search below runs on Python-int bitsets: row i of a boolean table
+# becomes one int whose bit j is set when ``table[i, j]`` is.  Unions,
+# intersections, subset tests and counts are then single int operations.
+
+
+def _bitsets(table: np.ndarray) -> list[int]:
+    """One int per row of a boolean table, bit j for column j."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _members(bits: int):
+    """Indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _full(n: int) -> int:
+    return (1 << n) - 1
+
+
 # -- independent sets ----------------------------------------------------
 
 
-def greedy_independent_set(adj: np.ndarray, alive: np.ndarray | None = None) -> list[int]:
+def greedy_independent_set(adj: np.ndarray) -> list[int]:
     """Maximal independent set, points taken in index order."""
-    n = adj.shape[0]
-    alive = np.ones(n, dtype=bool) if alive is None else alive.copy()
+    return _greedy_independent(_bitsets(adj), _full(adj.shape[0]))
+
+
+def _greedy_independent(rows: list[int], alive: int) -> list[int]:
     picked = []
-    while True:
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return picked
-        v = int(idx[0])
+    while alive:
+        v = (alive & -alive).bit_length() - 1
         picked.append(v)
-        alive[v] = False
-        alive &= ~adj[v]
+        alive &= ~(rows[v] | 1 << v)
+    return picked
 
 
-def greedy_clique_cover(adj: np.ndarray, alive: np.ndarray | None = None) -> int:
+def greedy_clique_cover(adj: np.ndarray) -> int:
     """Number of cliques in a greedy cover of the conflict graph.
 
     Any clique cover count upper-bounds the maximum independent set.
     """
-    n = adj.shape[0]
-    alive = np.ones(n, dtype=bool) if alive is None else alive.copy()
+    return _greedy_clique_cover(_bitsets(adj), _full(adj.shape[0]))
+
+
+def _greedy_clique_cover(rows: list[int], alive: int) -> int:
     count = 0
-    while alive.any():
-        v = int(np.flatnonzero(alive)[0])
-        common = alive & adj[v]
-        alive[v] = False
+    while alive:
+        low = alive & -alive
+        common = alive & rows[low.bit_length() - 1]
+        alive ^= low
         count += 1
-        while common.any():
-            u = int(np.flatnonzero(common)[0])
-            alive[u] = False
-            common = common & adj[u] & alive
+        while common:
+            low = common & -common
+            alive &= ~low
+            common &= rows[low.bit_length() - 1] & alive
     return count
+
+
+def _components(rows: list[int]):
+    """Connected components as bitsets, in order of their lowest index."""
+    unseen = _full(len(rows))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _members(frontier):
+                reach |= rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        yield comp
 
 
 def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -71,61 +115,44 @@ def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
     instances (the usual shape for ultrametric conflicts) resolve at the
     root because the greedy lower bound meets the clique-cover upper bound.
     """
-    n = adj.shape[0]
+    rows = _bitsets(adj)
     b = _Budget(budget)
     out: list[int] = []
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = _component_mask(adj, start)
-        seen |= comp
-        out.extend(_mis_on_component(adj, comp, b))
+    for comp in _components(rows):
+        out.extend(_mis_on_component(rows, comp, b))
     return sorted(out)
 
 
-def _mis_on_component(adj: np.ndarray, comp: np.ndarray, b: _Budget) -> list[int]:
-    best = greedy_independent_set(adj, comp)
-    if len(best) == greedy_clique_cover(adj, comp):
+def _mis_on_component(rows: list[int], comp: int, b: _Budget) -> list[int]:
+    best = _greedy_independent(rows, comp)
+    if len(best) == _greedy_clique_cover(rows, comp):
         return best
     best_box = [best]
 
-    def rec(alive: np.ndarray, current: list[int]) -> None:
+    def rec(alive: int, current: list[int]) -> None:
         b.spend()
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if not alive:
             if len(current) > len(best_box[0]):
                 best_box[0] = list(current)
             return
-        if len(current) + greedy_clique_cover(adj, alive) <= len(best_box[0]):
+        if len(current) + _greedy_clique_cover(rows, alive) <= len(best_box[0]):
             return
-        sub_deg = adj[np.ix_(idx, idx)].sum(axis=1)
-        if sub_deg.max() == 0:
-            cand = current + [int(i) for i in idx]
+        # branch on the most neighbours left, the lowest index on ties
+        v, degree = -1, -1
+        for u in _members(alive):
+            d = (rows[u] & alive).bit_count()
+            if d > degree:
+                v, degree = u, d
+        if degree == 0:
+            cand = current + list(_members(alive))
             if len(cand) > len(best_box[0]):
                 best_box[0] = cand
             return
-        v = int(idx[int(np.argmax(sub_deg))])
-        with_v = alive & ~adj[v]
-        with_v[v] = False
-        rec(with_v, current + [v])
-        without = alive.copy()
-        without[v] = False
-        rec(without, current)
+        rec(alive & ~(rows[v] | 1 << v), current + [v])
+        rec(alive & ~(1 << v), current)
 
     rec(comp, [])
     return best_box[0]
-
-
-def _component_mask(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[start] = True
-    while frontier.any():
-        mask |= frontier
-        frontier = (adj[frontier].any(axis=0)) & ~mask
-    return mask
 
 
 # -- clique covers ---------------------------------------------------------
@@ -141,61 +168,41 @@ def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int
     graph, found by DSatur branch and bound (Brelaz 1979) with one budget
     node per branch.
     """
-    upper = greedy_clique_cover(adj)
-    if len(greedy_independent_set(adj)) == upper:
+    rows = _bitsets(adj)
+    everything = _full(len(rows))
+    upper = _greedy_clique_cover(rows, everything)
+    if len(_greedy_independent(rows, everything)) == upper:
         return upper
-    n = adj.shape[0]
     b = _Budget(budget)
     total = 0
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = _component_mask(adj, start)
-        seen |= comp
-        total += _clique_cover_on_component(adj, comp, b)
+    for comp in _components(rows):
+        clique = _greedy_independent(rows, comp)
+        cover = _greedy_clique_cover(rows, comp)
+        total += cover if len(clique) == cover else _dsatur(rows, comp, clique, cover, b)
     return total
 
 
-def _clique_cover_on_component(adj: np.ndarray, comp: np.ndarray, b: _Budget) -> int:
-    lower = greedy_independent_set(adj, comp)
-    upper = greedy_clique_cover(adj, comp)
-    if len(lower) == upper:
-        return upper
-    idx = np.flatnonzero(comp)
-    far = ~adj[np.ix_(idx, idx)]
-    np.fill_diagonal(far, False)
-    packed = np.packbits(far, axis=1, bitorder="little")
-    far_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    local = {int(v): i for i, v in enumerate(idx)}
-    return _dsatur(far_bits, [local[v] for v in lower], upper, b)
+def _dsatur(rows: list[int], comp: int, clique: list[int], upper: int, b: _Budget) -> int:
+    """Chromatic number of the complement of ``rows`` on the vertices ``comp``.
 
-
-def _dsatur(far_bits: list[int], clique: list[int], upper: int, b: _Budget) -> int:
-    """Chromatic number of the graph with neighbour bitsets ``far_bits``.
-
-    ``clique`` is a clique of that graph (a lower bound, coloured first)
-    and ``upper`` the size of a known colouring.  The next vertex is the
-    uncoloured one with the most distinct neighbour colours, then the most
-    uncoloured neighbours, then the lowest index; it tries every colour in
-    use and one new colour while that can still beat the best colouring.
+    ``clique`` is a clique of that complement (a lower bound, coloured
+    first) and ``upper`` the size of a known colouring.  The next vertex is
+    the uncoloured one with the most distinct neighbour colours, then the
+    most uncoloured neighbours, then the lowest index; it tries every colour
+    in use and one new colour while that can still beat the best colouring.
     """
-    k = len(far_bits)
+    far = {v: comp & ~(rows[v] | 1 << v) for v in _members(comp)}
     lower, best = len(clique), upper
-    colour = [-1] * k
-    forbid = [0] * k  # bitset of the colours on each vertex's neighbours
-    uncoloured = (1 << k) - 1
+    colour: dict[int, int] = {}
+    forbid = dict.fromkeys(far, 0)  # bitset of the colours on each vertex's neighbours
+    uncoloured = comp
 
     def paint(v: int, c: int) -> list[int]:
         nonlocal uncoloured
         colour[v] = c
         uncoloured &= ~(1 << v)
         bit, changed = 1 << c, []
-        rest = far_bits[v] & uncoloured
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
+        for u in _members(far[v] & uncoloured):
             if not forbid[u] & bit:
                 forbid[u] |= bit
                 changed.append(u)
@@ -203,19 +210,15 @@ def _dsatur(far_bits: list[int], clique: list[int], upper: int, b: _Budget) -> i
 
     def unpaint(v: int, changed: list[int]) -> None:
         nonlocal uncoloured
-        mask = ~(1 << colour[v])
-        colour[v] = -1
+        mask = ~(1 << colour.pop(v))
         uncoloured |= 1 << v
         for u in changed:
             forbid[u] &= mask
 
     def pick() -> int:
-        best_v, best_key, rest = -1, (-1, -1), uncoloured
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            key = (forbid[u].bit_count(), (far_bits[u] & uncoloured).bit_count())
+        best_v, best_key = -1, (-1, -1)
+        for u in _members(uncoloured):
+            key = (forbid[u].bit_count(), (far[u] & uncoloured).bit_count())
             if key > best_key:
                 best_v, best_key = u, key
         return best_v
@@ -251,42 +254,40 @@ def _dsatur(far_bits: list[int], clique: list[int], upper: int, b: _Budget) -> i
 # -- set cover -----------------------------------------------------------
 
 
-def _unique_rows(masks: np.ndarray) -> np.ndarray:
-    """Indices of first occurrences of distinct rows (bit-packed compare)."""
-    packed = np.packbits(masks, axis=1)
-    view = packed.view([("", packed.dtype)] * packed.shape[1]).ravel()
-    _, first = np.unique(view, return_index=True)
-    return first
+def _first_rows(rows: list[int]) -> list[int]:
+    """Indices of the first occurrence of each distinct row, ascending."""
+    first: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    return list(first.values())
 
 
 def dedupe_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop duplicate and dominated (subset) rows; returns (masks, kept_idx)."""
-    first = _unique_rows(masks)
-    sizes = masks.sum(axis=1)
-    order = sorted(first.tolist(), key=lambda i: (-int(sizes[i]), i))
+    rows = _bitsets(masks)
+    sizes = [row.bit_count() for row in rows]
     kept: list[int] = []
-    for i in order:
-        mi = masks[i]
+    for i in sorted(_first_rows(rows), key=lambda i: (-sizes[i], i)):
         # a strict subset is strictly smaller, so equal-size rows never dominate
-        if any(sizes[j] > sizes[i] and np.array_equal(mi | masks[j], masks[j])
-               for j in kept):
-            continue
-        kept.append(int(i))
+        if not any(sizes[j] > sizes[i] and rows[i] | rows[j] == rows[j] for j in kept):
+            kept.append(i)
     return masks[kept], np.array(kept)
 
 
 def greedy_set_cover(masks: np.ndarray) -> list[int]:
     """Greedy cover of the full universe; ties break on the lowest index."""
-    m, n = masks.shape
-    covered = np.zeros(n, dtype=bool)
-    picked = []
-    while not covered.all():
-        gains = (masks & ~covered).sum(axis=1)
-        best = int(np.argmax(gains))
+    return _greedy_cover(_bitsets(masks), _full(masks.shape[1]))
+
+
+def _greedy_cover(rows: list[int], universe: int) -> list[int]:
+    covered, picked = 0, []
+    while covered != universe:
+        gains = [(row & ~covered).bit_count() for row in rows]
+        best = max(range(len(rows)), key=gains.__getitem__)
         if gains[best] == 0:
             raise ValueError("universe not coverable by the given sets")
         picked.append(best)
-        covered |= masks[best]
+        covered |= rows[best]
     return picked
 
 
@@ -298,20 +299,19 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list
     the node budget mapped onto the solver's node limit.  Dominated rows are
     left to the solver's presolve.
     """
-    n = masks.shape[1]
-    kept = np.sort(_unique_rows(masks))
-    kept = kept[masks[kept].any(axis=1)]
-    work = masks[kept]
-    if not work.any(axis=0).all():
+    rows = _bitsets(masks)
+    kept = [i for i in _first_rows(rows) if rows[i]]
+    work = [rows[i] for i in kept]
+    universe = _full(masks.shape[1])
+    if reduce(or_, work, 0) != universe:
         raise ValueError("universe not coverable by the given sets")
-    if int(work.sum()) == n:
+    if sum(row.bit_count() for row in work) == masks.shape[1]:
         # pairwise disjoint cover: every set owns its elements, all are needed
-        return [int(k) for k in kept]
-    greedy = greedy_set_cover(work)
-    chosen = _milp_min_cover(work, len(greedy), budget)
+        return kept
+    chosen = _milp_min_cover(masks[kept], len(_greedy_cover(work, universe)), budget)
     if chosen is None:
         raise BudgetExceededError("set-cover node limit reached")
-    return [int(kept[i]) for i in chosen]
+    return [kept[i] for i in chosen]
 
 
 def _milp_min_cover(work: np.ndarray, greedy_size: int, budget: int):
@@ -356,21 +356,21 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
 
     Mass comparisons are exact when weights and target are Fractions.
     """
-    m, n = masks.shape
     if target <= 0:
         return []
     work, kept = dedupe_masks(masks)
+    rows = _bitsets(work)
     b = _Budget(budget)
     w = list(weights)
     zero = type(w[0])(0)
 
-    def mass(mask: np.ndarray):
-        return sum((w[i] for i in np.flatnonzero(mask)), start=zero)
+    def mass(bits: int):
+        return sum((w[i] for i in _members(bits)), start=zero)
 
-    set_masses = [mass(work[i]) for i in range(work.shape[0])]
-    order = sorted(range(work.shape[0]), key=lambda i: (-float(set_masses[i]), i))
+    set_masses = [mass(row) for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: (-float(set_masses[i]), i))
 
-    if work.sum(axis=0).max(initial=0) <= 1:
+    if sum(row.bit_count() for row in rows) == reduce(or_, rows, 0).bit_count():
         # disjoint sets: heaviest-first is optimal for a pure count objective
         chosen, have = [], zero
         for s in order:
@@ -383,8 +383,8 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
         return [int(kept[i]) for i in chosen]
 
     greedy = greedy_partial_cover(work, w, target)
-    if mass(_union(work, greedy, n)) < target:
-        greedy = list(range(work.shape[0]))
+    if mass(reduce(or_, (rows[i] for i in greedy), 0)) < target:
+        greedy = list(range(len(rows)))
     best: list[list[int]] = [greedy]
     # optimistic completion: k more sets add at most the k largest set masses
     prefix = [zero]
@@ -397,7 +397,7 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
                 return k
         return len(order) + 1
 
-    def solve(pos: int, covered: np.ndarray, chosen: list[int], have) -> None:
+    def solve(pos: int, covered: int, chosen: list[int], have) -> None:
         b.spend()
         if have >= target:
             if len(chosen) < len(best[0]):
@@ -408,20 +408,13 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
         if len(chosen) + min_extra_sets(target - have) >= len(best[0]):
             return
         s = order[pos]
-        gain = mass(work[s] & ~covered)
+        gain = mass(rows[s] & ~covered)
         if gain > 0:
-            solve(pos + 1, covered | work[s], chosen + [s], have + gain)
+            solve(pos + 1, covered | rows[s], chosen + [s], have + gain)
         solve(pos + 1, covered, chosen, have)
 
-    solve(0, np.zeros(n, dtype=bool), [], zero)
+    solve(0, 0, [], zero)
     return [int(kept[i]) for i in best[0]]
-
-
-def _union(masks: np.ndarray, idx: list[int], n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    for i in idx:
-        out |= masks[i]
-    return out
 
 
 # -- maximal cliques ------------------------------------------------------

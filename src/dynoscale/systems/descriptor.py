@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import ParameterError
+from ..errors import ConfigError, ParameterError
 from ..schema import build, choice, integer, rational, tagged
 from .base import identity_system
 from .intervals import doubling_grid, null_sequence_space, unit_lattice, random_space
@@ -24,8 +24,12 @@ def resolve_system(data: Any, path: str = "system"):
 
 
 def _system(value, path):
+    """Field type: a system a product or power can combine (no ladder map)."""
     # by global name, so a wrapper rebound on resolve_system sees nested calls
-    return resolve_system(value, path)
+    system = resolve_system(value, path)
+    if isinstance(system, KolyadaSnohaMap):
+        raise ConfigError(path, "a ladder map cannot be combined")
+    return system
 
 
 def _alphabet(value, path):

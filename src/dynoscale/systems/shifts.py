@@ -77,6 +77,8 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
     if metric == "product":
         alphabet = alphabet if alphabet is not None else discrete_alphabet(symbols)
         symbols = alphabet.size
+    elif alphabet is not None:
+        raise ParameterError("an alphabet applies to the product metric only")
     if not (0 <= tail < symbols):
         raise ParameterError("tail symbol outside the alphabet")
     words = _prefixes(symbols, depth)

@@ -93,10 +93,11 @@ def subadditivity_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verifica
         for n, m in pairs:
             if n + m > system.horizon_cap:
                 continue
+            dn, dm, dnm = (bowen_space(system, k) for k in (n, m, n + m))
             for eps in _grid_for(system):
-                a = min_diameter_cover(bowen_space(system, n), eps, budget, n)
-                b = min_diameter_cover(bowen_space(system, m), eps, budget, m)
-                ab = min_diameter_cover(bowen_space(system, n + m), eps, budget, n + m)
+                a = min_diameter_cover(dn, eps, budget, n)
+                b = min_diameter_cover(dm, eps, budget, m)
+                ab = min_diameter_cover(dnm, eps, budget, n + m)
                 detail = {"system": system.name, "n": n, "m": m, "eps": eps}
                 report.checks.append(exact_check(
                     "subadditivity", detail, _below_product,
@@ -115,9 +116,10 @@ def power_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRepo
             for n in (1, 2, 3):
                 if ell * n > system.horizon_cap or n > powered.horizon_cap:
                     continue
+                powered_n, system_ln = bowen_space(powered, n), bowen_space(system, ell * n)
                 for eps in _grid_for(system):
-                    lhs = max_separated(bowen_space(powered, n), eps, budget, n)
-                    rhs = max_separated(bowen_space(system, ell * n), eps, budget, ell * n)
+                    lhs = max_separated(powered_n, eps, budget, n)
+                    rhs = max_separated(system_ln, eps, budget, ell * n)
                     detail = {"system": system.name, "power": ell, "n": n, "eps": eps}
                     report.checks.append(exact_check(
                         "power", detail, operator.le, lhs=lhs, rhs=rhs))
@@ -131,10 +133,11 @@ def product_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRe
     b = doubling_grid(6, horizon_cap=4)
     z = product_system(a, b)
     for n in (1, 2, 3):
+        an, bn, zn = (bowen_space(system, n) for system in (a, b, z))
         for eps in _grid_for(z):
-            ra = min_spanning(bowen_space(a, n), eps, budget, n)
-            rb = min_spanning(bowen_space(b, n), eps, budget, n)
-            rz = min_spanning(bowen_space(z, n), eps, budget, n)
+            ra = min_spanning(an, eps, budget, n)
+            rb = min_spanning(bn, eps, budget, n)
+            rz = min_spanning(zn, eps, budget, n)
             detail = {"system": z.name, "n": n, "eps": eps}
             report.checks.append(exact_check(
                 "product", detail, _below_product, combined=rz, left=ra, right=rb))
@@ -185,11 +188,12 @@ def shift_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
     for system, raw_grid in cases:
         alphabet = system.meta["alphabet"]
         for n in (1, 2, 3):
+            dn = bowen_space(system, n)
             for eps in raw_grid:
                 sep_alpha = max_separated(alphabet, eps, budget)
                 span_alpha = min_spanning(alphabet, eps, budget)
-                sep_shift = max_separated(bowen_space(system, n), eps, budget, n)
-                span_shift = min_spanning(bowen_space(system, n), eps, budget, n)
+                sep_shift = max_separated(dn, eps, budget, n)
+                span_shift = min_spanning(dn, eps, budget, n)
                 # net truncation caps the realized prefix count
                 cap = system.meta["symbols"] ** system.meta["depth"]
                 exponent = n + scale_cap(eps)

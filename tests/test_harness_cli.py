@@ -271,6 +271,7 @@ W_QUANTIZE = dict(QUANTIZE, kind="wasserstein", p=2, horizons=[1, 2], budget=100
     ("quantize", QUANTIZE, ("measure", "weights"), ["1/3"], "quantize.measure"),
     ("quantize", QUANTIZE, ("measure", "atoms"), 3, "quantize.measure.atoms"),
     ("quantize", QUANTIZE, ("measure", "weights"), ["x"], "quantize.measure.weights[0]"),
+    ("sweep", GOOD, ("grid",), {"start": 1e-320, "ratio": 0.001, "count": 3}, "config.grid"),
 ])
 def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
                                                    where, tmp_path, capsys):
@@ -345,6 +346,23 @@ def test_cli_out_naming_a_file_exits_2(command, config, tmp_path, capsys):
     taken.write_text("")
     code, err = _exit_code([command, "--config", str(path), "--out", str(taken)], capsys)
     assert code == 2 and str(taken) in err and "Traceback" not in err
+
+
+LADDER = {"kind": "kolyada", "family": "F1", "k_max": 3}
+
+
+@pytest.mark.parametrize("system, where", [
+    ({"kind": "product", "a": LADDER, "b": {"kind": "doubling", "grid": 4}}, "system.a"),
+    ({"kind": "power", "base": LADDER, "exponent": 2}, "system.base"),
+    ({"kind": "shift", "depth": 4, "metric": "exp",
+      "alphabet": {"type": "discrete", "symbols": 2}}, "system"),
+])
+def test_cli_system_it_cannot_build_exits_2_at_its_path(system, where, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(GOOD, system=system)))
+    code, err = _exit_code(["sweep", "--config", str(path), "--out", str(tmp_path / "o")],
+                           capsys)
+    assert code == 2 and f"{where}: " in err
 
 
 def test_kolyada_sweep_rejects_quantities_it_cannot_count(tmp_path, capsys):

@@ -110,3 +110,8 @@ def test_point_cap_enforced():
 def test_tail_symbol_validated():
     with pytest.raises(ParameterError):
         full_shift(2, 4, tail=5)
+
+
+def test_alphabet_rejected_under_the_exp_metric():
+    with pytest.raises(ParameterError):
+        full_shift(2, 4, metric="exp", alphabet=discrete_alphabet(2))

@@ -32,11 +32,28 @@ def _brute_mis(adj):
     return best
 
 
-@pytest.mark.parametrize("seed", range(30))
+def _disjoint_union(*graphs):
+    n = sum(g.shape[0] for g in graphs)
+    adj = np.zeros((n, n), dtype=bool)
+    at = 0
+    for g in graphs:
+        adj[at:at + g.shape[0], at:at + g.shape[0]] = g
+        at += g.shape[0]
+    return adj
+
+
+# unions of two random graphs: several components, some closing at the root
+# (greedy set meets clique cover) and some needing the search
+@pytest.mark.parametrize("seed", [*range(30), *(f"union-{k}" for k in range(10))])
 def test_mis_matches_brute(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 11))
-    adj = _random_graph(rng, n, rng.uniform(0.1, 0.8))
+    if isinstance(seed, str):
+        rng = np.random.default_rng(500 + int(seed.split("-")[1]))
+        adj = _disjoint_union(*(_random_graph(rng, int(rng.integers(4, 8)),
+                                              rng.uniform(0.2, 0.7)) for _ in range(2)))
+    else:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        adj = _random_graph(rng, n, rng.uniform(0.1, 0.8))
     got = exact_max_independent_set(adj)
     assert len(got) == _brute_mis(adj)
     assert not any(adj[i, j] for i, j in itertools.combinations(got, 2))
@@ -72,12 +89,16 @@ def _brute_cover(masks):
 
 # disjoint once the empty row is dropped; kept, it would count as a third set
 EMPTY_ROW_COVER = [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
+# duplicates of rows 0 and 1; the first occurrences cover, the copies add nothing
+DUPLICATE_ROWS_COVER = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1],
+                        [0, 1, 1, 0], [1, 0, 0, 1]]
+FIXED_COVERS = {"empty-row": EMPTY_ROW_COVER, "duplicate-rows": DUPLICATE_ROWS_COVER}
 
 
-@pytest.mark.parametrize("seed", [*range(30), "empty-row"])
+@pytest.mark.parametrize("seed", [*range(30), *FIXED_COVERS])
 def test_set_cover_matches_brute(seed):
-    if seed == "empty-row":
-        masks = np.array(EMPTY_ROW_COVER, dtype=bool)
+    if seed in FIXED_COVERS:
+        masks = np.array(FIXED_COVERS[seed], dtype=bool)
         n = masks.shape[1]
     else:
         rng = np.random.default_rng(100 + seed)
