@@ -15,7 +15,7 @@ from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
 from .metric_core.counts import QUANTITY_OPS, ScaleGrid, SEPARATED, BALL_COVER
 from .metric_core.solvers import DEFAULT_BUDGET
-from .estimators.sweep import ScaleSweep, write_estimates_csv
+from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
                                     metric_order_estimate, mdim_estimate,
                                     mdim_mo_estimate)
@@ -59,14 +59,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(load_json(path))
 
 
+def _check_horizons(system: DynamicalSystem, horizons: list[int], path: str) -> None:
+    """A horizon beyond the system's cap is a config error, never a skipped row."""
+    for n in horizons:
+        if n > system.horizon_cap:
+            raise ConfigError(path, f"horizon {n} beyond cap {system.horizon_cap}")
+
+
 def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentConfig,
            horizons: list[int]) -> dict[str, ScaleSweep]:
     """One sweep per quantity, horizon-major so each d_n is built once."""
     sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     scales = config.grid.scales()
     for n in horizons:
-        if n > system.horizon_cap:
-            continue
         dn = bowen_space(system, n)
         for quantity, sweep in sweeps.items():
             for eps in scales:
@@ -82,6 +87,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     if isinstance(resolved, KolyadaSnohaMap):
         return _run_kolyada_sweep(config, resolved, out)
     system: DynamicalSystem = resolved
+    _check_horizons(system, config.horizons, "config.horizons")
     written: list[Path] = []
     sweeps = _count(system, config.quantities, config, config.horizons)
     for quantity in config.quantities:
@@ -130,6 +136,7 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
 
 def _net_estimates(system: DynamicalSystem, config: ExperimentConfig):
     """Box dimension and metric order rows, and the per-scale entropies."""
+    _check_horizons(system, config.horizons, "config.horizons")
     rows = []
     # the box dimension is a horizon-1 quantity
     balls = _count(system, [BALL_COVER], config, [n for n in config.horizons if n == 1])
@@ -170,15 +177,17 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
     if q["kind"] == W_KIND and q["p"] < 1:
         raise ConfigError("quantize.p", f"the W_p order must be >= 1, got {q['p']}")
+    _check_horizons(q["system"], q["horizons"], "quantize.horizons")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
     for n in q["horizons"]:
         dn = bowen_space(q["system"], n)
         for eps in q["grid"].scales():
-            rep = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
-                                      budget=q["budget"], horizon=n)
-            lines.append(",".join(str(x) for x in rep.csv_row()))
+            br = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
+                                     budget=q["budget"], horizon=n)
+            lines.append(f"{format_float(br.scale)},{br.horizon},{br.quantity},"
+                         f"{br.upper},{br.mode}")
     path = out / "quantization.csv"
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -4,8 +4,8 @@ from .atomic import (AtomicMeasure, pushforward, measure_to_json,
                      measure_from_json)
 from .wasserstein import wasserstein, CouplingPlan, w1_pairs_two_atom
 from .prokhorov import levy_prokhorov, lp_condition_holds, w1_upper_report
-from .quantization import (QuantizationReport, quantization_number,
-                           quantization_order, dynamical_quantization_rate,
+from .quantization import (quantization_number, quantization_order,
+                           dynamical_quantization_rate,
                            dynamical_quantization_order, LP_KIND, W_KIND)
 from .constructions import (LadderMeasure, LadderLayer, ladder_construction,
                             ladder_scale, dominated_layer,
@@ -18,7 +18,7 @@ __all__ = [
     "AtomicMeasure", "pushforward", "measure_to_json", "measure_from_json",
     "wasserstein", "CouplingPlan", "w1_pairs_two_atom",
     "levy_prokhorov", "lp_condition_holds", "w1_upper_report",
-    "QuantizationReport", "quantization_number", "quantization_order",
+    "quantization_number", "quantization_order",
     "dynamical_quantization_rate", "dynamical_quantization_order",
     "LP_KIND", "W_KIND",
     "LadderMeasure", "LadderLayer", "ladder_construction", "ladder_scale",

@@ -32,16 +32,17 @@ def measure_lattice(size: int, max_atoms: int = 2, q: int = 4) -> list[AtomicMea
     """All measures with <= max_atoms atoms among ``size`` points, weights i/q."""
     if max_atoms < 1 or q < 1:
         raise ParameterError("need max_atoms >= 1 and q >= 1")
+    if max_atoms >= 3:
+        raise ParameterError("lattices beyond two atoms are not materialised")
+    count = size if max_atoms == 1 else size + math.comb(size, 2) * (q - 1)
+    if count > LATTICE_CAP:
+        raise ParameterError(f"lattice of {count} measures exceeds cap {LATTICE_CAP}")
     out: list[AtomicMeasure] = [AtomicMeasure.dirac(i) for i in range(size)]
     if max_atoms >= 2:
         for i, j in itertools.combinations(range(size), 2):
             for num in range(1, q):
                 out.append(AtomicMeasure((i, j),
                                          (Fraction(num, q), Fraction(q - num, q))))
-    if max_atoms >= 3:
-        raise ParameterError("lattices beyond two atoms are not materialised")
-    if len(out) > LATTICE_CAP:
-        raise ParameterError(f"lattice of {len(out)} measures exceeds cap {LATTICE_CAP}")
     return out
 
 

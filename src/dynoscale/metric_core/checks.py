@@ -7,12 +7,11 @@ result to "inconclusive" rather than asserting anything.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .space import FiniteMetricSpace
-from .counts import (CountBracket, max_separated, min_spanning, min_ball_cover,
-                     min_diameter_cover)
+from .counts import BALL_COVER, max_separated, min_spanning, min_diameter_cover
 from .solvers import DEFAULT_BUDGET
 
 PASS = "pass"
@@ -35,14 +34,13 @@ def exact_check(name: str, detail: dict, holds: Callable[..., bool],
                 **operands) -> CheckResult:
     """PASS or FAIL by ``holds(*values)`` once every operand is exact.
 
-    Operands are count brackets or quantization reports, passed by keyword;
-    any heuristic operand makes the check inconclusive.  The exact values
-    join a copy of ``detail`` under their keywords, in order.
+    Operands are count brackets, passed by keyword; any heuristic operand
+    makes the check inconclusive.  The exact values join a copy of
+    ``detail`` under their keywords, in order.
     """
     if any(op.mode != "exact" for op in operands.values()):
         return CheckResult(name, INCONCLUSIVE, detail)
-    values = {key: op.value if isinstance(op, CountBracket) else op.count
-              for key, op in operands.items()}
+    values = {key: op.value for key, op in operands.items()}
     status = PASS if holds(*values.values()) else FAIL
     return CheckResult(name, status, dict(detail, **values))
 
@@ -60,7 +58,8 @@ def verify_chain(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
     span_e = min_spanning(space, eps, budget, horizon)
     cov_e = min_diameter_cover(space, eps, budget, horizon)
     cov_2e = min_diameter_cover(space, 2 * eps, budget, horizon)
-    balls_e = min_ball_cover(space, eps, budget, horizon)
+    # on a finite space the ball cover is the spanning count under another tag
+    balls_e = replace(span_e, quantity=BALL_COVER)
     le = operator.le
     return [
         exact_check("cover(2e)<=span(e)", detail, le, lhs=cov_2e, rhs=span_e),

@@ -93,7 +93,8 @@ class ScaleGrid:
 # graph; (4) when its budget runs out, a heuristic fallback brackets the
 # count.  Solvers are passed in as looked up on ``solvers`` at call time, so
 # wrappers bound there see every call.  Diameter covers name no sets: their
-# solvers return the count alone and their brackets carry no witness.
+# solvers return the count alone and their brackets carry no witness.  The
+# LP quantization number enters at stage 3 with the partial-cover search.
 
 
 def _as_cmp_scale(eps):

@@ -53,15 +53,16 @@ def _prefixes(symbols: int, depth: int) -> np.ndarray:
                     dtype=np.int16)
 
 
-def _first_disagreement(words: np.ndarray) -> np.ndarray:
-    """(n, n) int16 table of leading agreeing coordinates (depth if equal)."""
-    n, depth = words.shape
-    fd = np.zeros((n, n), dtype=np.int16)
-    still_equal = np.ones((n, n), dtype=bool)
-    for t in range(depth):
-        col = words[:, t]
-        still_equal &= col[:, None] == col[None, :]
-        fd += still_equal
+def _first_disagreement(symbols: int, depth: int) -> np.ndarray:
+    """(n, n) int16 table of leading agreeing coordinates (depth if equal).
+
+    Rows follow the lexicographic order of ``_prefixes``: words that share
+    their first letter agree on one more coordinate than their tails, and
+    words that do not agree on none, so each letter adds a Kronecker layer.
+    """
+    fd = np.zeros((1, 1), dtype=np.int16)
+    for _ in range(depth):
+        fd = np.kron(np.eye(symbols, dtype=np.int16), fd + 1)
     return fd
 
 
@@ -85,9 +86,9 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
     n = words.shape[0]
 
     if metric == "exp":
-        fd = _first_disagreement(words)
         # exp(-k * ln base) keeps scales like exp(-m) bitwise comparable
-        dist = np.exp(-math.log(base) * fd.astype(float))
+        powers = np.exp(-math.log(base) * np.arange(depth + 1))
+        dist = powers[_first_disagreement(symbols, depth)]
         np.fill_diagonal(dist, 0.0)
         trunc = base ** (-float(depth))
         alph_diam = 1.0

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_check,
                                  verify_chain)
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
@@ -25,7 +24,8 @@ from .systems import (DynamicalSystem, binary_exp_shift, bowen_space,
                       doubling_grid, full_shift, power_system, product_system,
                       random_space, static_system)
 from .measures.atomic import AtomicMeasure
-from .measures.quantization import quantization_number, LP_KIND, W_KIND
+from .measures.quantization import (quantization_number, partial_cover_bracket, LP_KIND,
+                                    W_KIND)
 from .measures.constructions import check_transport_lower_bound
 from .measures.wasserstein import wasserstein
 from . import oracle
@@ -338,7 +338,6 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
             "transport-vs-oracle", PASS if ok else FAIL,
             {"instance": t, "value": value, "brute": brute}))
 
-    from .metric_core.solvers import exact_min_partial_cover
     for t in range(instances):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(3, 9))
@@ -348,15 +347,10 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
         weights = [Fraction(r, sum(raw)) for r in raw]
         target = Fraction(int(rng.integers(1, 10)), 10)
         want = oracle.brute_partial_cover(masks, weights, target)
-        try:
-            got = len(exact_min_partial_cover(masks, weights, target, budget))
-        except BudgetExceededError:
-            report.checks.append(CheckResult(
-                "partial-cover-vs-oracle", INCONCLUSIVE, {"instance": t, "want": want}))
-            continue
-        report.checks.append(CheckResult(
-            "partial-cover-vs-oracle", PASS if got == want else FAIL,
-            {"instance": t, "got": got, "want": want}))
+        got = partial_cover_bracket(masks, weights, target, budget)
+        report.checks.append(exact_check(
+            "partial-cover-vs-oracle", {"instance": t, "want": want},
+            lambda value: value == want, got=got))
     return report
 
 

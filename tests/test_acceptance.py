@@ -215,7 +215,7 @@ def test_criterion_08_ladder_sandwich():
             balls = dn.as_matrix()[:, list(ladder.measure.atoms)] <= eps
             masses = balls @ np.array([float(w) for w in ladder.measure.weights])
             greedy_floor = int(np.ceil((1 - eps) / masses.max()))
-            assert greedy_floor <= q.count <= cover.value
+            assert greedy_floor <= q.upper <= cover.value
             per_n.append(q)
         rates.append((eps, dynamical_quantization_rate(per_n)))
         sep_rows = [(n, max_separated(bowen_space(system, n), eps, horizon=n))

@@ -13,7 +13,7 @@ from dynoscale.errors import ParameterError
 from dynoscale.estimators import (SlopeEstimate, box_dimension_estimate,
                                   entropy_at_scale, mdim_estimate, mdim_mo_estimate,
                                   metric_order_estimate)
-from dynoscale.measures import (QuantizationReport, dynamical_quantization_order,
+from dynoscale.measures import (dynamical_quantization_order,
                                 dynamical_quantization_rate, quantization_order)
 from dynoscale.metric_core import CountBracket
 
@@ -35,9 +35,8 @@ def _entropies(values, flagged=()):
 
 
 def _reports(pairs, heuristic=()):
-    """Reports from (scale, horizon, count) triples."""
-    return [QuantizationReport(eps, n, "lp", 1.0, q,
-                               "heuristic" if (eps, n) in heuristic else "exact", ())
+    """Quantization brackets [q, q] from (scale, horizon, count) triples."""
+    return [CountBracket("lp", eps, n, q, q, "heuristic" if (eps, n) in heuristic else "exact")
             for eps, n, q in pairs]
 
 

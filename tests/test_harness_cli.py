@@ -226,8 +226,8 @@ def test_shift_descriptor_keeps_an_explicit_horizon_cap(tmp_path):
     shift = {"kind": "shift", "depth": 5, "horizon_cap": 1}
     assert resolve_system(shift).horizon_cap == 1
     assert resolve_system({"kind": "shift", "depth": 1}).horizon_cap == 2
-    path = run_sweep(parse_config(dict(GOOD, system=shift, horizons=[1, 2])), tmp_path)[0]
-    assert {r["horizon"] for r in csv.DictReader(path.open())} == {"1"}
+    with pytest.raises(ConfigError, match=r"config\.horizons: horizon 2 beyond cap 1"):
+        run_sweep(parse_config(dict(GOOD, system=shift, horizons=[1, 2])), tmp_path)
 
 
 def test_kolyada_f2_sweep_writes_its_csv(tmp_path):
@@ -258,6 +258,7 @@ def _mutate(config, key_path, value):
 
 
 W_QUANTIZE = dict(QUANTIZE, kind="wasserstein", p=2, horizons=[1, 2], budget=10000)
+SHORT_SHIFT = {"kind": "shift", "depth": 4}  # horizon cap 4
 
 
 @pytest.mark.parametrize("command, config, key_path, value, where", [
@@ -272,6 +273,12 @@ W_QUANTIZE = dict(QUANTIZE, kind="wasserstein", p=2, horizons=[1, 2], budget=100
     ("quantize", QUANTIZE, ("measure", "atoms"), 3, "quantize.measure.atoms"),
     ("quantize", QUANTIZE, ("measure", "weights"), ["x"], "quantize.measure.weights[0]"),
     ("sweep", GOOD, ("grid",), {"start": 1e-320, "ratio": 0.001, "count": 3}, "config.grid"),
+    ("sweep", dict(GOOD, system=SHORT_SHIFT), ("horizons",), [2, 9],
+     "config.horizons: horizon 9 beyond cap 4"),
+    ("estimate", dict(GOOD, system=SHORT_SHIFT), ("horizons",), [2, 9],
+     "config.horizons: horizon 9 beyond cap 4"),
+    ("quantize", dict(QUANTIZE, system=SHORT_SHIFT), ("horizons",), [2, 9],
+     "quantize.horizons: horizon 9 beyond cap 4"),
 ])
 def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
                                                    where, tmp_path, capsys):

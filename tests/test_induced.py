@@ -1,5 +1,7 @@
 """Measure lattices and the induced dynamics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ def test_lattice_contains_point_masses_and_pairs():
 def test_lattice_cap_enforced():
     with pytest.raises(ParameterError):
         measure_lattice(100, max_atoms=2, q=8)
+
+
+@pytest.mark.parametrize("size, max_atoms", [(300, 2), (40, 3)])
+def test_lattice_limits_are_checked_before_any_measure_is_built(size, max_atoms):
+    # 300 points and q = 4 would build 134,850 measures
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        measure_lattice(size, max_atoms, 4)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_lattice_closed_under_pushforward(shift4):

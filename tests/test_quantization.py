@@ -11,7 +11,8 @@ from dynoscale.measures import (AtomicMeasure, LP_KIND, W_KIND,
                                 dynamical_quantization_order,
                                 dynamical_quantization_rate,
                                 quantization_number, quantization_order)
-from dynoscale.metric_core import min_diameter_cover, max_separated
+from dynoscale.errors import BudgetExceededError
+from dynoscale.metric_core import min_diameter_cover, max_separated, solvers
 from dynoscale.oracle import brute_k_median_cost, brute_partial_cover
 from dynoscale.systems import bowen_space, doubling_grid
 
@@ -25,7 +26,7 @@ def test_dirac_needs_one_site(system):
     mu = AtomicMeasure.dirac(5)
     for kind in (LP_KIND, W_KIND):
         rep = quantization_number(system.space, mu, 0.2, kind=kind)
-        assert rep.count == 1 and rep.mode == "exact"
+        assert rep.upper == 1 and rep.mode == "exact"
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan])
@@ -57,7 +58,7 @@ def test_lp_kind_matches_partial_cover_oracle(system):
         rep = quantization_number(dn, mu, eps, kind=LP_KIND, sites=sites)
         balls = dn.as_matrix()[np.ix_(sites, list(mu.atoms))] <= eps
         want = brute_partial_cover(balls, list(mu.weights), 1 - Fraction(eps))
-        assert rep.mode == "exact" and rep.count == max(1, want)
+        assert rep.mode == "exact" and rep.upper == max(1, want)
 
 
 def test_w_kind_matches_k_median_enumeration(system):
@@ -73,9 +74,9 @@ def test_w_kind_matches_k_median_enumeration(system):
         dist = m[np.ix_(sites, support)]
         w = np.array([float(x) for x in mu.weights])
         # the reported count is feasible and the next-smaller count is not
-        assert brute_k_median_cost(dist, w, rep.count) <= eps + 1e-12
-        if rep.count > 1:
-            assert brute_k_median_cost(dist, w, rep.count - 1) > eps
+        assert brute_k_median_cost(dist, w, rep.upper) <= eps + 1e-12
+        if rep.upper > 1:
+            assert brute_k_median_cost(dist, w, rep.upper - 1) > eps
         assert rep.mode == "exact"
 
 
@@ -90,7 +91,7 @@ def test_uniform_separated_points_need_full_support(system):
     sites = sorted(set(pts) | set(range(0, 32, 3)))
     assert len(sites) <= 20
     rep = quantization_number(system.space, mu, scale, kind=W_KIND, sites=sites)
-    assert rep.count == len(pts)
+    assert rep.upper == len(pts)
     assert rep.mode == "exact"
 
 
@@ -105,7 +106,7 @@ def test_quantization_below_cover_on_exact_cells(system):
             for kind in (LP_KIND, W_KIND):
                 rep = quantization_number(dn, mu, eps, kind=kind, horizon=n)
                 if rep.mode == cover.mode == "exact":
-                    assert rep.count <= cover.value
+                    assert rep.upper <= cover.value
 
 
 def test_count_monotone_in_scale_and_horizon(system):
@@ -114,11 +115,11 @@ def test_count_monotone_in_scale_and_horizon(system):
     for eps in (0.4, 0.2, 0.1, 0.05):
         rep = quantization_number(system.space, mu, eps, kind=LP_KIND)
         if prev is not None:
-            assert rep.count >= prev
-        prev = rep.count
+            assert rep.upper >= prev
+        prev = rep.upper
     per_n = [quantization_number(bowen_space(system, n), mu, 0.12,
                                  kind=LP_KIND, horizon=n) for n in (1, 2, 3)]
-    counts = [r.count for r in per_n]
+    counts = [r.upper for r in per_n]
     assert counts == sorted(counts)
 
 
@@ -147,4 +148,46 @@ def test_w_kind_budget_bounds_the_site_search():
     start = time.perf_counter()
     rep = quantization_number(space, mu, 0.1, kind=W_KIND, budget=1000)
     assert time.perf_counter() - start < 2.0
-    assert rep.mode == "heuristic" and rep.count == 6 and rep.witness_sites == mu.atoms
+    # level 1 is refuted, level 2 runs out of budget: [2, support size]
+    assert (rep.lower, rep.upper, rep.mode) == (2, 6, "heuristic")
+    assert rep.method == "support" and rep.witness == mu.atoms
+
+
+def test_w_kind_search_hit_after_refuted_levels_is_exact(system):
+    # 32 sites: levels 1..3 are enumerated, level 4 is the local search
+    mu = AtomicMeasure.uniform([0, 3, 7, 12, 19, 25, 30])
+    eps = 0.08
+    rep = quantization_number(system.space, mu, eps, kind=W_KIND)
+    assert rep.method == "local-search" and len(rep.witness) == 4
+    assert (rep.lower, rep.upper, rep.mode) == (4, 4, "exact")
+    dist = system.space.as_matrix()[:, list(mu.atoms)]
+    w = np.array([float(x) for x in mu.weights])
+    assert brute_k_median_cost(dist, w, rep.upper - 1) > eps
+    assert brute_k_median_cost(dist, w, rep.upper) <= eps + 1e-12
+
+
+def test_w_kind_search_hit_past_an_open_level_stays_heuristic(system):
+    mu = AtomicMeasure.uniform([0, 3, 7, 12, 19, 25, 30])
+    rep = quantization_number(bowen_space(system, 2), mu, 0.1, kind=W_KIND, horizon=2)
+    # the search missed level 4, which nothing refutes
+    assert (rep.lower, rep.upper, rep.mode) == (4, 5, "heuristic")
+    assert rep.method == "local-search" and len(rep.witness) == 5
+
+
+def test_lp_kind_fallback_brackets_with_the_greedy_cover(system, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("forced")
+
+    monkeypatch.setattr(solvers, "exact_min_partial_cover", exhausted)
+    mu = AtomicMeasure.uniform([2, 9, 15, 22, 30])
+    sites = [0, 2, 5, 9, 15, 17, 22, 26, 30]
+    eps = 0.1
+    rep = quantization_number(system.space, mu, eps, kind=LP_KIND, sites=sites)
+    balls = system.space.as_matrix()[np.ix_(sites, list(mu.atoms))] <= eps
+    greedy = solvers.greedy_partial_cover(balls, list(mu.weights), 1 - Fraction(eps))
+    assert (rep.lower, rep.upper, rep.mode, rep.method) == (1, len(greedy), "heuristic",
+                                                            "greedy")
+    assert rep.witness == tuple(sites[i] for i in greedy)
+    assert rep.upper > 1
+    assert rep.lower <= brute_partial_cover(balls, list(mu.weights),
+                                            1 - Fraction(eps)) <= rep.upper

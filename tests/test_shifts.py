@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError, ShapeError
@@ -9,6 +10,7 @@ from dynoscale.metric_core import (max_separated, min_diameter_cover,
                                    min_spanning)
 from dynoscale.systems import (bowen_space, discrete_alphabet, full_shift,
                                lattice_alphabet, rho_distance)
+from dynoscale.systems.shifts import _first_disagreement, _prefixes
 
 
 def test_exp_shift_separated_counts(shift12):
@@ -115,3 +117,24 @@ def test_tail_symbol_validated():
 def test_alphabet_rejected_under_the_exp_metric():
     with pytest.raises(ParameterError):
         full_shift(2, 4, metric="exp", alphabet=discrete_alphabet(2))
+
+
+@pytest.mark.parametrize("symbols, depth", [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_exp_shift_table_matches_a_per_pair_scan(symbols, depth):
+    words = _prefixes(symbols, depth)
+    n = len(words)
+    scan = np.zeros((n, n), dtype=np.int16)
+    for i in range(n):
+        for j in range(n):
+            k = 0
+            while k < depth and words[i, k] == words[j, k]:
+                k += 1
+            scan[i, j] = k
+    table = _first_disagreement(symbols, depth)
+    assert table.dtype == np.int16 and np.array_equal(table, scan)
+    # the distances are exp(-k ln base) entry by entry, bit for bit
+    for base in (math.e, 2.0):
+        want = np.exp(-math.log(base) * scan.astype(float))
+        np.fill_diagonal(want, 0.0)
+        got = full_shift(symbols, depth, base=base).space.as_matrix()
+        assert got.tobytes() == want.tobytes()
