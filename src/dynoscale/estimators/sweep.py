@@ -30,8 +30,8 @@ class ScaleSweep:
         self.rows.append(bracket)
 
     def at_scale(self, eps: float) -> list[tuple[int, CountBracket]]:
-        got = [(br.horizon, br) for br in self.rows
-               if abs(br.scale - eps) < 1e-15]
+        """The rows at one grid scale; every bracket carries the grid's own float."""
+        got = [(br.horizon, br) for br in self.rows if br.scale == eps]
         return sorted(got)
 
     def at_horizon(self, n: int) -> list[tuple[float, CountBracket]]:

@@ -19,7 +19,7 @@ from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
                                     metric_order_estimate, mdim_estimate,
                                     mdim_mo_estimate)
-from .systems.base import DynamicalSystem, bowen_space
+from .systems.base import DynamicalSystem, bowen_spaces
 from .systems.descriptor import resolve_system
 from .systems.kolyada import KolyadaSnohaMap
 from .systems.probe import entropy_scale_table, ladder_grid
@@ -71,8 +71,7 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     """One sweep per quantity, horizon-major so each d_n is built once."""
     sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     scales = config.grid.scales()
-    for n in horizons:
-        dn = bowen_space(system, n)
+    for n, dn in zip(horizons, bowen_spaces(system, horizons)):
         for quantity, sweep in sweeps.items():
             for eps in scales:
                 sweep.add(QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
@@ -181,8 +180,7 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
-    for n in q["horizons"]:
-        dn = bowen_space(q["system"], n)
+    for n, dn in zip(q["horizons"], bowen_spaces(q["system"], q["horizons"])):
         for eps in q["grid"].scales():
             br = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
                                      budget=q["budget"], horizon=n)

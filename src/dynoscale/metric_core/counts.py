@@ -75,8 +75,14 @@ class ScaleGrid:
     def __post_init__(self):
         if not (self.start > 0 and 0 < self.ratio < 1 and self.count >= 1):
             raise ParameterError("need start > 0, ratio in (0,1), count >= 1")
-        if not self._scale(self.count - 1) > 0:
-            raise ParameterError("the smallest scale underflows to 0")
+        # near the float floor a rounded product can repeat or reach 0
+        previous = math.inf
+        for i in range(self.count):
+            eps = self._scale(i)
+            if not 0 < eps < previous:
+                raise ParameterError(f"scale {i} is {eps!r}, not between 0 and "
+                                     f"{previous!r}: the grid must strictly decrease")
+            previous = eps
 
     def _scale(self, i: int) -> float:
         return self.start * (IRRATIONAL_OFFSET if self.offset else 1.0) * self.ratio**i

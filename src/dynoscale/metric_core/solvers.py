@@ -36,10 +36,18 @@ class _Budget:
 # intersections, subset tests and counts are then single int operations.
 
 
+def _packed(table: np.ndarray) -> np.ndarray:
+    """Rows of a boolean table packed eight columns to a byte, column 0 lowest."""
+    return np.packbits(table, axis=1, bitorder="little")
+
+
+def _ints(packed: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _bitsets(table: np.ndarray) -> list[int]:
     """One int per row of a boolean table, bit j for column j."""
-    packed = np.packbits(table, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _ints(_packed(table))
 
 
 def _members(bits: int):
@@ -52,6 +60,48 @@ def _members(bits: int):
 
 def _full(n: int) -> int:
     return (1 << n) - 1
+
+
+# -- the partition certificate ---------------------------------------------
+#
+# A threshold graph of an ultrametric (every exp shift, at every horizon) is
+# an equivalence relation once each point is joined to itself, and then each
+# count is its number of classes.  One test on the packed rows finds this
+# before any row is read into Python.
+
+_LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.intp)
+
+
+def _with_loops(packed: np.ndarray) -> np.ndarray:
+    """A copy of a square packed table with every point joined to itself."""
+    out = packed.copy()
+    i = np.arange(out.shape[0])
+    out[i, i >> 3] |= (1 << (i & 7)).astype(np.uint8)
+    return out
+
+
+def _partition(packed: np.ndarray) -> list[int] | None:
+    """Class minima, ascending, when the rows of a square packed table, each
+    holding its own point, are the classes of an equivalence relation;
+    otherwise None.
+
+    Let ``first[i]`` be the lowest member of row i.  When every row equals
+    row ``first[i]`` and the rows with ``first[i] == i`` hold N points between
+    them, those rows are disjoint, cover every point and are all the
+    distinct rows.
+    """
+    n = packed.shape[0]
+    if n == 0:
+        return []
+    i = np.arange(n)
+    byte = (packed != 0).argmax(1)
+    first = 8 * byte + _LOW_BIT[packed[i, byte]]
+    if not np.array_equal(packed, packed[first]):
+        return None
+    minima = np.flatnonzero(first == i)
+    if np.count_nonzero(np.unpackbits(packed[minima])) != n:
+        return None
+    return minima.tolist()
 
 
 # -- independent sets ----------------------------------------------------
@@ -111,11 +161,17 @@ def _components(rows: list[int]):
 def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Maximum independent set of a conflict graph, by branch and bound.
 
-    The graph splits into connected components first.  Disjoint-clique
-    instances (the usual shape for ultrametric conflicts) resolve at the
-    root because the greedy lower bound meets the clique-cover upper bound.
+    A graph of disjoint cliques (the shape of every ultrametric conflict
+    graph) answers with its class minima by the partition certificate.
+    Otherwise the graph splits into connected components, and a component
+    closes at the root when its greedy independent set meets its greedy
+    clique cover.
     """
-    rows = _bitsets(adj)
+    packed = _packed(adj)
+    classes = _partition(_with_loops(packed))
+    if classes is not None:
+        return classes
+    rows = _ints(packed)
     b = _Budget(budget)
     out: list[int] = []
     for comp in _components(rows):
@@ -161,14 +217,19 @@ def _mis_on_component(rows: list[int], comp: int, b: _Budget) -> list[int]:
 def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum number of cliques covering an irreflexive graph, exactly.
 
-    The greedy independent set (no two of its vertices share a clique) and
-    the greedy clique cover bracket the answer; when they meet, the root
-    closes without spending budget.  Otherwise each connected component is
-    covered on its own: a clique cover is a colouring of the complement
-    graph, found by DSatur branch and bound (Brelaz 1979) with one budget
-    node per branch.
+    A graph of disjoint cliques answers with their number by the partition
+    certificate.  Otherwise the greedy independent set (no two of its
+    vertices share a clique) and the greedy clique cover bracket the
+    answer; when they meet, the root closes without spending budget.  Else
+    each connected component is covered on its own: a clique cover is a
+    colouring of the complement graph, found by DSatur branch and bound
+    (Brelaz 1979) with one budget node per branch.
     """
-    rows = _bitsets(adj)
+    packed = _packed(adj)
+    classes = _partition(_with_loops(packed))
+    if classes is not None:
+        return len(classes)
+    rows = _ints(packed)
     everything = _full(len(rows))
     upper = _greedy_clique_cover(rows, everything)
     if len(_greedy_independent(rows, everything)) == upper:
@@ -294,20 +355,24 @@ def _greedy_cover(rows: list[int], universe: int) -> list[int]:
 def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Minimum set cover, exactly.
 
-    Disjoint instances (ultrametric ball families) resolve directly; the
-    rest goes through an exact integer program (HiGHS branch and cut) with
-    the node budget mapped onto the solver's node limit.  Dominated rows are
-    left to the solver's presolve.
+    A square table whose rows are the classes of an equivalence relation
+    (the ball family of an ultrametric) needs every class, and answers with
+    the first row of each by the partition certificate.  The rest goes
+    through an exact integer program (HiGHS branch and cut) with the node
+    budget mapped onto the solver's node limit.  Dominated rows are left to
+    the solver's presolve.
     """
-    rows = _bitsets(masks)
+    packed = _packed(masks)
+    if masks.shape[0] == masks.shape[1] and masks.diagonal().all():
+        classes = _partition(packed)
+        if classes is not None:
+            return classes
+    rows = _ints(packed)
     kept = [i for i in _first_rows(rows) if rows[i]]
     work = [rows[i] for i in kept]
     universe = _full(masks.shape[1])
     if reduce(or_, work, 0) != universe:
         raise ValueError("universe not coverable by the given sets")
-    if sum(row.bit_count() for row in work) == masks.shape[1]:
-        # pairwise disjoint cover: every set owns its elements, all are needed
-        return kept
     chosen = _milp_min_cover(masks[kept], len(_greedy_cover(work, universe)), budget)
     if chosen is None:
         raise BudgetExceededError("set-cover node limit reached")

@@ -1,6 +1,6 @@
 """The zoo of finite-net dynamical systems."""
 
-from .base import (DynamicalSystem, bowen_distance, bowen_space,
+from .base import (DynamicalSystem, bowen_distance, bowen_space, bowen_spaces,
                    identity_system, system_from_step)
 from .shifts import (full_shift, binary_exp_shift, rho_distance,
                      discrete_alphabet, lattice_alphabet)
@@ -14,10 +14,10 @@ from .combine import product_system, power_system
 from .probe import horseshoe_entropy_probe, entropy_scale_table, ladder_grid
 
 __all__ = [
-    "DynamicalSystem", "bowen_distance", "bowen_space", "identity_system",
-    "system_from_step", "full_shift", "binary_exp_shift", "rho_distance",
-    "discrete_alphabet", "lattice_alphabet", "doubling_grid", "unit_lattice",
-    "null_sequence_space", "random_space", "static_system",
+    "DynamicalSystem", "bowen_distance", "bowen_space", "bowen_spaces",
+    "identity_system", "system_from_step", "full_shift", "binary_exp_shift",
+    "rho_distance", "discrete_alphabet", "lattice_alphabet", "doubling_grid",
+    "unit_lattice", "null_sequence_space", "random_space", "static_system",
     "KolyadaSnohaMap", "HorseshoeBlock", "symbolic_separated_count",
     "nonadjacent_lower_count", "BanachLattice", "banach_spanning_set",
     "min_separation", "verify_separated", "audit_spanning",

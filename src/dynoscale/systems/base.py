@@ -14,7 +14,7 @@ Either carrier certifies d_k for every horizon k <= H.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -97,25 +97,44 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
     return float(max(abs(v[t, i] - v[t, j]) for t in range(n)))
 
 
+def bowen_spaces(system: DynamicalSystem,
+                 horizons: Iterable[int]) -> Iterator[FiniteMetricSpace]:
+    """The space under each horizon-n dynamical metric, in the order given.
+
+    ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
+    gather per horizon, written into the gathered buffer, so a run of
+    increasing horizons costs one table per step.  Max is exact, so every
+    table is bitwise the one built anew.  A horizon below the last
+    one starts again from ``d_1``, which is the space itself.
+    """
+    done, table = 1, None
+    for n in horizons:
+        if n < 1:
+            raise ParameterError("horizon must be >= 1")
+        if n > system.horizon_cap:
+            raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
+        if n < done:
+            done, table = 1, None
+        while done < n:
+            layer = _layer(system, done)
+            previous = _layer(system, 0) if table is None else table
+            table = np.maximum(layer, previous, out=layer)
+            done += 1
+        yield system.space if n == 1 else FiniteMetricSpace(
+            matrix=table, labels=system.space.labels, name=f"{system.name}|d_{n}",
+            check=False)
+
+
+def _layer(system: DynamicalSystem, t: int) -> np.ndarray:
+    """The table of d(f^t x, f^t y); a new buffer for t >= 1."""
+    if system.orbit_index is None:
+        v = system.orbit_values[t]
+        return np.abs(v[:, None] - v[None, :])
+    base = system.space.as_matrix()
+    idx = system.orbit_index[t]
+    return base if t == 0 else base[np.ix_(idx, idx)]
+
+
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:
     """The space under the horizon-n dynamical metric, as a metric space."""
-    if n < 1:
-        raise ParameterError("horizon must be >= 1")
-    if n > system.horizon_cap:
-        raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
-    if n == 1:
-        return system.space
-    name = f"{system.name}|d_{n}"
-    if system.orbit_index is not None:
-        base = system.space.as_matrix()
-        out = base.copy()
-        for t in range(1, n):
-            idx = system.orbit_index[t]
-            np.maximum(out, base[np.ix_(idx, idx)], out=out)
-    else:
-        v = system.orbit_values
-        out = np.abs(v[0][:, None] - v[0][None, :])
-        for t in range(1, n):
-            np.maximum(out, np.abs(v[t][:, None] - v[t][None, :]), out=out)
-    return FiniteMetricSpace(matrix=out, labels=system.space.labels,
-                             name=name, check=False)
+    return next(bowen_spaces(system, [n]))

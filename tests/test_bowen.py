@@ -5,7 +5,8 @@ import pytest
 
 from dynoscale.errors import ParameterError, RepresentationError
 from dynoscale.metric_core import max_separated
-from dynoscale.systems import (bowen_distance, bowen_space,
+from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance,
+                               bowen_space, bowen_spaces, doubling_grid, full_shift,
                                identity_system, random_space, system_from_step)
 
 
@@ -71,3 +72,41 @@ def test_map_image_outside_space_rejected():
     sp = random_space(4, seed=0)
     with pytest.raises(RepresentationError):
         system_from_step(sp, np.array([0, 1, 2, 9]), 3)
+
+
+def _max_anew(system, n):
+    """max over t < n of d(f^t x, f^t y), every layer built anew."""
+    if system.orbit_index is not None:
+        base = system.space.as_matrix()
+        layers = [base[np.ix_(idx, idx)] for idx in system.orbit_index[:n]]
+    else:
+        layers = [np.abs(v[:, None] - v[None, :]) for v in system.orbit_values[:n]]
+    return np.max(layers, axis=0)
+
+
+BOWEN_SYSTEMS = {
+    "exp-shift": lambda: binary_exp_shift(5, horizon_cap=5),
+    "product-shift": lambda: full_shift(2, 4, metric="product", horizon_cap=4),
+    "doubling": lambda: doubling_grid(32, horizon_cap=5),
+    "interval-values": lambda: KolyadaSnohaMap.family_f1(2).validation_net(
+        1, per_branch=6, horizon=4),
+}
+
+
+@pytest.mark.parametrize("horizons", [[1, 2, 3, 4], [2, 3], [1, 3], [4], [3, 1, 2], [2, 2]],
+                         ids=str)
+@pytest.mark.parametrize("name", BOWEN_SYSTEMS)
+def test_bowen_spaces_match_a_max_built_anew_bitwise(name, horizons):
+    system = BOWEN_SYSTEMS[name]()
+    # all tables are compared after the last step, so a step that wrote
+    # into a table it had already yielded would show here
+    spaces = list(bowen_spaces(system, horizons))
+    assert len(spaces) == len(horizons)
+    for n, dn in zip(horizons, spaces):
+        assert dn.as_matrix().tobytes() == _max_anew(system, n).tobytes(), n
+        assert dn.name == (system.space.name if n == 1 else f"{system.name}|d_{n}")
+
+
+def test_bowen_spaces_reject_a_horizon_beyond_the_cap(doubling64):
+    with pytest.raises(ParameterError):
+        list(bowen_spaces(doubling64, [1, doubling64.horizon_cap + 1]))

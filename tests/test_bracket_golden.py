@@ -1,7 +1,9 @@
 """Golden values: the repr of every graph-count bracket, witnesses included.
 
-Three fixed planar spaces, two scales each, at budgets 1, 50 and the
-default, and with the three exact solvers forced to run out of budget.
+Three fixed planar spaces and the 2x5 exp shift at horizons 1 and 2, two
+scales each, at budgets 1, 50 and the default, and with the three exact
+solvers forced to run out of budget.  The shift's threshold graphs are
+equivalence relations, so its entries pin the partition certificate.
 The small budgets stop the searches part-way, so a change in branching
 order, bounds or budget accounting shows up as a changed witness or bracket.
 Each entry is (method, lower, upper, witness) for the separated, spanning
@@ -16,6 +18,7 @@ from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import max_separated, min_diameter_cover, min_spanning
 from dynoscale.metric_core.solvers import DEFAULT_BUDGET
 from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.systems import binary_exp_shift, bowen_space
 
 QUANTITIES = {"separated": max_separated, "spanning": min_spanning,
               "diameter_cover": min_diameter_cover}
@@ -143,6 +146,86 @@ GOLDEN = {
         ("greedy", 1, 3, (6, 1, 8)),
         ("greedy", 3, 5, None),
     ],
+    ("shift", 1, 0.3, 1): [
+        ("mis-bnb", 4, 4, (0, 8, 16, 24)),
+        ("cover-bnb", 4, 4, (0, 8, 16, 24)),
+        ("clique-cover-bnb", 4, 4, None),
+    ],
+    ("shift", 1, 0.3, 50): [
+        ("mis-bnb", 4, 4, (0, 8, 16, 24)),
+        ("cover-bnb", 4, 4, (0, 8, 16, 24)),
+        ("clique-cover-bnb", 4, 4, None),
+    ],
+    ("shift", 1, 0.3, "default"): [
+        ("mis-bnb", 4, 4, (0, 8, 16, 24)),
+        ("cover-bnb", 4, 4, (0, 8, 16, 24)),
+        ("clique-cover-bnb", 4, 4, None),
+    ],
+    ("shift", 1, 0.3, "forced"): [
+        ("greedy", 4, 4, (0, 8, 16, 24)),
+        ("greedy", 2, 4, (0, 8, 16, 24)),
+        ("greedy", 4, 4, None),
+    ],
+    ("shift", 1, 0.1, 1): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 1, 0.1, 50): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 1, 0.1, "default"): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 1, 0.1, "forced"): [
+        ("greedy", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("greedy", 4, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("greedy", 8, 8, None),
+    ],
+    ("shift", 2, 0.3, 1): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 2, 0.3, 50): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 2, 0.3, "default"): [
+        ("mis-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("cover-bnb", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("clique-cover-bnb", 8, 8, None),
+    ],
+    ("shift", 2, 0.3, "forced"): [
+        ("greedy", 8, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("greedy", 4, 8, (0, 4, 8, 12, 16, 20, 24, 28)),
+        ("greedy", 8, 8, None),
+    ],
+    ("shift", 2, 0.1, 1): [
+        ("mis-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("cover-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("clique-cover-bnb", 16, 16, None),
+    ],
+    ("shift", 2, 0.1, 50): [
+        ("mis-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("cover-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("clique-cover-bnb", 16, 16, None),
+    ],
+    ("shift", 2, 0.1, "default"): [
+        ("mis-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("cover-bnb", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("clique-cover-bnb", 16, 16, None),
+    ],
+    ("shift", 2, 0.1, "forced"): [
+        ("greedy", 16, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("greedy", 8, 16, (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)),
+        ("greedy", 16, 16, None),
+    ],
 }
 
 
@@ -162,12 +245,15 @@ def test_bracket_reprs_match_golden(key, monkeypatch):
     if budget == "forced":
         for name in EXACT_SOLVERS:
             monkeypatch.setattr(solvers, name, _out_of_budget)
-    space = _planar(seed, n)
+    # planar keys are (seed, points, ...), shift keys ("shift", horizon, ...)
+    horizon = n if seed == "shift" else 1
+    space = bowen_space(binary_exp_shift(5), n) if seed == "shift" else _planar(seed, n)
     for (quantity, count), (method, lower, upper, witness) in zip(QUANTITIES.items(),
                                                                   GOLDEN[key]):
         mode = "heuristic" if method == "greedy" else "exact"
-        want = (f"CountBracket(quantity={quantity!r}, scale={eps!r}, horizon=1, "
+        want = (f"CountBracket(quantity={quantity!r}, scale={eps!r}, horizon={horizon}, "
                 f"lower={lower}, upper={upper}, mode={mode!r}, method={method!r}, "
                 f"witness={witness!r})")
-        got = count(space, eps, budget if isinstance(budget, int) else DEFAULT_BUDGET)
+        got = count(space, eps, budget if isinstance(budget, int) else DEFAULT_BUDGET,
+                    horizon)
         assert repr(got) == want, quantity

@@ -201,6 +201,20 @@ def test_cli_horizon_cap_zero_exits_2(tmp_path, capsys):
     assert code == 2 and "system.horizon_cap" in err
 
 
+def test_cli_estimate_on_scales_closer_than_1e_15(tmp_path, capsys):
+    # scales 4e-15 * 0.5**i lie within 1e-15 of each other; each horizon
+    # must still meet exactly one bracket per scale
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        GOOD, system={"kind": "shift", "symbols": 2, "depth": 4, "metric": "exp"},
+        grid={"start": 4e-15, "ratio": 0.5, "count": 4})))
+    code, _ = _exit_code(["estimate", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "o")], capsys)
+    assert code == 0
+    rows = (tmp_path / "o" / "estimates.csv").read_text().splitlines()
+    assert sum(row.startswith("entropy-at-scale,") for row in rows) == 4
+
+
 def test_python_m_dynoscale_runs_the_cli(tmp_path):
     import os
     import subprocess
@@ -279,6 +293,11 @@ SHORT_SHIFT = {"kind": "shift", "depth": 4}  # horizon cap 4
      "config.horizons: horizon 9 beyond cap 4"),
     ("quantize", dict(QUANTIZE, system=SHORT_SHIFT), ("horizons",), [2, 9],
      "quantize.horizons: horizon 9 beyond cap 4"),
+    # rounds to [1e-323, 1e-323, 1e-323, 5e-324]: a scale repeats
+    ("sweep", GOOD, ("grid",), {"start": 1e-323, "ratio": 0.9, "count": 4},
+     "config.grid"),
+    ("estimate", GOOD, ("grid",), {"start": 1e-323, "ratio": 0.9, "count": 4},
+     "config.grid"),
 ])
 def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
                                                    where, tmp_path, capsys):

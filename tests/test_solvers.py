@@ -42,11 +42,38 @@ def _disjoint_union(*graphs):
     return adj
 
 
+def _equivalence(k, cut=False):
+    """A reflexive equivalence table on 6-10 points with a class of at least
+    three, its points shuffled; with ``cut``, one pair of that class is
+    unjoined, so the table is no longer transitive."""
+    rng = np.random.default_rng(700 + k)
+    n = int(rng.integers(6, 11))
+    labels = rng.permutation(np.r_[[0, 0, 0], rng.integers(0, 4, n - 3)])
+    table = labels[:, None] == labels[None, :]
+    if cut:
+        a, b = np.flatnonzero(labels == 0)[-2:]
+        table[a, b] = table[b, a] = False
+    return table
+
+
+# reflexive but not symmetric: every row holds its point and its first member,
+# yet rows 0 and 1 share point 2, so the rows are no partition
+ASYMMETRIC = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+# equivalence relations close by the partition certificate; the cut ones and
+# the asymmetric table must fail it and still match the oracle
+FIXED_TABLES = {**{f"equivalence-{k}": _equivalence(k) for k in range(5)},
+                **{f"equivalence-cut-{k}": _equivalence(k, cut=True) for k in range(5)},
+                "asymmetric": ASYMMETRIC}
+
+
 # unions of two random graphs: several components, some closing at the root
 # (greedy set meets clique cover) and some needing the search
-@pytest.mark.parametrize("seed", [*range(30), *(f"union-{k}" for k in range(10))])
+@pytest.mark.parametrize("seed", [*range(30), *(f"union-{k}" for k in range(10)),
+                                  *FIXED_TABLES])
 def test_mis_matches_brute(seed):
-    if isinstance(seed, str):
+    if seed in FIXED_TABLES:
+        adj = FIXED_TABLES[seed] & ~np.eye(len(FIXED_TABLES[seed]), dtype=bool)
+    elif isinstance(seed, str):
         rng = np.random.default_rng(500 + int(seed.split("-")[1]))
         adj = _disjoint_union(*(_random_graph(rng, int(rng.integers(4, 8)),
                                               rng.uniform(0.2, 0.7)) for _ in range(2)))
@@ -92,7 +119,8 @@ EMPTY_ROW_COVER = [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
 # duplicates of rows 0 and 1; the first occurrences cover, the copies add nothing
 DUPLICATE_ROWS_COVER = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1],
                         [0, 1, 1, 0], [1, 0, 0, 1]]
-FIXED_COVERS = {"empty-row": EMPTY_ROW_COVER, "duplicate-rows": DUPLICATE_ROWS_COVER}
+FIXED_COVERS = {"empty-row": EMPTY_ROW_COVER, "duplicate-rows": DUPLICATE_ROWS_COVER,
+                **FIXED_TABLES}
 
 
 @pytest.mark.parametrize("seed", [*range(30), *FIXED_COVERS])
