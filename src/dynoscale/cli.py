@@ -144,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{tallies['fail']} fail, {tallies['inconclusive']} inconclusive")
             for failure in report.failures():
                 print(f"FAIL {failure.name}: {failure.detail}")
+            for check in report.inconclusive():
+                print(f"INCONCLUSIVE {check.name}: {check.detail}")
             return 0 if report.passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -176,11 +176,12 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
     if q["kind"] == W_KIND and q["p"] < 1:
         raise ConfigError("quantize.p", f"the W_p order must be >= 1, got {q['p']}")
-    _check_horizons(q["system"], q["horizons"], "quantize.horizons")
+    horizons = sorted(set(q["horizons"]))  # as ExperimentConfig orders them
+    _check_horizons(q["system"], horizons, "quantize.horizons")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
-    for n, dn in zip(q["horizons"], bowen_spaces(q["system"], q["horizons"])):
+    for n, dn in zip(horizons, bowen_spaces(q["system"], horizons)):
         for eps in q["grid"].scales():
             br = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
                                      budget=q["budget"], horizon=n)

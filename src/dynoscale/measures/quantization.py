@@ -7,8 +7,11 @@ size within eps of the measure":
   metric) covering a subset of mass at least 1 - eps -- a partial set
   cover over candidate centres;
 * ``wasserstein``: the minimal cardinality of a site set F with
-  integral of d(x, F)^p dmu <= eps^p -- a p-median style search solved by
-  growing k and certifying each level by enumeration when small.
+  integral of d(x, F)^p dmu <= eps^p -- a p-median problem.  Each site
+  serves one group of atoms, so a dynamic program over the subsets of the
+  support (Bjorklund, Husfeldt & Koivisto 2009) answers it exactly when its
+  work fits the budget; otherwise k grows and each level is certified by
+  enumeration when small.
 
 Candidate sites default to the whole finite space; restricting them makes
 the computed number an upper bound on the true one.  Every number is a
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +40,11 @@ from .atomic import AtomicMeasure
 
 EXHAUSTIVE_SITES = 20
 EXHAUSTIVE_K = 3
+# a site set is feasible when its cost is at most eps^p (1 + W_SLACK)
+W_SLACK = 1e-12
+# the group DP holds (3^m - 1) / 2 splits of m atoms, about 0.1 GB at 14 atoms,
+# whatever the budget
+GROUP_DP_ATOMS = 14
 
 LP_KIND = "lp"
 W_KIND = "wasserstein"
@@ -93,7 +102,7 @@ def _lp_number(space, mu, eps, sites, budget, horizon) -> CountBracket:
 def _w_number(space, mu, eps, p, sites, budget, horizon) -> CountBracket:
     dist = space.as_matrix()[np.ix_(sites, list(mu.atoms))] ** p
     w = np.array([float(x) for x in mu.weights])
-    bound = float(eps) ** p + 1e-15
+    bound = float(eps) ** p * (1 + W_SLACK)
     spent = _Budget(budget)
 
     def cost(site_idx) -> float:
@@ -105,6 +114,9 @@ def _w_number(space, mu, eps, p, sites, budget, horizon) -> CountBracket:
                             "exact" if lower == len(witness) else "heuristic", method,
                             tuple(witness))
 
+    found = _group_dp(dist, w, bound, spent, cost)
+    if found is not None:
+        return bracket(len(found), [sites[i] for i in found], "group-dp")
     # k grows until a site set is feasible, and each level the enumeration
     # finds infeasible raises the lower bound; the support itself is always
     # feasible (cost 0), so it is the upper bound once the budget runs out
@@ -124,6 +136,78 @@ def _w_number(space, mu, eps, p, sites, budget, horizon) -> CountBracket:
     except BudgetExceededError:
         pass
     return bracket(lower, mu.atoms, "support")
+
+
+def _group_dp(dist, w, bound, spent, cost):
+    """The least feasible site set, by a dynamic program over atom groups, or None.
+
+    price[T] is the cost of serving the atom set T from its best single
+    site, and f_k[S] the least cost of serving S with at most k groups:
+    f_k[S] = min(f_{k-1}[S], min price[T] + f_{k-1}[S - T] over the groups
+    T in S holding the lowest atom of S).  The first k with f_k[full] <=
+    bound is the answer, because any k sites split the atoms into at most k
+    groups by nearest site.  The program runs only on at most GROUP_DP_ATOMS
+    atoms and when its worst case fits the budget left (2^m |sites| prices,
+    then every split of every set per level, then one node to re-check the
+    witness), so it never stops part way; it spends nothing when it
+    declines.  A witness whose cost() misses the bound on a float near-tie
+    is dropped too.
+    """
+    n_sites, m = dist.shape
+    n_splits = (3 ** m - 1) // 2
+    if m > GROUP_DP_ATOMS or (1 << m) * n_sites + (m - 1) * n_splits + 1 > spent.left:
+        return None
+    spent.spend((1 << m) * n_sites)
+    totals = np.zeros((1 << m, n_sites))
+    for a, row in enumerate(dist.T * w[:, None]):  # the sets whose top atom is a
+        totals[1 << a: 2 << a] = totals[:1 << a] + row
+    price, best_site = totals.min(axis=1), totals.argmin(axis=1)
+    group, rest, edges = _splits(m)
+    full = (1 << m) - 1
+    levels = [price]  # levels[k - 1] is f_k, and f_1 = price
+    while levels[-1][full] > bound:  # f_m[full] is 0: each atom is a site
+        spent.spend(n_splits)
+        prev = levels[-1]
+        f = prev.copy()
+        split_cost = price[group]
+        split_cost += prev[rest]
+        f[1:] = np.minimum(prev[1:], np.minimum.reduceat(split_cost, edges[:-1]))
+        levels.append(f)
+    chosen, s = [], full
+    for k in range(len(levels) - 1, 0, -1):
+        f, prev = levels[k], levels[k - 1]
+        if s and f[s] != prev[s]:  # s needs k + 1 groups: take the one at the first best split
+            lo, hi = edges[s - 1], edges[s]
+            i = lo + int(np.argmin(price[group[lo:hi]] + prev[rest[lo:hi]]))
+            chosen.append(best_site[group[i]])
+            s = int(rest[i])
+    if s:
+        chosen.append(best_site[s])
+    witness = tuple(sorted({int(c) for c in chosen}))
+    if len(witness) == len(levels) and cost(witness) <= bound:
+        return witness
+    return None
+
+
+@lru_cache(maxsize=None)
+def _splits(m):
+    """Every split of a nonempty set S of m atoms into a group T holding its lowest
+    atom and the rest S - T, as bitmask arrays (group, rest) sorted by S; the
+    splits of S are rows edges[S - 1] to edges[S].
+    """
+    groups, rests = [], []
+    for low in range(m):  # each atom above low is in T, in S - T or outside S
+        group, rest = np.array([1 << low], np.int32), np.array([0], np.int32)
+        for a in range(low + 1, m):
+            group = np.concatenate([group, group | (1 << a), group])
+            rest = np.concatenate([rest, rest, rest | (1 << a)])
+        groups.append(group)
+        rests.append(rest)
+    group, rest = np.concatenate(groups), np.concatenate(rests)
+    order = np.argsort(group | rest, kind="stable")
+    group, rest = group[order], rest[order]
+    edges = np.searchsorted(group | rest, np.arange(1, (1 << m) + 1))
+    return group, rest, edges
 
 
 def _local_search(cost, n_sites, k, bound, seed, restarts: int = 4, iters: int = 60):

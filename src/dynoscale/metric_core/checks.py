@@ -35,11 +35,13 @@ def exact_check(name: str, detail: dict, holds: Callable[..., bool],
     """PASS or FAIL by ``holds(*values)`` once every operand is exact.
 
     Operands are count brackets, passed by keyword; any heuristic operand
-    makes the check inconclusive.  The exact values join a copy of
-    ``detail`` under their keywords, in order.
+    makes the check inconclusive, and the methods of the heuristic operands
+    join a copy of ``detail`` under ``open``.  Otherwise the exact values
+    join it under their keywords, in order.
     """
-    if any(op.mode != "exact" for op in operands.values()):
-        return CheckResult(name, INCONCLUSIVE, detail)
+    open_ops = {key: op.method for key, op in operands.items() if op.mode != "exact"}
+    if open_ops:
+        return CheckResult(name, INCONCLUSIVE, dict(detail, open=open_ops))
     values = {key: op.value for key, op in operands.items()}
     status = PASS if holds(*values.values()) else FAIL
     return CheckResult(name, status, dict(detail, **values))

@@ -49,6 +49,9 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == FAIL]
 
+    def inconclusive(self) -> list[CheckResult]:
+        return [c for c in self.checks if c.status == INCONCLUSIVE]
+
 
 def _shipped_systems(seed: int) -> list[DynamicalSystem]:
     return [

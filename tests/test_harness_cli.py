@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 
 import pytest
@@ -416,6 +417,25 @@ def test_sweep_writes_only_its_csvs(tmp_path):
     written = run_sweep(config, tmp_path)
     assert sorted(tmp_path.iterdir()) == sorted(tmp_path.glob("sweep_*.csv"))
     assert sorted(written) == sorted(tmp_path.iterdir())
+
+
+def test_cli_quantize_writes_each_horizon_once_in_order(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(dict(QUANTIZE, horizons=[3, 1, 2, 2])))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "quantization.csv").open()))
+    assert [r["n"] for r in rows] == ["1"] * 3 + ["2"] * 3 + ["3"] * 3
+
+
+def test_cli_verify_prints_why_each_check_is_inconclusive(capsys):
+    # three nodes refute no W level and close no LP search
+    assert main(["verify", "--suite", "domination", "--budget", "3"]) == 0
+    summary, *rest = capsys.readouterr().out.splitlines()
+    found = re.fullmatch(r"suite domination: (\d+) pass, 0 fail, (\d+) inconclusive", summary)
+    assert found and int(found.group(2)) > 0
+    assert len(rest) == int(found.group(2))
+    assert all(line.startswith("INCONCLUSIVE domination: {") for line in rest)
+    assert any("'support'" in line for line in rest) and any("'greedy'" in line for line in rest)
 
 
 def test_cli_verify_negative_seed_exits_2(capsys):

@@ -12,6 +12,7 @@ from dynoscale.measures import (AtomicMeasure, LP_KIND, W_KIND,
                                 dynamical_quantization_rate,
                                 quantization_number, quantization_order)
 from dynoscale.errors import BudgetExceededError
+from dynoscale.measures import quantization
 from dynoscale.metric_core import min_diameter_cover, max_separated, solvers
 from dynoscale.oracle import brute_k_median_cost, brute_partial_cover
 from dynoscale.systems import bowen_space, doubling_grid
@@ -153,7 +154,12 @@ def test_w_kind_budget_bounds_the_site_search():
     assert rep.method == "support" and rep.witness == mu.atoms
 
 
-def test_w_kind_search_hit_after_refuted_levels_is_exact(system):
+def _no_group_dp(monkeypatch):
+    monkeypatch.setattr(quantization, "_group_dp", lambda *args: None)
+
+
+def test_w_kind_search_hit_after_refuted_levels_is_exact(system, monkeypatch):
+    _no_group_dp(monkeypatch)
     # 32 sites: levels 1..3 are enumerated, level 4 is the local search
     mu = AtomicMeasure.uniform([0, 3, 7, 12, 19, 25, 30])
     eps = 0.08
@@ -166,12 +172,85 @@ def test_w_kind_search_hit_after_refuted_levels_is_exact(system):
     assert brute_k_median_cost(dist, w, rep.upper) <= eps + 1e-12
 
 
-def test_w_kind_search_hit_past_an_open_level_stays_heuristic(system):
+def test_w_kind_search_hit_past_an_open_level_stays_heuristic(system, monkeypatch):
+    _no_group_dp(monkeypatch)
     mu = AtomicMeasure.uniform([0, 3, 7, 12, 19, 25, 30])
     rep = quantization_number(bowen_space(system, 2), mu, 0.1, kind=W_KIND, horizon=2)
     # the search missed level 4, which nothing refutes
     assert (rep.lower, rep.upper, rep.mode) == (4, 5, "heuristic")
     assert rep.method == "local-search" and len(rep.witness) == 5
+
+
+@pytest.mark.parametrize("n, eps, count", [(1, 0.08, 4), (2, 0.1, 5)])
+def test_w_kind_group_dp_closes_what_the_search_left(system, n, eps, count):
+    # the instances of the two fallback tests above, on the default path
+    mu = AtomicMeasure.uniform([0, 3, 7, 12, 19, 25, 30])
+    dn = bowen_space(system, n)
+    rep = quantization_number(dn, mu, eps, kind=W_KIND, horizon=n)
+    assert (rep.lower, rep.upper, rep.mode, rep.method) == (count, count, "exact", "group-dp")
+    dist = dn.as_matrix()[:, list(mu.atoms)]
+    w = np.array([float(x) for x in mu.weights])
+    assert len(rep.witness) == count
+    assert brute_k_median_cost(dist[list(rep.witness)], w, count) <= eps
+    assert brute_k_median_cost(dist, w, count - 1) > eps
+
+
+def test_w_kind_matches_k_median_oracle_on_weighted_measures(system):
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        dn = bowen_space(system, int(rng.integers(1, 4)))
+        support = sorted(rng.choice(32, int(rng.integers(1, 10)), replace=False).tolist())
+        raw = [int(x) for x in rng.integers(1, 9, len(support))]
+        mu = AtomicMeasure.from_weights(support, [Fraction(r, sum(raw)) for r in raw])
+        sites = sorted(set(support) | set(rng.choice(32, 3, replace=False).tolist()))
+        p = float(rng.choice([1.0, 2.0]))
+        eps = float(rng.choice([0.3, 0.15, 0.08, 0.04]))
+        rep = quantization_number(dn, mu, eps, kind=W_KIND, p=p, sites=sites)
+        dist = dn.as_matrix()[np.ix_(sites, support)] ** p
+        w = np.array([float(x) for x in mu.weights])
+        bound = eps ** p * (1 + quantization.W_SLACK)
+        assert rep.mode == "exact" and rep.lower == rep.upper == len(rep.witness)
+        assert set(rep.witness) <= set(sites)
+        assert brute_k_median_cost(dist, w, rep.upper) <= bound
+        if rep.upper > 1:
+            assert brute_k_median_cost(dist, w, rep.upper - 1) > bound
+
+
+def test_w_kind_group_dp_declines_past_its_budget(system):
+    # 16 atoms need 15 levels of (3^16 - 1) / 2 splits, past the default budget,
+    # so the enumeration and local search answer as they did before the program
+    mu = AtomicMeasure.uniform(list(range(0, 32, 2)))
+    rep = quantization_number(system.space, mu, 0.05, kind=W_KIND)
+    assert (rep.lower, rep.upper, rep.mode, rep.method) == (4, 5, "heuristic", "local-search")
+    assert rep.witness == (4, 10, 16, 22, 28)
+
+
+def test_w_kind_group_dp_runs_only_when_its_worst_case_fits(system, monkeypatch):
+    # 5 atoms at 32 sites: 2^5 * 32 prices, 4 levels of 121 splits, one re-check
+    mu = AtomicMeasure.uniform([0, 3, 7, 12, 19])
+    need = 32 * 32 + 4 * 121 + 1
+    rep = quantization_number(system.space, mu, 0.05, kind=W_KIND, budget=need)
+    assert (rep.upper, rep.mode, rep.method) == (3, "exact", "group-dp")
+    declined = quantization_number(system.space, mu, 0.05, kind=W_KIND, budget=need - 1)
+    assert declined.method != "group-dp"
+    # declining spends nothing: the site search gets the whole budget
+    _no_group_dp(monkeypatch)
+    assert quantization_number(system.space, mu, 0.05, kind=W_KIND, budget=need - 1) == declined
+
+
+def test_w_kind_group_dp_declines_past_its_atom_cap(system):
+    # the splits of 15 atoms hold about 0.3 GB, so no budget starts the program
+    mu = AtomicMeasure.uniform(list(range(0, 30, 2)))
+    assert mu.support_size > quantization.GROUP_DP_ATOMS
+    rep = quantization_number(system.space, mu, 0.2, kind=W_KIND, budget=10**12)
+    assert (rep.upper, rep.mode, rep.method) == (2, "exact", "k-enumeration")
+
+
+def test_w_kind_slack_is_relative_to_the_bound():
+    # one site costs 0.0625^13 / 2 = 1.1e-16, far above eps^13 = 1e-26
+    mu = AtomicMeasure.uniform([0, 1])
+    rep = quantization_number(doubling_grid(16).space, mu, 0.01, kind=W_KIND, p=13)
+    assert (rep.lower, rep.upper, rep.mode) == (2, 2, "exact")
 
 
 def test_lp_kind_fallback_brackets_with_the_greedy_cover(system, monkeypatch):

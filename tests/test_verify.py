@@ -6,7 +6,8 @@ import pytest
 
 from dynoscale.errors import BudgetExceededError
 from dynoscale.metric_core import solvers
-from dynoscale.metric_core.checks import CheckResult, FAIL
+from dynoscale.metric_core.checks import CheckResult, FAIL, INCONCLUSIVE, exact_check
+from dynoscale.metric_core.counts import CountBracket
 from dynoscale.verify import VerificationReport, run_suite
 
 FAST_SUITES = ["chain", "subadditivity", "power", "product", "nonwandering",
@@ -71,3 +72,13 @@ def test_failures_carry_replayable_payload():
     assert not report.passed
     failure = report.failures()[0]
     assert {"system", "n", "eps"} <= set(failure.detail)
+
+
+def test_inconclusive_check_names_its_open_operands():
+    exact = CountBracket("spanning", 0.5, 1, 3, 3, "exact", "cover-bnb", (0, 1, 2))
+    open_ = CountBracket("wasserstein", 0.5, 1, 2, 4, "heuristic", "local-search", (0, 1, 2, 3))
+    check = exact_check("demo", {"eps": 0.5}, lambda a, b: a <= b, q=open_, cover=exact)
+    assert check.status == INCONCLUSIVE
+    assert check.detail == {"eps": 0.5, "open": {"q": "local-search"}}
+    passed = exact_check("demo", {"eps": 0.5}, lambda a, b: a <= b, q=exact, cover=exact)
+    assert passed.detail == {"eps": 0.5, "q": 3, "cover": 3}
