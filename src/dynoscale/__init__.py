@@ -7,9 +7,9 @@ Levy-Prokhorov distances, quantization numbers, and the inequality suites
 tying them together.
 """
 
-from . import metric_core, systems, measures, estimators, oracle, verify, harness
+__version__ = "0.1.0"  # before the imports: the harness fingerprints traces with it
 
-__version__ = "0.1.0"
+from . import metric_core, systems, measures, estimators, oracle, verify, harness
 
 __all__ = ["metric_core", "systems", "measures", "estimators", "oracle",
            "verify", "harness", "__version__"]

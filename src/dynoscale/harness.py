@@ -2,18 +2,23 @@
 
 A config JSON names a system descriptor, the quantities to count, a scale
 grid, a horizon range, budgets and a seed.  ``run_sweep`` is deterministic:
-same config, byte-identical CSV outputs.
+same config, byte-identical CSV outputs and trace.  ``run_estimates`` takes
+the exact cells of a matching trace in its output directory and counts the
+rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import __version__
 from .errors import ConfigError, ParameterError
 from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
-from .metric_core.counts import QUANTITY_OPS, ScaleGrid, SEPARATED, BALL_COVER
+from .metric_core.counts import (QUANTITY_OPS, CountBracket, ScaleGrid, SEPARATED,
+                                 SPANNING, BALL_COVER)
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
@@ -66,16 +71,92 @@ def _check_horizons(system: DynamicalSystem, horizons: list[int], path: str) -> 
             raise ConfigError(path, f"horizon {n} beyond cap {system.horizon_cap}")
 
 
+Cells = dict[tuple[str, int, float], CountBracket]
+
+
 def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentConfig,
-           horizons: list[int]) -> dict[str, ScaleSweep]:
-    """One sweep per quantity, horizon-major so each d_n is built once."""
+           horizons: list[int], known: Cells | None = None) -> dict[str, ScaleSweep]:
+    """One sweep per quantity, horizon-major so each d_n is built once.
+
+    A (quantity, horizon, eps) cell in ``known`` is taken as it is, and d_n
+    is built only for the horizons that still miss a cell.
+    """
+    known = known or {}
     sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     scales = config.grid.scales()
-    for n, dn in zip(horizons, bowen_spaces(system, horizons)):
+    missing = [n for n in horizons
+               if any((q, n, eps) not in known for q in quantities for eps in scales)]
+    spaces = bowen_spaces(system, missing)
+    for n in horizons:
+        dn = next(spaces) if n in missing else None
         for quantity, sweep in sweeps.items():
             for eps in scales:
-                sweep.add(QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
+                cell = known.get((quantity, n, eps))
+                sweep.add(cell if cell is not None else
+                          QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
     return sweeps
+
+
+# -- the sweep trace -------------------------------------------------------------
+#
+# ``trace.jsonl`` holds the fingerprint line, then one line per counted cell
+# with its deterministic fields only, so a rerun writes the same bytes.  An
+# exact count depends on the space alone, so the fingerprint is the package
+# version and the canonical descriptor (a system name does not pin the
+# space), and cells are keyed by their exact eps, which a JSON float
+# round-trips; budget, grid and horizons stay out of it.
+
+TRACE = "trace.jsonl"
+
+
+def _fingerprint(config: ExperimentConfig) -> str:
+    return json.dumps({"dynoscale": __version__, "system": config.system}, sort_keys=True)
+
+
+def _write_trace(path: Path, config: ExperimentConfig, sweeps) -> None:
+    lines = [_fingerprint(config)]
+    for sweep in sweeps:
+        lines += [json.dumps({"quantity": br.quantity, "horizon": br.horizon,
+                              "eps": br.scale, "lower": br.lower, "upper": br.upper,
+                              "mode": br.mode, "method": br.method})
+                  for br in sweep.rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _text(value, path: str) -> str:
+    if type(value) is not str:
+        raise ConfigError(path, f"must be a string, got {value!r}")
+    return value
+
+
+_TRACE_CELL = build(lambda eps, **fields: CountBracket(scale=eps, **fields), {
+    "quantity": choice(*QUANTITY_OPS), "horizon": integer(1), "eps": number,
+    "lower": integer(1), "upper": integer(1), "mode": choice("exact", "heuristic"),
+    "method": _text})
+
+
+def _read_trace(path: Path, config: ExperimentConfig) -> Cells:
+    """The exact cells of the trace at ``path`` by (quantity, horizon, eps).
+
+    A trace that is absent, unreadable or malformed, or that was written for
+    another descriptor or package version, gives no cells.  Heuristic cells
+    are left out: they depend on the budget and the code.
+    """
+    try:
+        first, *lines = path.read_text().splitlines() or [""]
+        if first != _fingerprint(config):
+            return {}
+        cells = [_TRACE_CELL(json.loads(line), f"{path}:{i}")
+                 for i, line in enumerate(lines, start=2)]
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError):
+        return {}
+    known: Cells = {}
+    for br in cells:
+        if br.mode == "exact":
+            known[(br.quantity, br.horizon, br.scale)] = br
+            if br.quantity == SPANNING:  # min_ball_cover is min_spanning retagged
+                known[(BALL_COVER, br.horizon, br.scale)] = replace(br, quantity=BALL_COVER)
+    return known
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
@@ -93,7 +174,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         path = out / f"sweep_{system.name}_{quantity}.csv"
         sweeps[quantity].write_csv(path)
         written.append(path)
-    return written
+    _write_trace(out / TRACE, config, sweeps.values())
+    return written + [out / TRACE]
 
 
 def _run_kolyada_sweep(config: ExperimentConfig, tmap: KolyadaSnohaMap,
@@ -114,7 +196,11 @@ def _run_kolyada_sweep(config: ExperimentConfig, tmap: KolyadaSnohaMap,
 
 
 def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
-    """Dimension/order/entropy estimates for the configured system."""
+    """Dimension/order/entropy estimates for the configured system.
+
+    Exact cells of a matching sweep trace in ``out_dir`` are taken from it;
+    every other cell is counted.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = resolve_system(config.system)
@@ -123,7 +209,7 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
         h_rows = entropy_scale_table(resolved, ladder_grid(resolved))
     else:
         name, corrected = resolved.name, False
-        rows, h_rows = _net_estimates(resolved, config)
+        rows, h_rows = _net_estimates(resolved, config, _read_trace(out / TRACE, config))
     rows += [_row("entropy-at-scale", name, eps, est) for eps, est in h_rows]
     if len(h_rows) >= 2:
         rows.append(_row("mdim", name, 0.0, mdim_estimate(h_rows, corrected=corrected)))
@@ -133,16 +219,17 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
     return path
 
 
-def _net_estimates(system: DynamicalSystem, config: ExperimentConfig):
+def _net_estimates(system: DynamicalSystem, config: ExperimentConfig, known: Cells):
     """Box dimension and metric order rows, and the per-scale entropies."""
     _check_horizons(system, config.horizons, "config.horizons")
     rows = []
     # the box dimension is a horizon-1 quantity
-    balls = _count(system, [BALL_COVER], config, [n for n in config.horizons if n == 1])
+    balls = _count(system, [BALL_COVER], config, [n for n in config.horizons if n == 1],
+                   known)
     if balls[BALL_COVER].rows:
         box = box_dimension_estimate(balls[BALL_COVER].at_horizon(1))
         rows.append(_row("box-dimension", system.name, 0.0, box))
-    seps = _count(system, [SEPARATED], config, config.horizons)[SEPARATED]
+    seps = _count(system, [SEPARATED], config, config.horizons, known)[SEPARATED]
     try:
         mo = metric_order_estimate(seps.at_horizon(1))
         rows.append(_row("metric-order", system.name, 0.0, mo))
@@ -171,9 +258,16 @@ _QUANTIZE = {
 
 def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     """Quantization numbers over a grid for a measure file + system descriptor."""
-    q = check(load_json(config_path), _QUANTIZE, "quantize")
+    data = load_json(config_path)
+    q = check(data, _QUANTIZE, "quantize")
     if isinstance(q["system"], KolyadaSnohaMap):
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
+    size = q["system"].space.size
+    # the measure sorts its atoms, so the key path indexes the list as written
+    for i, atom in enumerate(data["measure"]["atoms"]):
+        if atom >= size:
+            raise ConfigError(f"quantize.measure.atoms[{i}]",
+                              f"atom {int(atom)} outside the {size}-point space")
     if q["kind"] == W_KIND and q["p"] < 1:
         raise ConfigError("quantize.p", f"the W_p order must be >= 1, got {q['p']}")
     horizons = sorted(set(q["horizons"]))  # as ExperimentConfig orders them

@@ -117,7 +117,7 @@ def measure_to_json(mu: AtomicMeasure) -> str:
 
 # Field type of a measure object: exactly 'atoms' and 'weights', rational weights.
 MEASURE = build(AtomicMeasure.from_weights,
-                {"atoms": list_of(integer()), "weights": list_of(rational)})
+                {"atoms": list_of(integer(0)), "weights": list_of(rational)})
 
 
 def measure_from_json(text: str | Path) -> AtomicMeasure:

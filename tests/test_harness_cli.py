@@ -412,11 +412,29 @@ def test_cli_oracle_rejects_a_matrix_that_is_not_a_metric(matrix, tmp_path, caps
     assert code == 2 and "error" in err
 
 
-def test_sweep_writes_only_its_csvs(tmp_path):
+def test_sweep_writes_its_csvs_and_trace_only(tmp_path):
     config = parse_config(dict(GOOD, quantities=["separated", "spanning"]))
-    written = run_sweep(config, tmp_path)
-    assert sorted(tmp_path.iterdir()) == sorted(tmp_path.glob("sweep_*.csv"))
-    assert sorted(written) == sorted(tmp_path.iterdir())
+    written = run_sweep(config, tmp_path / "net")
+    assert sorted(written) == sorted((tmp_path / "net").iterdir())
+    assert sorted(p.name for p in written) == [
+        "sweep_shift2x5-exp_separated.csv", "sweep_shift2x5-exp_spanning.csv",
+        "trace.jsonl"]
+    # a ladder-map sweep writes no trace
+    ladder = parse_config(dict(GOOD, system={"kind": "kolyada", "family": "F1",
+                                             "k_max": 3}))
+    written = run_sweep(ladder, tmp_path / "ladder")
+    assert written == list((tmp_path / "ladder").iterdir())
+    assert [p.name for p in written] == ["sweep_kolyada_F1_separated.csv"]
+
+
+@pytest.mark.parametrize("atoms", [[0, 99], [0, -1]])
+def test_cli_quantize_atom_outside_the_space_exits_2_at_its_index(atoms, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(dict(QUANTIZE, measure={"atoms": atoms,
+                                                       "weights": ["1/2", "1/2"]})))
+    code, err = _exit_code(["quantize", "--config", str(path), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2 and "quantize.measure.atoms[1]" in err
 
 
 def test_cli_quantize_writes_each_horizon_once_in_order(tmp_path):
