@@ -352,21 +352,81 @@ def _greedy_cover(rows: list[int], universe: int) -> list[int]:
     return picked
 
 
+def _arc_cover(masks: np.ndarray) -> list[int] | None:
+    """Minimum cover, rows ascending, when every nonempty row is one circular
+    run of columns and every column is covered; otherwise None.
+
+    This is the circle cover by arcs (Lee & Lee, IPL 1984).  A full row
+    answers alone.  Else each arc through column 0 is tried as the first
+    arc, and the columns it leaves are covered greedily: from the first
+    uncovered column, jump to the furthest reach of any arc that covers it.
+    Started from the furthest-reaching arc through 0 of an optimum, the
+    greedy never needs more arcs than that optimum, so the shortest chain
+    is a minimum cover.
+    """
+    m, n = masks.shape
+    if n == 0 or not masks.any(axis=0).all():
+        return None
+    # a nonempty row that is not full is one circular run when it has
+    # exactly one 0 -> 1 step, read circularly
+    rises = masks & ~np.roll(masks, 1, axis=1)
+    if np.count_nonzero(rises, axis=1).max() > 1:
+        return None
+    lengths = np.count_nonzero(masks, axis=1)
+    full = np.flatnonzero(lengths == n)
+    if full.size:
+        return [int(full[0])]
+    arcs = np.flatnonzero(lengths)
+    starts = rises[arcs].argmax(axis=1)
+    ends = starts + lengths[arcs]  # past the last column, read on from column n
+    # best[p] packs the furthest reach of an arc starting at or before
+    # column p with its row, the lowest row on ties; the part of a wrapping
+    # arc past column 0 starts before every column
+    keys = ends * m + (m - 1 - arcs)
+    best = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(best, starts, keys)
+    wraps = ends > n
+    if wraps.any():
+        best[0] = max(best[0], int(keys[wraps].max()) - n * m)
+    best = np.maximum.accumulate(best)
+    reach, pick = (best // m).tolist(), (m - 1 - best % m).tolist()
+    chosen: list[int] | None = None
+    for row, start, end in zip(arcs.tolist(), starts.tolist(), ends.tolist()):
+        if start and end <= n:
+            continue  # not through column 0
+        # the columns this first arc leaves are [end - n, start) or [end, n)
+        chain, p, stop = [row], (end - n if start else end), (start or n)
+        while p < stop:
+            if chosen is not None and len(chain) >= len(chosen):
+                break
+            chain.append(pick[p])
+            p = reach[p]
+        else:
+            if chosen is None or len(chain) < len(chosen):
+                chosen = chain
+    return sorted(chosen)
+
+
 def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Minimum set cover, exactly.
 
     A square table whose rows are the classes of an equivalence relation
     (the ball family of an ultrametric) needs every class, and answers with
-    the first row of each by the partition certificate.  The rest goes
-    through an exact integer program (HiGHS branch and cut) with the node
-    budget mapped onto the solver's node limit.  Dominated rows are left to
-    the solver's presolve.
+    the first row of each by the partition certificate.  A table whose rows
+    are all arcs of a circle (the ball family of sorted points on a line or
+    a circle) answers by the circle cover, its rows ascending.  Neither
+    spends budget.  The rest goes through an exact integer program (HiGHS
+    branch and cut) with the node budget mapped onto the solver's node
+    limit.  Dominated rows are left to the solver's presolve.
     """
     packed = _packed(masks)
     if masks.shape[0] == masks.shape[1] and masks.diagonal().all():
         classes = _partition(packed)
         if classes is not None:
             return classes
+    arcs = _arc_cover(masks)
+    if arcs is not None:
+        return arcs
     rows = _ints(packed)
     kept = [i for i in _first_rows(rows) if rows[i]]
     work = [rows[i] for i in kept]

@@ -118,96 +118,52 @@ def brute_k_median_cost(dist_pow: np.ndarray, weights: np.ndarray, k: int) -> fl
 # -- transport ------------------------------------------------------------
 
 
-def coupling_vertices(a: np.ndarray, b: np.ndarray):
-    """Basic feasible couplings: one per spanning tree of the bipartite graph.
+@functools.lru_cache(maxsize=None)
+def _bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis of the m x n transportation problem, built once per shape.
 
-    Every vertex of the transportation polytope is the unique flow on some
-    spanning tree of K_{m,n}; infeasible (negative) tree flows are skipped.
+    A basis is a set of m+n-1 cells (flat, row-major) whose incidence
+    matrix, one row per marginal with the last column's row dropped, is
+    nonsingular; these sets are exactly the spanning trees of K_{m,n}.
+    Returns the cells of each basis and the inverse of its matrix, integral
+    because the matrix is totally unimodular.
     """
-    m, n = a.size, b.size
-    nodes = [("r", i) for i in range(m)] + [("c", j) for j in range(n)]
-    edges = [(i, j) for i in range(m) for j in range(n)]
-    for tree in _spanning_trees(m, n, edges):
-        flow = _solve_tree_flow(a, b, tree, m, n)
-        if flow is not None:
-            yield flow
-
-
-def _spanning_trees(m: int, n: int, edges):
     size = m + n - 1
-    for combo in itertools.combinations(edges, size):
-        parent = list(range(m + n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for i, j in combo:
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if ok:
-            yield combo
-
-
-def _solve_tree_flow(a, b, tree, m, n):
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in tree:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    need = np.concatenate([a, -b]).astype(float)
-    flow: dict[tuple[int, int], float] = {}
-    visited = set()
-
-    def dfs(u: int, parent_edge) -> float:
-        visited.add(u)
-        total = need[u]
-        for v, e in adj.get(u, []):
-            if e == parent_edge or v in visited:
-                continue
-            total += dfs(v, e)
-        if parent_edge is not None:
-            # flow on parent_edge oriented row -> column
-            i, j = parent_edge
-            signed = total if u == m + j else -total
-            flow[parent_edge] = flow.get(parent_edge, 0.0) + signed
-        return total
-
-    dfs(0, None)
-    if len(visited) != m + n:
-        return None
-    plan = np.zeros((m, n))
-    for (i, j), f in flow.items():
-        val = -f
-        if val < -1e-12:
-            return None
-        plan[i, j] = max(val, 0.0)
-    if (np.abs(plan.sum(axis=1) - a).max() > 1e-9
-            or np.abs(plan.sum(axis=0) - b).max() > 1e-9):
-        return None
-    return plan
+    cells = np.array(list(itertools.combinations(range(m * n), size)), dtype=np.intp)
+    matrix = np.zeros((len(cells), m + n, size))
+    subset, slot = np.arange(len(cells))[:, None], np.arange(size)
+    matrix[subset, cells // n, slot] = 1.0
+    matrix[subset, m + cells % n, slot] = 1.0
+    matrix = matrix[:, :size]
+    nonsingular = np.abs(np.linalg.det(matrix)) > 0.5
+    cells, inverses = cells[nonsingular], np.rint(np.linalg.inv(matrix[nonsingular]))
+    cells.flags.writeable = inverses.flags.writeable = False  # shared by every call
+    return cells, inverses
 
 
 def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
                       p: float = 1.0) -> float:
-    """Minimum transport cost over all basic feasible couplings."""
+    """Minimum transport cost over all basic feasible couplings.
+
+    Every vertex of the transportation polytope is the unique flow on some
+    basis; flows that are negative or miss a marginal are skipped.
+    """
     if a.size > 4 or b.size > 4:
         raise ParameterError("coupling oracle limited to 4 atoms per side")
     if cost.shape != (a.size, b.size):
         raise ParameterError("cost must be len(a) x len(b)")
     if not p >= 1:
         raise ParameterError("order p must be >= 1")
-    best = np.inf
-    cp = cost if p == 1.0 else cost**p
-    found = False
-    for plan in coupling_vertices(a, b):
-        found = True
-        best = min(best, float((cp * plan).sum()))
-    if not found:
+    m, n = cost.shape
+    cells, inverses = _bases(m, n)
+    flows = inverses @ np.concatenate([a, b]).astype(float)[:m + n - 1]
+    basic = (flows >= -1e-12).all(axis=1)
+    plans = np.zeros((np.count_nonzero(basic), m * n))
+    np.put_along_axis(plans, cells[basic], np.maximum(flows[basic], 0.0), axis=1)
+    grid = plans.reshape(-1, m, n)
+    feasible = ((np.abs(grid.sum(axis=2) - a).max(axis=1) <= 1e-9)
+                & (np.abs(grid.sum(axis=1) - b).max(axis=1) <= 1e-9))
+    if not feasible.any():
         raise ParameterError("no coupling: marginals need equal mass, no negatives")
-    return best ** (1.0 / p)
+    cp = cost if p == 1.0 else cost**p
+    return float((cp.ravel() * plans[feasible]).sum(axis=1).min()) ** (1.0 / p)

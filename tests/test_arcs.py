@@ -1,0 +1,167 @@
+"""The circle-cover stage of the set-cover solver, and the paths it shortens."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from dynoscale import harness, oracle, verify
+from dynoscale.metric_core import ScaleGrid, min_spanning, solvers
+from dynoscale.systems import bowen_spaces, doubling_grid
+
+
+def _brute_cover(masks):
+    """Fewest rows covering every column, by increasing-size enumeration."""
+    balls = [sum(1 << j for j in np.flatnonzero(row)) for row in masks]
+    everything = (1 << masks.shape[1]) - 1
+    for k in range(1, len(balls) + 1):
+        for combo in itertools.combinations(balls, k):
+            if np.bitwise_or.reduce(combo) == everything:
+                return k
+    raise AssertionError("uncoverable")
+
+
+def _arc(n, start, length):
+    row = np.zeros(n, dtype=bool)
+    row[(start + np.arange(length)) % n] = True
+    return row
+
+
+def _arc_family(rng, n, rows):
+    """Random arcs of a circle of n points, wrapping ones included, with
+    some empty and some duplicate rows, made coverable by one more arc."""
+    masks = np.array([_arc(n, int(rng.integers(n)), int(rng.integers(1, n + 1)))
+                      for _ in range(rows)])
+    masks[rng.random(rows) < 0.1] = False
+    for i in np.flatnonzero(rng.random(rows) < 0.1):
+        masks[i] = masks[int(rng.integers(rows))]
+    gap = np.flatnonzero(~masks.any(axis=0))
+    if gap.size:
+        # the shortest arc holding every uncovered point, inserted at a random row
+        ends = np.append(gap, gap[0] + n)
+        widest = int(np.diff(ends).argmax())
+        arc = _arc(n, int(ends[widest + 1]) % n, n - int(np.diff(ends)[widest]) + 1)
+        masks = np.insert(masks, int(rng.integers(rows + 1)), arc, axis=0)
+    return masks
+
+
+def _stage_off(monkeypatch, solve, *args):
+    """``solve(*args)`` with the arc stage switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_arc_cover", lambda table: None)
+        return solve(*args)
+
+
+def _spy_milp(monkeypatch):
+    calls = []
+    milp = solvers._milp_min_cover
+    monkeypatch.setattr(solvers, "_milp_min_cover",
+                        lambda *args: calls.append(args) or milp(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_circle_cover_matches_brute_and_the_stage_off_run(seed, monkeypatch):
+    rng = np.random.default_rng(700 + seed)
+    n = seed + 1
+    for rows in (1, 2, 5, 11):
+        masks = _arc_family(rng, n, rows)
+        assert masks.any(axis=0).all()
+        got = solvers._arc_cover(masks)
+        assert got is not None
+        assert got == sorted(set(got))
+        assert masks[got].any(axis=0).all()
+        assert len(got) == _brute_cover(masks)
+        assert solvers.exact_min_set_cover(masks) == got
+        assert len(_stage_off(monkeypatch, solvers.exact_min_set_cover, masks)) == len(got)
+
+
+def test_full_row_answers_alone():
+    masks = np.array([_arc(6, 4, 3), _arc(6, 0, 6), _arc(6, 1, 2), _arc(6, 0, 6)])
+    assert solvers.exact_min_set_cover(masks) == [1]
+
+
+def test_wrapping_arcs_are_counted_once():
+    # three arcs of a 12-point circle, two of them wrapping past point 0
+    masks = np.array([_arc(12, 10, 5), _arc(12, 3, 4), _arc(12, 2, 2),
+                      _arc(12, 6, 6), _arc(12, 7, 2)])
+    assert solvers.exact_min_set_cover(masks) == [0, 1, 3]
+    assert _brute_cover(masks) == 3
+
+
+def test_a_table_with_a_split_row_falls_through(monkeypatch):
+    masks = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 0]], dtype=bool)
+    assert solvers._arc_cover(masks) is None
+    calls = _spy_milp(monkeypatch)
+    assert len(solvers.exact_min_set_cover(masks)) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows", [[_arc(8, 6, 5), _arc(8, 2, 2)],
+                                  [_arc(8, 0, 3), np.zeros(8, dtype=bool)],
+                                  [_arc(1, 0, 0)]])
+def test_a_point_no_arc_covers_still_raises(rows):
+    masks = np.array(rows)
+    assert solvers._arc_cover(masks) is None
+    with pytest.raises(ValueError):
+        solvers.exact_min_set_cover(masks)
+
+
+# the six scales of the benchmark's sweeps (start inside their start band)
+BENCH_SCALES = ScaleGrid(0.4990, 0.6, 6).scales()
+
+
+@pytest.mark.parametrize("points", [64, 128, 256])
+def test_doubling_spanning_brackets_match_the_stage_off_run(points, monkeypatch):
+    system = doubling_grid(points, horizon_cap=5)
+    for n, dn in zip(range(1, 6), bowen_spaces(system, range(1, 6))):
+        for eps in BENCH_SCALES:
+            on = min_spanning(dn, eps, horizon=n)
+            assert dn.close_mask(eps, strict=True)[list(on.witness)].any(axis=0).all()
+            off = _stage_off(monkeypatch, min_spanning, dn, eps, solvers.DEFAULT_BUDGET, n)
+            assert (on.lower, on.upper, on.mode, on.method) == \
+                (off.lower, off.upper, off.mode, off.method), (points, n, eps)
+
+
+def test_oracle_equivalence_makes_no_milp_call(monkeypatch):
+    calls = _spy_milp(monkeypatch)
+    assert verify.oracle_equivalence_suite(0).passed
+    assert calls == []
+
+
+def test_only_the_non_arc_sweep_cover_cells_reach_the_milp(tmp_path, monkeypatch):
+    # the benchmark's seed-1 sweep-cover config
+    start = 0.4975 + 0.003 * random.Random(1).random()
+    config = harness.parse_config({
+        "system": {"kind": "doubling", "grid": 128, "horizon_cap": 5},
+        "quantities": ["separated", "spanning", "diameter_cover"],
+        "grid": {"start": start, "ratio": 0.6, "count": 6},
+        "horizons": [1, 2, 3, 4, 5]})
+    calls = _spy_milp(monkeypatch)
+    cells, reached = [], []
+    spanning = harness.QUANTITY_OPS["spanning"]
+
+    def traced(dn, eps, budget, horizon):
+        cells.append((horizon, eps))
+        before = len(calls)
+        bracket = spanning(dn, eps, budget, horizon=horizon)
+        reached.extend([(horizon, eps)] * (len(calls) - before))
+        return bracket
+
+    monkeypatch.setitem(harness.QUANTITY_OPS, "spanning", traced)
+    harness.run_sweep(config, tmp_path)
+    top = config.grid.scales()[0]
+    assert top == pytest.approx(0.496, abs=1e-3)
+    assert len(cells) == 30
+    assert reached == [(n, top) for n in (2, 3, 4, 5)]
+
+
+def test_oracle_equivalence_builds_each_basis_table_once():
+    oracle._bases.cache_clear()
+    report = verify.run_suite("oracle-equivalence", 0)
+    assert report.passed
+    info = oracle._bases.cache_info()
+    transport = [c for c in report.checks if c.name == "transport-vs-oracle"]
+    assert info.hits + info.misses == len(transport)
+    assert info.misses == info.currsize <= 16

@@ -1,10 +1,14 @@
 """Exact transport distances: pinned values, metric axioms, oracle parity."""
 
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from dynoscale import oracle
+from dynoscale.errors import ParameterError
 from dynoscale.measures import AtomicMeasure, wasserstein, w1_pairs_two_atom
 from dynoscale.oracle import brute_wasserstein
 from dynoscale.systems import bowen_space, doubling_grid
@@ -99,3 +103,41 @@ def test_against_vertex_enumeration_oracle(system):
                                  np.array([float(w) for w in nu.weights]))
         assert got == pytest.approx(want, abs=1e-9)
         assert plan.check_marginals(mu, nu)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_basis_table_holds_every_spanning_tree(m, n):
+    # Scoins: K_{m,n} has m**(n-1) * n**(m-1) spanning trees
+    cells, inverses = oracle._bases(m, n)
+    assert len(cells) == len(inverses) == m**(n - 1) * n**(m - 1)
+    assert len({tuple(c) for c in cells}) == len(cells)
+
+
+NO_COUPLING = "no coupling: marginals need equal mass, no negatives"
+
+
+@pytest.mark.parametrize("cost, a, b, p, message", [
+    (np.ones((2, 2)), [0.5, 0.5], [0.5, 0.6], 1.0, NO_COUPLING),
+    (np.ones((2, 2)), [1.5, -0.5], [0.5, 0.5], 1.0, NO_COUPLING),
+    (np.ones((2, 3)), [0.5, 0.5], [0.5, 0.5], 1.0, "cost must be len(a) x len(b)"),
+    (np.ones((5, 1)), [0.2] * 5, [1.0], 1.0, "coupling oracle limited to 4 atoms per side"),
+    (np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5], 0.5, "order p must be >= 1"),
+])
+def test_coupling_oracle_rejects_bad_instances(cost, a, b, p, message, monkeypatch):
+    built = []
+    bases = oracle._bases
+    monkeypatch.setattr(oracle, "_bases", lambda *shape: built.append(shape) or bases(*shape))
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        brute_wasserstein(cost, np.array(a), np.array(b), p)
+    # only a well-formed instance reaches the basis table
+    assert bool(built) == (message == NO_COUPLING)
+
+
+def test_coupling_oracle_on_a_hand_computed_instance():
+    # the cheapest plan moves 0.2 across at cost 1: [[0.3, 0.2], [0, 0.5]]
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    got = brute_wasserstein(cost, np.array([0.5, 0.5]), np.array([0.3, 0.7]), p=2)
+    assert got == pytest.approx(0.2 ** 0.5, abs=1e-15)
+    got = brute_wasserstein(cost, np.array([0.5, 0.5]), np.array([0.3, 0.7]), p=1)
+    assert got == pytest.approx(0.2, abs=1e-15)
