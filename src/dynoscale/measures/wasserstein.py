@@ -1,13 +1,14 @@
 """Exact optimal-transport distances between atomic measures.
 
-The general solver is an exact linear program on the coupling polytope
-(HiGHS); singleton marginals short-circuit to the integral formula, and a
+The general solver is the exact transportation simplex on the coupling
+polytope; singleton marginals short-circuit to the integral formula, and a
 vectorised closed form handles batches of (<= 2)-atom pairs, where the
 coupling has one free parameter and the optimum sits at an endpoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class CouplingPlan:
 def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
                 p: float = 1.0) -> tuple[float, CouplingPlan]:
     """W_p distance over the given (possibly dynamical) metric space."""
-    if p < 1:
+    if not p >= 1:
         raise ParameterError("order p must be >= 1")
+    if p == math.inf:
+        raise ParameterError("order p must be finite")
     cost = _cost_matrix(space, mu.atoms, nu.atoms, p)
     a = np.array([float(w) for w in mu.weights])
     b = np.array([float(w) for w in nu.weights])
@@ -47,7 +50,7 @@ def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
     elif len(nu.atoms) == 1:
         plan = a[:, None].copy()
     else:
-        plan = _solve_lp(cost, a, b)
+        plan = _transport(cost, a, b)
     value = float((cost * plan).sum()) ** (1.0 / p)
     return value, CouplingPlan(mu.atoms, nu.atoms, plan)
 
@@ -58,27 +61,78 @@ def _cost_matrix(space: FiniteMetricSpace, rows, cols, p: float) -> np.ndarray:
     return sub if p == 1.0 else sub**p
 
 
-def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linprog
+def _transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Optimal coupling by the transportation simplex (Dantzig 1951).
 
+    The basis is a spanning tree of K_{m,n}: nodes 0..m-1 are rows, m..m+n-1
+    columns.  Flows are (value, eps) pairs compared lexicographically, the
+    eps part from Orden's perturbation: every supply gains eps and the last
+    demand m * eps.  No basic flow of the perturbed problem is zero, so
+    every pivot lowers the objective and no basis comes back.
+    """
     m, n = cost.shape
-    a_eq = []
-    b_eq = []
-    for i in range(m):
-        row = np.zeros(m * n)
-        row[i * n:(i + 1) * n] = 1.0
-        a_eq.append(row)
-        b_eq.append(a[i])
-    for j in range(n - 1):  # last column constraint is redundant
-        col = np.zeros(m * n)
-        col[j::n] = 1.0
-        a_eq.append(col)
-        b_eq.append(b[j])
-    res = linprog(cost.reshape(-1), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise ParameterError(f"transport LP failed: {res.message}")
-    return res.x.reshape(m, n)
+    c = cost.tolist()
+    # least-cost start: fill the cheapest open cell, close one line per cell
+    row_left = [(w, 1) for w in a.tolist()]
+    col_left = [(w, 0) for w in b.tolist()]
+    col_left[-1] = (col_left[-1][0], m)
+    rows_open, cols_open = set(range(m)), set(range(n))
+    flow = {}
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, n)
+        if i not in rows_open or j not in cols_open:
+            continue
+        t = min(row_left[i], col_left[j])
+        flow[i, j] = t
+        row_left[i] = (row_left[i][0] - t[0], row_left[i][1] - t[1])
+        col_left[j] = (col_left[j][0] - t[0], col_left[j][1] - t[1])
+        if len(rows_open) > 1 and (len(cols_open) == 1 or row_left[i] <= col_left[j]):
+            rows_open.remove(i)
+        else:
+            cols_open.remove(j)
+            if not cols_open:
+                break
+    tol = 1e-12 * float(np.abs(cost).max())
+    while True:
+        adjacent = [[] for _ in range(m + n)]
+        for i, j in flow:
+            adjacent[i].append(m + j)
+            adjacent[m + j].append(i)
+        # MODI potentials u_i + v_j = c_ij on the tree, rooted at row 0
+        pot = [0.0] * (m + n)
+        parent = [-1] * (m + n)
+        depth = [0] * (m + n)
+        order = [0]
+        for x in order:
+            for y in adjacent[x]:
+                if y != parent[x]:
+                    parent[y], depth[y] = x, depth[x] + 1
+                    pot[y] = (c[x][y - m] if x < m else c[y][x - m]) - pot[x]
+                    order.append(y)
+        reduced = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= -tol:
+            break
+        r, s = divmod(enter, n)
+        # the tree path from row r to column s closes the cycle; its cells
+        # alternately lose and gain flow, starting with a loss at row r
+        left, right = [r], [m + s]
+        while left[-1] != right[-1]:
+            side = left if depth[left[-1]] >= depth[right[-1]] else right
+            side.append(parent[side[-1]])
+        path = left + right[-2::-1]
+        cells = [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
+        leave = min(cells[::2], key=flow.__getitem__)
+        t = flow[leave]
+        for k, cell in enumerate(cells):
+            x, e = flow[cell]
+            flow[cell] = (x - t[0], e - t[1]) if k % 2 == 0 else (x + t[0], e + t[1])
+        del flow[leave]
+        flow[r, s] = t
+    plan = np.zeros((m, n))
+    for (i, j), (x, _) in flow.items():
+        plan[i, j] = x
+    return plan
 
 
 def w1_pairs_two_atom(cost_blocks: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -154,6 +155,8 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         raise ParameterError("cost must be len(a) x len(b)")
     if not p >= 1:
         raise ParameterError("order p must be >= 1")
+    if p == math.inf:
+        raise ParameterError("order p must be finite")
     m, n = cost.shape
     cells, inverses = _bases(m, n)
     flows = inverses @ np.concatenate([a, b]).astype(float)[:m + n - 1]

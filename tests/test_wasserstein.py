@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dynoscale import oracle
 from dynoscale.errors import ParameterError
 from dynoscale.measures import AtomicMeasure, wasserstein, w1_pairs_two_atom
+from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import brute_wasserstein
 from dynoscale.systems import bowen_space, doubling_grid
 
@@ -141,3 +142,102 @@ def test_coupling_oracle_on_a_hand_computed_instance():
     assert got == pytest.approx(0.2 ** 0.5, abs=1e-15)
     got = brute_wasserstein(cost, np.array([0.5, 0.5]), np.array([0.3, 0.7]), p=1)
     assert got == pytest.approx(0.2, abs=1e-15)
+
+
+def _transport_instance(cost, a, b):
+    """Space, measures and order-1 W for an arbitrary m x n cost table.
+
+    Rows become points 0..m-1 and columns points m..m+n-1 of an unchecked
+    space whose off-diagonal blocks hold the table.
+    """
+    m, n = cost.shape
+    table = np.zeros((m + n, m + n))
+    table[:m, m:] = cost
+    table[m:, :m] = cost.T
+    space = FiniteMetricSpace(matrix=table, check=False)
+    mu = AtomicMeasure.from_weights(range(m), a)
+    nu = AtomicMeasure.from_weights(range(m, m + n), b)
+    return mu, nu, wasserstein(space, mu, nu)
+
+
+def _assert_coupling(plan, mu, nu):
+    assert plan.check_marginals(mu, nu, tol=1e-9)
+    assert plan.matrix.min() >= -1e-12
+
+
+def _weights(rng, k, uniform):
+    raw = [1] * k if uniform else [int(x) for x in rng.integers(1, 6, k)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def test_transport_simplex_matches_the_coupling_oracle_on_ties():
+    # costs in {0, 1, 2} tie often; uniform marginals such as 1/2 = 2/4 have
+    # coinciding partial sums, so the least-cost start is degenerate
+    rng = np.random.default_rng(13)
+    for t in range(2000):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        cost = rng.integers(0, 3, (m, n)).astype(float)
+        uniform = t % 2 == 0
+        mu, nu, (value, plan) = _transport_instance(
+            cost, _weights(rng, m, uniform), _weights(rng, n, uniform))
+        a = np.array([float(w) for w in mu.weights])
+        b = np.array([float(w) for w in nu.weights])
+        assert value == pytest.approx(brute_wasserstein(cost, a, b), abs=1e-12)
+        _assert_coupling(plan, mu, nu)
+
+
+def test_transport_simplex_matches_linprog_on_large_tied_tables():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(7)
+    for t in range(20):
+        m, n = int(rng.integers(20, 71)), int(rng.integers(20, 71))
+        cost = np.exp(-rng.integers(0, 12, (m, n)).astype(float))
+        mu, nu, (value, plan) = _transport_instance(
+            cost, _weights(rng, m, t % 2 == 0), _weights(rng, n, t % 3 == 0))
+        a = np.array([float(w) for w in mu.weights])
+        b = np.array([float(w) for w in nu.weights])
+        rows = np.kron(np.eye(m), np.ones(n))
+        cols = np.kron(np.ones(m), np.eye(n))
+        ref = linprog(cost.ravel(), A_eq=np.vstack([rows, cols[:-1]]),
+                      b_eq=np.concatenate([a, b[:-1]]), bounds=(0, None), method="highs")
+        assert ref.success
+        assert value == pytest.approx(ref.fun, abs=1e-9)
+        _assert_coupling(plan, mu, nu)
+
+
+@pytest.mark.parametrize("p, message", [(float("inf"), "order p must be finite"),
+                                        (float("nan"), "order p must be >= 1")])
+def test_wasserstein_rejects_a_non_finite_order(system, p, message):
+    mu, nu = AtomicMeasure.uniform([0, 3]), AtomicMeasure.uniform([1, 2])
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        wasserstein(system.space, mu, nu, p=p)
+
+
+@pytest.mark.parametrize("p, message", [(float("inf"), "order p must be finite"),
+                                        (float("nan"), "order p must be >= 1")])
+def test_coupling_oracle_rejects_a_non_finite_order(p, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        brute_wasserstein(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.5]), p)
+
+
+def test_transport_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dynoscale
+    env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
+    code = ("import sys\n"
+            "from dynoscale.measures import AtomicMeasure, wasserstein\n"
+            "from dynoscale.systems import doubling_grid\n"
+            "space = doubling_grid(8, horizon_cap=1).space\n"
+            "mu = AtomicMeasure.from_weights([0, 2, 5], [0.5, 0.25, 0.25])\n"
+            "nu = AtomicMeasure.uniform([1, 4, 7])\n"
+            "print(wasserstein(space, mu, nu)[0] > 0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "[]"]
