@@ -75,15 +75,16 @@ def partial_cover_bracket(balls: np.ndarray, weights, target, budget: int = DEFA
     """Least number of rows of ``balls`` whose union carries mass >= target.
 
     The budgeted exact search, else the bracket [1, greedy cover]; the scale
-    is 1 - target, the eps whose LP number this is.
+    is 1 - target, the eps whose LP number this is.  The greedy adds masses
+    exactly, so its cover always reaches the target; a target no rows reach
+    raises ValueError before any budget is spent.
     """
     def exact(graph, budget):
         return solvers.exact_min_partial_cover(graph, weights, target, budget)
 
     def fallback(graph):
         greedy = solvers.greedy_partial_cover(graph, weights, target)
-        # the greedy stops 1e-15 short of the target, so a tiny target picks no row
-        return 1, max(1, len(greedy)), greedy
+        return 1, len(greedy), greedy
 
     return graph_bracket(LP_KIND, 1 - target, horizon, balls, exact, "partial-cover-bnb",
                          budget, fallback)

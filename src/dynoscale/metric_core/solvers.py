@@ -7,7 +7,9 @@ when it runs out; callers fall back to certified greedy brackets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 
 import numpy as np
@@ -218,22 +220,19 @@ def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int
     """Minimum number of cliques covering an irreflexive graph, exactly.
 
     A graph of disjoint cliques answers with their number by the partition
-    certificate.  Otherwise the greedy independent set (no two of its
-    vertices share a clique) and the greedy clique cover bracket the
-    answer; when they meet, the root closes without spending budget.  Else
-    each connected component is covered on its own: a clique cover is a
-    colouring of the complement graph, found by DSatur branch and bound
-    (Brelaz 1979) with one budget node per branch.
+    certificate.  Otherwise each connected component is covered on its own.
+    Its greedy independent set (no two of its vertices share a clique) and
+    its greedy clique cover bracket its answer; when they meet, it closes
+    without spending budget.  Else a clique cover is a colouring of the
+    complement graph, found by DSatur branch and bound (Brelaz 1979) with
+    one budget node per branch.  Both greedy bounds add up over the
+    components, so a whole-graph check would close no cell that these miss.
     """
     packed = _packed(adj)
     classes = _partition(_with_loops(packed))
     if classes is not None:
         return len(classes)
     rows = _ints(packed)
-    everything = _full(len(rows))
-    upper = _greedy_clique_cover(rows, everything)
-    if len(_greedy_independent(rows, everything)) == upper:
-        return upper
     b = _Budget(budget)
     total = 0
     for comp in _components(rows):
@@ -459,19 +458,30 @@ def _milp_min_cover(work: np.ndarray, greedy_size: int, budget: int):
     return picked
 
 
+def _mass(weights, bits: int, zero):
+    """Total weight of the columns in ``bits``, added onto ``zero``."""
+    return sum((weights[i] for i in _members(bits)), start=zero)
+
+
 def greedy_partial_cover(masks: np.ndarray, weights, target) -> list[int]:
-    """Greedy mass-constrained cover: picks the largest uncovered mass."""
-    w = np.array([float(x) for x in weights])
-    covered = np.zeros(masks.shape[1], dtype=bool)
-    picked: list[int] = []
-    target_f = float(target)
-    while float(w[covered].sum()) < target_f - 1e-15:
-        gains = (masks & ~covered) @ w
-        best = int(np.argmax(gains))
+    """Greedy mass-constrained cover: the row with the largest uncovered
+    mass, the lowest index on ties, until the covered mass reaches the
+    target or no row adds mass.
+
+    Masses add exactly when weights and target are Fractions.
+    """
+    rows = _bitsets(masks)
+    w = list(weights)
+    zero = type(w[0])(0)
+    covered, have, picked = 0, zero, []
+    while have < target:
+        gains = [_mass(w, row & ~covered, zero) for row in rows]
+        best = max(range(len(rows)), key=gains.__getitem__)
         if gains[best] <= 0:
             break
         picked.append(best)
-        covered |= masks[best]
+        covered |= rows[best]
+        have += gains[best]
     return picked
 
 
@@ -479,61 +489,40 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
                             budget: int = DEFAULT_BUDGET) -> list[int]:
     """Minimum number of sets whose union carries mass >= target.
 
-    Mass comparisons are exact when weights and target are Fractions.
+    Masses add exactly when weights and target are Fractions.  A target
+    that all sets together miss raises ValueError.  The greedy cover is the
+    first incumbent; branch and bound then takes or skips the sets, heaviest
+    first, one budget node per branch, and prunes a branch when even the
+    heaviest sets could not close its gap in fewer sets than the incumbent.
     """
     if target <= 0:
         return []
     work, kept = dedupe_masks(masks)
     rows = _bitsets(work)
-    b = _Budget(budget)
     w = list(weights)
     zero = type(w[0])(0)
-
-    def mass(bits: int):
-        return sum((w[i] for i in _members(bits)), start=zero)
-
-    set_masses = [mass(row) for row in rows]
-    order = sorted(range(len(rows)), key=lambda i: (-float(set_masses[i]), i))
-
-    if sum(row.bit_count() for row in rows) == reduce(or_, rows, 0).bit_count():
-        # disjoint sets: heaviest-first is optimal for a pure count objective
-        chosen, have = [], zero
-        for s in order:
-            if have >= target:
-                break
-            chosen.append(s)
-            have += set_masses[s]
-        if have < target:
-            raise ValueError("sets cannot reach the target mass")
-        return [int(kept[i]) for i in chosen]
-
-    greedy = greedy_partial_cover(work, w, target)
-    if mass(reduce(or_, (rows[i] for i in greedy), 0)) < target:
-        greedy = list(range(len(rows)))
-    best: list[list[int]] = [greedy]
-    # optimistic completion: k more sets add at most the k largest set masses
-    prefix = [zero]
-    for s in order:
-        prefix.append(prefix[-1] + set_masses[s])
-
-    def min_extra_sets(need) -> int:
-        for k in range(len(prefix)):
-            if prefix[k] >= need:
-                return k
-        return len(order) + 1
+    if _mass(w, reduce(or_, rows, 0), zero) < target:
+        raise ValueError("sets cannot reach the target mass")
+    b = _Budget(budget)
+    set_masses = [_mass(w, row, zero) for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: (-set_masses[i], i))
+    best = [greedy_partial_cover(work, w, target)]
+    # optimistic completion: k more sets add at most the k largest set masses,
+    # and all of them together reach the target
+    prefix = list(accumulate((set_masses[s] for s in order), initial=zero))
 
     def solve(pos: int, covered: int, chosen: list[int], have) -> None:
         b.spend()
         if have >= target:
-            if len(chosen) < len(best[0]):
-                best[0] = list(chosen)
+            # the pruning below lets only a smaller cover get here
+            best[0] = chosen
             return
         if pos >= len(order):
             return
-        if len(chosen) + min_extra_sets(target - have) >= len(best[0]):
+        if len(chosen) + bisect_left(prefix, target - have) >= len(best[0]):
             return
         s = order[pos]
-        gain = mass(rows[s] & ~covered)
+        gain = _mass(w, rows[s] & ~covered, zero)
         if gain > 0:
             solve(pos + 1, covered | rows[s], chosen + [s], have + gain)
         solve(pos + 1, covered, chosen, have)

@@ -9,6 +9,7 @@ from dynoscale.measures import (AtomicMeasure, apart_count,
                                 check_transport_lower_bound, dominated_layer,
                                 ladder_scale, ladder_construction,
                                 transport_lower_bound)
+from dynoscale.measures.constructions import support_cross_min
 from dynoscale.metric_core import max_separated, solvers
 from dynoscale.systems import bowen_space, random_space
 
@@ -139,3 +140,27 @@ def test_apart_count_exhausted_budget_brackets_the_exhaustive_count(monkeypatch)
     assert got.mode == "heuristic" and got.method == "greedy"
     assert got.lower <= best <= got.upper <= len(measures)
     assert got.lower == len(got.witness)
+
+
+def test_support_cross_min_and_apart_count_on_wide_supports():
+    import itertools
+    sp = random_space(12, seed=3)
+    dense_m = sp.as_matrix()
+    rng = np.random.default_rng(7)
+    measures = [AtomicMeasure.uniform(sorted(
+        rng.choice(12, int(rng.integers(1, 5)), replace=False).tolist()))
+        for _ in range(7)]
+    assert max(mu.support_size for mu in measures) > 2  # past the two-atom shortcut
+
+    def gap(i, j):
+        return min(dense_m[a, b] for a in measures[i].atoms for b in measures[j].atoms)
+
+    cross = support_cross_min(sp, measures)
+    k = len(measures)
+    assert all(cross[i, j] == gap(i, j) for i, j in itertools.product(range(k), repeat=2))
+    eps = 0.05
+    best = max(r for r in range(1, k + 1)
+               if any(all(gap(i, j) >= eps for i, j in itertools.combinations(c, 2))
+                      for c in itertools.combinations(range(k), r)))
+    got = apart_count(sp, measures, eps)
+    assert got.mode == "exact" and got.value == best

@@ -479,3 +479,31 @@ def test_cli_import_and_system_build_leave_scipy_unloaded():
                          text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_cli_lp_quantize_at_budget_one_reports_the_exact_count(tmp_path):
+    # mass 7/10 needs two balls of radius 0.3; the greedy must not stop on a
+    # float sum just short of the target and report one
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({
+        "system": {"kind": "doubling", "grid": 16},
+        "measure": {"atoms": [1, 3, 8, 10, 11, 12, 13],
+                    "weights": ["1/5", "1/10", "1/10", "1/5", "1/10", "1/5", "1/10"]},
+        "grid": {"start": 0.3, "ratio": 0.5, "count": 1, "offset": False},
+        "horizons": [1], "kind": "lp", "budget": 1}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    [row] = csv.DictReader((tmp_path / "quantization.csv").open())
+    assert (row["eps"], row["kind"], row["Q"]) == ("0.3", "lp", "2")
+
+
+def test_cli_estimate_on_a_ladder_map_writes_entropy_rows_then_mdim(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(GOOD, system=LADDER)))
+    written = []
+    for run in ("a", "b"):
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / run)]) == 0
+        written.append((tmp_path / run / "estimates.csv").read_bytes())
+    assert written[0] == written[1]
+    rows = list(csv.DictReader(io.StringIO(written[0].decode())))
+    assert [r["quantity"] for r in rows] == ["entropy-at-scale"] * 5 + ["mdim", "mdim-mo"]
+    assert {r["system"] for r in rows} == {"F1"}

@@ -270,3 +270,21 @@ def test_lp_kind_fallback_brackets_with_the_greedy_cover(system, monkeypatch):
     assert rep.upper > 1
     assert rep.lower <= brute_partial_cover(balls, list(mu.weights),
                                             1 - Fraction(eps)) <= rep.upper
+
+
+def test_partial_cover_bracket_contains_the_count_at_every_budget():
+    # targets 1 - Fraction(float(k / s)) sit within a rounding error of a
+    # sum of weights, where a float mass sum lands on the wrong side
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        m, n = (int(x) for x in rng.integers(3, 9, size=2))
+        masks = rng.random((m, n)) < 0.5
+        masks[rng.integers(m), ~masks.any(axis=0)] = True  # every atom coverable
+        raw = [int(x) for x in rng.integers(1, 9, size=n)]
+        s = sum(raw)
+        weights = [Fraction(r, s) for r in raw]
+        target = 1 - Fraction(float(int(rng.integers(1, s)) / s))
+        count = quantization.partial_cover_bracket(masks, weights, target).value
+        for budget in (1, 2, 3, 5):
+            got = quantization.partial_cover_bracket(masks, weights, target, budget)
+            assert got.lower <= count <= got.upper, (masks, raw, target, budget)

@@ -10,8 +10,8 @@ from dynoscale.errors import BudgetExceededError
 from dynoscale.metric_core.solvers import (
     dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
-    greedy_independent_set, line_max_separated, line_min_ball_cover,
-    line_min_diameter_cover, maximal_cliques)
+    greedy_independent_set, greedy_partial_cover, line_max_separated,
+    line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
 from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
 
@@ -246,3 +246,21 @@ def test_line_sweeps_match_generic_on_random_sets():
         assert len(line_max_separated(coords, eps)) == brute_max_separated(sp, eps)
         assert len(line_min_ball_cover(coords, eps)) == brute_min_spanning(sp, eps)
         assert line_min_diameter_cover(coords, eps) == brute_min_diameter_cover(sp, eps)
+
+
+def test_partial_cover_search_improves_on_its_greedy():
+    masks = np.array([[1, 1, 1, 1, 0, 0],
+                      [1, 1, 0, 0, 1, 0],
+                      [0, 0, 1, 1, 0, 1]], dtype=bool)
+    weights = [Fraction(1, 6)] * 6
+    # the greedy takes the heaviest row first and then needs both others
+    assert greedy_partial_cover(masks, weights, 1) == [0, 1, 2]
+    got = exact_min_partial_cover(masks, weights, 1)
+    assert sorted(got) == [1, 2]
+    assert len(got) == brute_partial_cover(masks, weights, 1)
+
+
+def test_partial_cover_overlapping_rows_short_of_the_target_raise():
+    masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
+    with pytest.raises(ValueError, match="cannot reach the target"):
+        exact_min_partial_cover(masks, [Fraction(1, 4)] * 4, Fraction(9, 10))
