@@ -1,9 +1,15 @@
 """Finite metric spaces with a certified distance oracle.
 
-Two storage backends are supported. A dense float64 matrix covers the
-general case; a sorted 1-d coordinate list (ideally `Fraction`s) covers
-spaces embedded in the real line, where the counting layer can run exact
-sweep algorithms without ever materialising a matrix.
+Two storage backends are supported. A 1-d coordinate list (ideally
+`Fraction`s) covers spaces embedded in the real line, where the counting
+layer can run exact sweep algorithms without ever materialising a matrix.
+A dense space stores ``levels``, the sorted distinct float64 distances, and
+``codes``, an (n, n) table of indices into ``levels`` in the narrowest
+unsigned dtype, so that ``levels[codes]`` is the distance table bit for bit.
+Every threshold graph depends only on which distances fall below a scale,
+so it is one compare on the codes; float values are read through
+``levels[codes]`` only for callers that need them.  A float matrix passed in
+is encoded once, at its first threshold, diameter or ``d_n`` gather.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from ..errors import InvalidMetricError, ParameterError
 
 # Largest point count for which a dense matrix is materialised on demand.
 MATRIX_CAP = 20_000
+# Float entries searched per block while encoding a matrix (8 MB of indices).
+ENCODE_BLOCK = 1 << 20
 
 TRIANGLE_SPOT_CHECKS = 64
 TRIANGLE_SLACK = 1e-9
@@ -28,8 +36,8 @@ class FiniteMetricSpace:
     Parameters
     ----------
     matrix:
-        Dense (n, n) distance table.  Mutually exclusive with assuming
-        distances from ``coords``.
+        Dense (n, n) float distance table, kept for value reads and encoded
+        into level codes on first use.  Mutually exclusive with ``coords``.
     coords:
         1-d positions; the metric is ``|x_i - x_j|``.  Fractions keep the
         comparison layer exact.
@@ -50,7 +58,7 @@ class FiniteMetricSpace:
             raise ParameterError("exactly one of matrix/coords must be given")
         self.name = name
         self.coords = None
-        self._matrix = None
+        self._matrix = self._levels = self._codes = None
         if coords is not None:
             if len(coords) == 0:
                 raise ParameterError("empty spaces are rejected")
@@ -65,12 +73,30 @@ class FiniteMetricSpace:
                 raise ParameterError("empty spaces are rejected")
             self._matrix = matrix
             self.size = matrix.shape[0]
+        self._set_labels(labels)
+        if check:
+            self._validate(seed)
+
+    @classmethod
+    def from_codes(cls, levels: np.ndarray, codes: np.ndarray,
+                   labels: Sequence | None = None, name: str = "space") -> "FiniteMetricSpace":
+        """Dense space whose distances are ``levels[codes]``, unchecked.
+
+        ``levels`` must be sorted ascending (ties are harmless), so that the
+        order of the codes is the order of the distances.
+        """
+        space = cls.__new__(cls)
+        space.name, space.coords, space._matrix = name, None, None
+        space._levels, space._codes = levels, codes
+        space.size = codes.shape[0]
+        space._set_labels(labels)
+        return space
+
+    def _set_labels(self, labels: Sequence | None) -> None:
         self.labels = list(labels) if labels is not None else list(range(self.size))
         if len(self.labels) != self.size:
             raise ParameterError("labels length must match point count")
         self._diameter = None
-        if check:
-            self._validate(seed)
 
     # -- validation ------------------------------------------------------
 
@@ -108,7 +134,9 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> float:
         if self.coords is not None:
             return abs(float(self._coords_float[i] - self._coords_float[j]))
-        return float(self._matrix[i, j])
+        if self._matrix is not None:
+            return float(self._matrix[i, j])
+        return float(self._levels[self._codes[i, j]])
 
     def dist_exact(self, i: int, j: int):
         """Exact distance when available (Fractions), else the float value."""
@@ -125,25 +153,40 @@ class FiniteMetricSpace:
             if self.coords is not None:
                 self._diameter = float(self._coords_float.max() - self._coords_float.min())
             else:
-                self._diameter = float(self._matrix.max())
+                levels, codes = self.level_codes()
+                self._diameter = float(levels[codes.max()])
         return self._diameter
 
     def as_matrix(self) -> np.ndarray:
-        """Dense distance table (materialised for line spaces on demand)."""
+        """Dense float distance table, materialised on demand and kept."""
         if self._matrix is None:
-            if self.size > MATRIX_CAP:
+            if self.coords is None:
+                self._matrix = self._levels[self._codes]
+            elif self.size > MATRIX_CAP:
                 raise ParameterError(
                     f"refusing to materialise {self.size}x{self.size} matrix"
                 )
-            c = self._coords_float
-            self._matrix = np.abs(c[:, None] - c[None, :])
+            else:
+                c = self._coords_float
+                self._matrix = np.abs(c[:, None] - c[None, :])
         return self._matrix
+
+    def level_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(levels, codes)``: the sorted distances and the table of their indices."""
+        if self._codes is None:
+            self._levels, self._codes = _encode(self.as_matrix())
+        return self._levels, self._codes
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
         """Boolean table of pairs with d < eps (strict) or d <= eps."""
-        m = self.as_matrix()
+        levels, codes = self.level_codes()
         eps_f = float(eps)
-        return (m < eps_f) if strict else (m <= eps_f)
+        if eps_f != eps_f:  # no distance compares true with NaN
+            return np.zeros(codes.shape, dtype=bool)
+        k = np.searchsorted(levels, eps_f, "left" if strict else "right")
+        # a Python int keeps the compare on the narrow dtype; an np.intp
+        # bound would promote the whole table to int64 first
+        return codes < int(k)
 
     def permuted(self, perm: Sequence[int]) -> "FiniteMetricSpace":
         """Same space with points reindexed by ``perm`` (for invariance tests)."""
@@ -156,12 +199,31 @@ class FiniteMetricSpace:
                 check=False,
             )
         idx = np.array(perm)
-        return FiniteMetricSpace(
-            matrix=self._matrix[np.ix_(idx, idx)],
-            labels=[self.labels[p] for p in perm],
-            name=self.name,
-            check=False,
-        )
+        levels, codes = self.level_codes()
+        return FiniteMetricSpace.from_codes(
+            levels, codes[np.ix_(idx, idx)],
+            labels=[self.labels[p] for p in perm], name=self.name)
 
     def __repr__(self):
         return f"FiniteMetricSpace({self.name!r}, size={self.size})"
+
+
+def code_dtype(count: int) -> np.dtype:
+    """Narrowest unsigned dtype that indexes ``count`` levels."""
+    return np.min_scalar_type(count - 1)
+
+
+def _encode(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of ``m`` and the table of their indices.
+
+    Both passes run over row blocks, so besides the levels no temporary
+    outgrows one block (``np.unique(m, return_inverse=True)`` would make
+    table-sized int64 ones).
+    """
+    rows = max(1, ENCODE_BLOCK // m.shape[1])
+    blocks = range(0, m.shape[0], rows)
+    levels = np.unique(np.concatenate([np.unique(m[a:a + rows]) for a in blocks]))
+    codes = np.empty(m.shape, dtype=code_dtype(len(levels)))
+    for a in blocks:
+        codes[a:a + rows] = np.searchsorted(levels, m[a:a + rows])
+    return levels, codes

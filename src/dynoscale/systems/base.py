@@ -103,9 +103,13 @@ def bowen_spaces(system: DynamicalSystem,
 
     ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
     gather per horizon, written into the gathered buffer, so a run of
-    increasing horizons costs one table per step.  Max is exact, so every
-    table is bitwise the one built anew.  A horizon below the last
-    one starts again from ``d_1``, which is the space itself.
+    increasing horizons costs one table per step.  On an index carrier the
+    gather reads the base space's level codes, and every ``d_n`` shares its
+    levels: codes are monotone in the distance, so the max of two codes is
+    the code of the max, at one to four bytes per pair.  A value carrier
+    gathers float tables.  Max is exact, so every table is bitwise the one
+    built anew.  A horizon below the last one starts again from ``d_1``,
+    which is the space itself.
     """
     done, table = 1, None
     for n in horizons:
@@ -120,19 +124,26 @@ def bowen_spaces(system: DynamicalSystem,
             previous = _layer(system, 0) if table is None else table
             table = np.maximum(layer, previous, out=layer)
             done += 1
-        yield system.space if n == 1 else FiniteMetricSpace(
-            matrix=table, labels=system.space.labels, name=f"{system.name}|d_{n}",
-            check=False)
+        if n == 1:
+            yield system.space
+            continue
+        labels, name = system.space.labels, f"{system.name}|d_{n}"
+        if system.orbit_index is None:
+            yield FiniteMetricSpace(matrix=table, labels=labels, name=name, check=False)
+        else:
+            levels = system.space.level_codes()[0]
+            yield FiniteMetricSpace.from_codes(levels, table, labels=labels, name=name)
 
 
 def _layer(system: DynamicalSystem, t: int) -> np.ndarray:
-    """The table of d(f^t x, f^t y); a new buffer for t >= 1."""
+    """The table of d(f^t x, f^t y), a new buffer for t >= 1: the space's
+    level codes on an index carrier, floats on a value carrier."""
     if system.orbit_index is None:
         v = system.orbit_values[t]
         return np.abs(v[:, None] - v[None, :])
-    base = system.space.as_matrix()
+    codes = system.space.level_codes()[1]
     idx = system.orbit_index[t]
-    return base if t == 0 else base[np.ix_(idx, idx)]
+    return codes if t == 0 else codes.take(idx, 0).take(idx, 1)
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

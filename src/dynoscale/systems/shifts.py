@@ -24,10 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import ParameterError, ShapeError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, code_dtype
 from .base import DynamicalSystem, system_from_step
 
-# dense float64 distance tables cap memory at ~200 MB
+# dense float64 distance tables (product metric, value reads) cap memory at ~200 MB
 MAX_POINTS = 5_000
 
 
@@ -84,29 +84,37 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         raise ParameterError("tail symbol outside the alphabet")
     words = _prefixes(symbols, depth)
     n = words.shape[0]
+    label = [tuple(w) for w in words.tolist()]
+    name = name or f"shift{symbols}x{depth}-{metric}"
 
     if metric == "exp":
+        if not base >= 1:
+            raise ParameterError("the exp metric needs base >= 1")
         # exp(-k * ln base) keeps scales like exp(-m) bitwise comparable
         powers = np.exp(-math.log(base) * np.arange(depth + 1))
-        dist = powers[_first_disagreement(symbols, depth)]
-        np.fill_diagonal(dist, 0.0)
+        # level depth + 1 - k is powers[k], and level 0 the diagonal's 0
+        levels = np.concatenate(([0.0], powers[::-1]))
+        fd = _first_disagreement(symbols, depth)
+        codes = np.subtract(depth + 1, fd, out=fd).astype(code_dtype(depth + 2))
+        np.fill_diagonal(codes, 0)
+        space = FiniteMetricSpace.from_codes(levels, codes, labels=label, name=name)
         trunc = base ** (-float(depth))
         alph_diam = 1.0
     else:
         amat = alphabet.as_matrix()
-        dist = np.zeros((n, n))
+        # word p * symbols + a extends prefix p by letter a, so each coordinate
+        # adds its term to every pair of prefixes, in the order rho sums them
+        dist = np.zeros((1, 1))
         for t in range(depth):
-            col = words[:, t]
-            dist += 2.0 ** (-(t + 1)) * amat[np.ix_(col, col)]
+            size = dist.shape[0] * symbols
+            term = 2.0 ** (-(t + 1)) * amat
+            dist = (dist[:, None, :, None] + term[None, :, None, :]).reshape(size, size)
+        space = FiniteMetricSpace(matrix=dist, labels=label, name=name, check=False)
         alph_diam = alphabet.diameter
         trunc = 2.0 ** (-depth) * alph_diam
 
-    label = [tuple(int(s) for s in w) for w in words]
-    space = FiniteMetricSpace(matrix=dist, labels=label,
-                              name=name or f"shift{symbols}x{depth}-{metric}",
-                              check=False)
-    index_of = {lab: i for i, lab in enumerate(label)}
-    step = np.array([index_of[lab[1:] + (tail,)] for lab in label])
+    # word i read in base ``symbols`` loses its first letter and gains ``tail``
+    step = (np.arange(n) % symbols ** (depth - 1)) * symbols + tail
     cap = horizon_cap if horizon_cap is not None else max(depth, 2)
     sys = system_from_step(space, step, cap, name=space.name,
                            meta={"kind": "shift", "metric": metric,

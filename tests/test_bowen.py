@@ -1,9 +1,12 @@
 """Dynamical metrics: iteration examples, monotonicity, validity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError, RepresentationError
+from dynoscale.harness import _count, parse_config
 from dynoscale.metric_core import max_separated
 from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance,
                                bowen_space, bowen_spaces, doubling_grid, full_shift,
@@ -87,6 +90,8 @@ def _max_anew(system, n):
 BOWEN_SYSTEMS = {
     "exp-shift": lambda: binary_exp_shift(5, horizon_cap=5),
     "product-shift": lambda: full_shift(2, 4, metric="product", horizon_cap=4),
+    # 512 levels: d_n gathers two-byte codes
+    "product-shift-uint16": lambda: full_shift(2, 9, metric="product", horizon_cap=4),
     "doubling": lambda: doubling_grid(32, horizon_cap=5),
     "interval-values": lambda: KolyadaSnohaMap.family_f1(2).validation_net(
         1, per_branch=6, horizon=4),
@@ -110,3 +115,20 @@ def test_bowen_spaces_match_a_max_built_anew_bitwise(name, horizons):
 def test_bowen_spaces_reject_a_horizon_beyond_the_cap(doubling64):
     with pytest.raises(ParameterError):
         list(bowen_spaces(doubling64, [1, doubling64.horizon_cap + 1]))
+
+
+def test_counting_dense_horizons_allocates_less_than_one_float_table():
+    system = binary_exp_shift(10, horizon_cap=3)
+    size = system.space.size
+    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1, 2, 3]})
+    tracemalloc.start()
+    try:
+        sweeps = _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(sweep.rows) == 18 for sweep in sweeps.values())
+    # d_n and its threshold graphs stay below one float64 table of the net
+    assert peak < 8 * size**2, peak

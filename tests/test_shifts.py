@@ -138,3 +138,27 @@ def test_exp_shift_table_matches_a_per_pair_scan(symbols, depth):
         np.fill_diagonal(want, 0.0)
         got = full_shift(symbols, depth, base=base).space.as_matrix()
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("symbols, depth, tail", [(2, 12, 0), (3, 7, 2), (2, 12, 1)])
+def test_shift_step_and_labels_match_the_label_based_construction(symbols, depth, tail):
+    labels = [tuple(int(s) for s in w) for w in _prefixes(symbols, depth)]
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    step = [index_of[lab[1:] + (tail,)] for lab in labels]
+    s = full_shift(symbols, depth, tail=tail, horizon_cap=2)
+    assert s.space.labels == labels
+    assert all(type(x) is int for x in s.space.labels[-1])
+    assert s.step.tolist() == step
+
+
+@pytest.mark.parametrize("symbols, depth, points", [(2, 9, None), (3, 5, None), (2, 4, 5)])
+def test_product_table_matches_a_sum_over_coordinates_bitwise(symbols, depth, points):
+    alphabet = lattice_alphabet(points) if points else None
+    s = full_shift(symbols, depth, metric="product", alphabet=alphabet)
+    amat = s.meta["alphabet"].as_matrix()
+    words = _prefixes(amat.shape[0], depth)
+    want = np.zeros((len(words), len(words)))
+    for t in range(depth):
+        col = words[:, t]
+        want += 2.0 ** (-(t + 1)) * amat[np.ix_(col, col)]
+    assert s.space.as_matrix().tobytes() == want.tobytes()

@@ -93,3 +93,36 @@ def test_exact_counts_invariant_under_reindexing(seed, perm_seed):
     b = max_separated(dense.permuted(perm), eps)
     assert a.mode == b.mode == "exact"
     assert a.value == b.value
+
+
+def _float_graph(m, eps, strict):
+    return (m < eps) if strict else (m <= eps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("points, draws, dtype", [(12, 4, np.uint8), (30, None, np.uint16)],
+                         ids=["ties-uint8", "wide-uint16"])
+def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype):
+    rng = np.random.default_rng(seed)
+    if draws:  # a few distinct draws: many tied distances
+        values = rng.integers(1, draws + 1, size=(points, points)) / draws
+    else:  # continuous draws: 436 levels, past the 256 a one-byte code can index
+        values = rng.uniform(0.5, 1.0, size=(points, points))
+    m = np.triu(values, 1)
+    m = m + m.T
+    space = FiniteMetricSpace(matrix=m, check=False)
+    levels, codes = space.level_codes()
+    assert codes.dtype == dtype and levels[codes].tobytes() == m.tobytes()
+    mids = (levels[1:] + levels[:-1]) / 2
+    scales = [*levels, *mids, -1.0, levels[-1] + 1, np.inf, -np.inf, np.nan]
+    perm = rng.permutation(points)
+    # a space that holds codes only, as every d_n does, then reindexed
+    moved = FiniteMetricSpace.from_codes(levels, codes).permuted(perm)
+    moved_m = m[np.ix_(perm, perm)]
+    assert moved.as_matrix().tobytes() == moved_m.tobytes()
+    for eps in scales:
+        for strict in (True, False):
+            assert np.array_equal(space.close_mask(eps, strict), _float_graph(m, eps, strict))
+            assert np.array_equal(moved.close_mask(eps, strict),
+                                  _float_graph(moved_m, eps, strict))
+    assert not space.close_mask(np.nan, strict=False).any()
