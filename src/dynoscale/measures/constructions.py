@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -101,21 +102,18 @@ def check_transport_lower_bound(space: FiniteMetricSpace, separated: tuple[int, 
 
 def support_cross_min(space: FiniteMetricSpace,
                       measures: list[AtomicMeasure]) -> np.ndarray:
-    """Pairwise minimum distance between supports (vectorised for <= 2 atoms)."""
-    k = len(measures)
+    """Pairwise minimum distance between supports.
+
+    Each support is padded with its last atom to the widest one, which
+    leaves its distances unchanged, so the table is the minimum of one
+    gather per pair of atom positions.
+    """
     m = space.as_matrix()
-    if all(mu.support_size <= 2 for mu in measures):
-        a0 = np.array([mu.atoms[0] for mu in measures])
-        a1 = np.array([mu.atoms[-1] for mu in measures])
-        out = np.minimum.reduce([m[np.ix_(a0, a0)], m[np.ix_(a0, a1)],
-                                 m[np.ix_(a1, a0)], m[np.ix_(a1, a1)]])
-        return out
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            cross = m[np.ix_(measures[i].atoms, measures[j].atoms)].min()
-            out[i, j] = out[j, i] = cross
-    return out
+    width = max(mu.support_size for mu in measures)
+    atoms = np.array([mu.atoms + mu.atoms[-1:] * (width - mu.support_size)
+                      for mu in measures])
+    return reduce(np.minimum, (m[np.ix_(atoms[:, s], atoms[:, t])]
+                               for s in range(width) for t in range(width)))
 
 
 def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],

@@ -443,7 +443,8 @@ def _milp_min_cover(work: np.ndarray, greedy_size: int, budget: int):
     from scipy.sparse import csr_matrix
 
     k = work.shape[0]
-    cons = LinearConstraint(csr_matrix(work.T.astype(float)),
+    # dtype= converts only the nonzeros, never a dense float copy of the table
+    cons = LinearConstraint(csr_matrix(work.T, dtype=float),
                             lb=np.ones(work.shape[1]), ub=np.inf)
     res = milp(c=np.ones(k), constraints=cons,
                integrality=np.ones(k), bounds=Bounds(0, 1),

@@ -1,14 +1,8 @@
 """Dynamical systems over finite nets, and their dynamical metrics.
 
-A system couples a ``FiniteMetricSpace`` with exact point iteration.  Two
-iteration carriers exist:
-
-* ``orbit_index``: (H, n) table of point indices, row 0 the identity --
-  used when the net is closed under the map (shifts, grids, products);
-* ``orbit_values``: (H, n) table of real positions for 1-d systems whose
-  exact orbits leave the sampled net (interval maps).
-
-Either carrier certifies d_k for every horizon k <= H.
+A system is a ``FiniteMetricSpace`` closed under one map f, carried by
+``step``, the index of f(x) for every point x.  Iterating the step
+certifies d_k for every horizon k <= ``horizon_cap``.
 """
 
 from __future__ import annotations
@@ -25,53 +19,35 @@ from ..metric_core.space import FiniteMetricSpace
 @dataclass
 class DynamicalSystem:
     space: FiniteMetricSpace
-    orbit_index: np.ndarray | None = None
-    orbit_values: np.ndarray | None = None
+    step: np.ndarray
+    horizon_cap: int
     name: str = "system"
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.orbit_index is None and self.orbit_values is None:
-            raise ParameterError("a system needs an orbit carrier")
-        if self.orbit_index is not None:
-            oi = np.asarray(self.orbit_index)
-            if oi.ndim != 2 or oi.shape[1] != self.space.size:
-                raise ParameterError("orbit_index shape mismatch")
-            if (oi < 0).any() or (oi >= self.space.size).any():
-                raise RepresentationError("map image outside the represented set")
-            if not np.array_equal(oi[0], np.arange(self.space.size)):
-                raise ParameterError("orbit_index row 0 must be the identity")
-            self.orbit_index = oi
+        step = np.asarray(self.step, dtype=int)
+        if step.shape != (self.space.size,):
+            raise ParameterError("step must map every point index")
+        if (step < 0).any() or (step >= self.space.size).any():
+            raise RepresentationError("map image outside the represented set")
+        if self.horizon_cap < 1:
+            raise ParameterError("horizon cap must be >= 1")
+        self.step = step
 
     @property
-    def horizon_cap(self) -> int:
-        table = self.orbit_index if self.orbit_index is not None else self.orbit_values
-        return table.shape[0]
-
-    @property
-    def step(self) -> np.ndarray:
-        """One-step index map (requires an index carrier)."""
-        if self.orbit_index is None:
-            raise RepresentationError("system has no index-closed map")
-        if self.orbit_index.shape[0] < 2:
-            raise ParameterError("horizon cap too small for a step map")
-        return self.orbit_index[1]
+    def orbit_index(self) -> np.ndarray:
+        """(horizon_cap, n) table of f^t indices, row 0 the identity."""
+        rows = [np.arange(self.space.size)]
+        for _ in range(self.horizon_cap - 1):
+            rows.append(self.step[rows[-1]])
+        return np.stack(rows)
 
 
 def system_from_step(space: FiniteMetricSpace, step: np.ndarray,
                      horizon_cap: int, name: str = "system",
                      meta: dict | None = None) -> DynamicalSystem:
-    """Build an index-carried system by composing a one-step map."""
-    step = np.asarray(step, dtype=int)
-    if step.shape != (space.size,):
-        raise ParameterError("step must map every point index")
-    if (step < 0).any() or (step >= space.size).any():
-        raise RepresentationError("map image outside the represented set")
-    rows = [np.arange(space.size)]
-    for _ in range(horizon_cap - 1):
-        rows.append(step[rows[-1]])
-    return DynamicalSystem(space, orbit_index=np.stack(rows), name=name,
-                           meta=meta or {})
+    """The system of a one-step index map."""
+    return DynamicalSystem(space, step, horizon_cap, name=name, meta=meta or {})
 
 
 def identity_system(space: FiniteMetricSpace, horizon_cap: int = 8,
@@ -89,12 +65,11 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
         raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
     if not (0 <= i < system.space.size and 0 <= j < system.space.size):
         raise IndexError("point index out of range")
-    if system.orbit_index is not None:
-        return max(system.space.dist(int(system.orbit_index[t, i]),
-                                     int(system.orbit_index[t, j]))
-                   for t in range(n))
-    v = system.orbit_values
-    return float(max(abs(v[t, i] - v[t, j]) for t in range(n)))
+    best = system.space.dist(i, j)
+    for _ in range(n - 1):
+        i, j = int(system.step[i]), int(system.step[j])
+        best = max(best, system.space.dist(i, j))
+    return best
 
 
 def bowen_spaces(system: DynamicalSystem,
@@ -102,12 +77,11 @@ def bowen_spaces(system: DynamicalSystem,
     """The space under each horizon-n dynamical metric, in the order given.
 
     ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
-    gather per horizon, written into the gathered buffer, so a run of
-    increasing horizons costs one table per step.  On an index carrier the
-    gather reads the base space's level codes, and every ``d_n`` shares its
-    levels: codes are monotone in the distance, so the max of two codes is
-    the code of the max, at one to four bytes per pair.  A value carrier
-    gathers float tables.  Max is exact, so every table is bitwise the one
+    gather of the base space's level codes per horizon, written into the
+    gathered buffer, so a run of increasing horizons costs one table per
+    step.  Every ``d_n`` shares the base levels: codes are monotone in the
+    distance, so the max of two codes is the code of the max, at one to
+    four bytes per pair.  Max is exact, so every table is bitwise the one
     built anew.  A horizon below the last one starts again from ``d_1``,
     which is the space itself.
     """
@@ -119,31 +93,18 @@ def bowen_spaces(system: DynamicalSystem,
             raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
         if n < done:
             done, table = 1, None
-        while done < n:
-            layer = _layer(system, done)
-            previous = _layer(system, 0) if table is None else table
-            table = np.maximum(layer, previous, out=layer)
-            done += 1
         if n == 1:
             yield system.space
             continue
-        labels, name = system.space.labels, f"{system.name}|d_{n}"
-        if system.orbit_index is None:
-            yield FiniteMetricSpace(matrix=table, labels=labels, name=name, check=False)
-        else:
-            levels = system.space.level_codes()[0]
-            yield FiniteMetricSpace.from_codes(levels, table, labels=labels, name=name)
-
-
-def _layer(system: DynamicalSystem, t: int) -> np.ndarray:
-    """The table of d(f^t x, f^t y), a new buffer for t >= 1: the space's
-    level codes on an index carrier, floats on a value carrier."""
-    if system.orbit_index is None:
-        v = system.orbit_values[t]
-        return np.abs(v[:, None] - v[None, :])
-    codes = system.space.level_codes()[1]
-    idx = system.orbit_index[t]
-    return codes if t == 0 else codes.take(idx, 0).take(idx, 1)
+        levels, codes = system.space.level_codes()
+        while done < n:
+            # idx holds the indices of f^done
+            idx = system.step if done == 1 else system.step[idx]
+            layer = codes.take(idx, 0).take(idx, 1)
+            table = np.maximum(layer, codes if done == 1 else table, out=layer)
+            done += 1
+        yield FiniteMetricSpace.from_codes(levels, table, labels=system.space.labels,
+                                           name=f"{system.name}|d_{n}")
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

@@ -1,10 +1,10 @@
-"""Products and powers of index-carried systems."""
+"""Products and powers of systems."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, RepresentationError
+from ..errors import ParameterError
 from ..metric_core.space import FiniteMetricSpace
 from .base import DynamicalSystem
 
@@ -13,8 +13,6 @@ PRODUCT_CAP = 5_000
 
 def product_system(a: DynamicalSystem, b: DynamicalSystem) -> DynamicalSystem:
     """Product dynamics under the coordinate-max metric."""
-    if a.orbit_index is None or b.orbit_index is None:
-        raise RepresentationError("products need index-closed factor maps")
     na, nb = a.space.size, b.space.size
     if na * nb > PRODUCT_CAP:
         raise ParameterError(f"product of {na}x{nb} points exceeds cap")
@@ -25,25 +23,21 @@ def product_system(a: DynamicalSystem, b: DynamicalSystem) -> DynamicalSystem:
               for i in range(na) for j in range(nb)]
     space = FiniteMetricSpace(matrix=dist, labels=labels,
                               name=f"({a.name})x({b.name})", check=False)
-    cap = min(a.horizon_cap, b.horizon_cap)
-    orbit = np.empty((cap, na * nb), dtype=int)
-    for t in range(cap):
-        oa, ob = a.orbit_index[t], b.orbit_index[t]
-        pair = oa[:, None] * nb + ob[None, :]
-        orbit[t] = pair.reshape(-1)
+    # point i * nb + j is the pair (i, j)
+    step = (a.step[:, None] * nb + b.step[None, :]).ravel()
     meta = {"kind": "product",
             "omega_full": a.meta.get("omega_full", False) and b.meta.get("omega_full", False)}
-    return DynamicalSystem(space, orbit_index=orbit, name=space.name, meta=meta)
+    return DynamicalSystem(space, step, min(a.horizon_cap, b.horizon_cap),
+                           name=space.name, meta=meta)
 
 
 def power_system(sys: DynamicalSystem, exponent: int) -> DynamicalSystem:
     """The system iterating ``exponent`` steps per application."""
     if exponent < 1:
         raise ParameterError("power exponent must be >= 1")
-    if sys.orbit_index is None:
-        raise RepresentationError("powers need an index-closed map")
-    cap = (sys.horizon_cap - 1) // exponent + 1
-    rows = sys.orbit_index[::exponent][:cap]
-    return DynamicalSystem(sys.space, orbit_index=rows.copy(),
+    step = sys.step
+    for _ in range(exponent - 1):
+        step = sys.step[step]
+    return DynamicalSystem(sys.space, step, (sys.horizon_cap - 1) // exponent + 1,
                            name=f"{sys.name}^{exponent}",
                            meta=dict(sys.meta, power=exponent))

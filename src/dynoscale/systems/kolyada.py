@@ -21,12 +21,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import OutOfRealizationError, ParameterError
 from ..metric_core.space import FiniteMetricSpace
 from ..metric_core.counts import CountBracket, SEPARATED
-from .base import DynamicalSystem
+from .base import DynamicalSystem, system_from_step
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,13 @@ class KolyadaSnohaMap:
         return sorted(cylinders)
 
     def validation_net(self, k_top: int, per_branch: int, horizon: int) -> DynamicalSystem:
-        """Small exact-orbit net over blocks 1..k_top for generic cross-checks."""
+        """Small exact-orbit net over blocks 1..k_top for generic cross-checks.
+
+        The seeds are the midpoints of ``branches * per_branch`` equal cells
+        of each block, plus the fixed point 1.  An odd branch count maps the
+        midpoint (2i+1)/(2bm) of a block to (2i'+1)b/(2bm), another midpoint,
+        so the net is closed under the map and carried by its step.
+        """
         seeds: list[Fraction] = []
         for k in range(1, k_top + 1):
             blk = self.block(k)
@@ -215,16 +219,14 @@ class KolyadaSnohaMap:
             seeds.extend(blk.left + blk.length * Fraction(2 * i + 1, 2 * cells)
                          for i in range(cells))
         seeds.append(Fraction(1))
-        rows = [seeds]
-        for _ in range(horizon - 1):
-            rows.append([self.eval(x) for x in rows[-1]])
-        values = np.array([[float(x) for x in row] for row in rows])
         space = FiniteMetricSpace(coords=seeds,
                                   name=f"kolyada-{self.family}-net", check=False)
         # coords were already sorted ascending by construction
-        return DynamicalSystem(space, orbit_values=values,
-                               name=space.name,
-                               meta={"kind": "kolyada-net", "family": self.family})
+        index = {x: i for i, x in enumerate(seeds)}
+        # an image off the net would index -1, which the system rejects
+        return system_from_step(space, [index.get(self.eval(x), -1) for x in seeds],
+                                horizon, name=space.name,
+                                meta={"kind": "kolyada-net", "family": self.family})
 
 
 # -- closed-form block counts -------------------------------------------------

@@ -12,7 +12,7 @@ Two compatible metrics are provided:
   system metadata.
 
 The stored points are the tail-extended prefixes, so the net is closed
-under the shift and the index carrier is exact.
+under the shift and its step map is exact.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Dynamical metrics: iteration examples, monotonicity, validity."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from dynoscale.harness import _count, parse_config
 from dynoscale.metric_core import max_separated
 from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance,
                                bowen_space, bowen_spaces, doubling_grid, full_shift,
-                               identity_system, random_space, system_from_step)
+                               identity_system, power_system, product_system,
+                               random_space, system_from_step)
 
 
 def test_horizon_one_is_base_metric(doubling64):
@@ -77,13 +79,16 @@ def test_map_image_outside_space_rejected():
         system_from_step(sp, np.array([0, 1, 2, 9]), 3)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_horizon_cap_below_one_rejected(cap):
+    with pytest.raises(ParameterError):
+        system_from_step(random_space(4, seed=0), np.arange(4), cap)
+
+
 def _max_anew(system, n):
     """max over t < n of d(f^t x, f^t y), every layer built anew."""
-    if system.orbit_index is not None:
-        base = system.space.as_matrix()
-        layers = [base[np.ix_(idx, idx)] for idx in system.orbit_index[:n]]
-    else:
-        layers = [np.abs(v[:, None] - v[None, :]) for v in system.orbit_values[:n]]
+    base = system.space.as_matrix()
+    layers = [base[np.ix_(idx, idx)] for idx in system.orbit_index[:n]]
     return np.max(layers, axis=0)
 
 
@@ -93,6 +98,9 @@ BOWEN_SYSTEMS = {
     # 512 levels: d_n gathers two-byte codes
     "product-shift-uint16": lambda: full_shift(2, 9, metric="product", horizon_cap=4),
     "doubling": lambda: doubling_grid(32, horizon_cap=5),
+    "doubling-power": lambda: power_system(doubling_grid(32, horizon_cap=9), 2),
+    "static-x-doubling": lambda: product_system(
+        identity_system(random_space(4, seed=0), horizon_cap=4), doubling_grid(5, horizon_cap=4)),
     "interval-values": lambda: KolyadaSnohaMap.family_f1(2).validation_net(
         1, per_branch=6, horizon=4),
 }
@@ -132,3 +140,27 @@ def test_counting_dense_horizons_allocates_less_than_one_float_table():
     assert all(len(sweep.rows) == 18 for sweep in sweeps.values())
     # d_n and its threshold graphs stay below one float64 table of the net
     assert peak < 8 * size**2, peak
+
+
+LADDERS = {
+    "F1": lambda: KolyadaSnohaMap.family_f1(3),
+    "F2": lambda: KolyadaSnohaMap.family_f2(Fraction(1, 2), 3),
+    "F3": lambda: KolyadaSnohaMap.family_f3(3),
+    "custom": lambda: KolyadaSnohaMap._from_gaps(
+        [Fraction(1, 2), Fraction(1, 4)], [3, 5], "custom"),
+}
+
+
+@pytest.mark.parametrize("name", LADDERS)
+def test_validation_net_steps_to_the_exact_image(name):
+    tmap = LADDERS[name]()
+    horizon = 4
+    net = tmap.validation_net(2, per_branch=3, horizon=horizon)
+    seeds = net.space.coords
+    assert net.step.tolist() == [seeds.index(tmap.eval(x)) for x in seeds]
+    # d_n from the exact orbits, as floats: max over t of |f^t x - f^t y|
+    values = np.array([[float(y) for y in tmap.orbit(x, horizon - 1)]
+                       for x in seeds]).T
+    for n, dn in enumerate(bowen_spaces(net, range(1, horizon + 1)), start=1):
+        anew = np.max([np.abs(v[:, None] - v[None, :]) for v in values[:n]], axis=0)
+        assert dn.as_matrix().tobytes() == anew.tobytes(), n
