@@ -2,9 +2,10 @@
 
 A config JSON names a system descriptor, the quantities to count, a scale
 grid, a horizon range, budgets and a seed.  ``run_sweep`` is deterministic:
-same config, byte-identical CSV outputs and trace.  ``run_estimates`` takes
-the exact cells of a matching trace in its output directory and counts the
-rest.
+same config, byte-identical CSV outputs and trace.  Within one horizon a
+threshold graph is counted once: scales with the same level cutoff share
+their exact bracket.  ``run_estimates`` takes the exact cells of a matching
+trace in its output directory and counts the rest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import ConfigError, ParameterError
 from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
 from .metric_core.counts import (QUANTITY_OPS, CountBracket, ScaleGrid, SEPARATED,
-                                 SPANNING, BALL_COVER)
+                                 SPANNING, BALL_COVER, graph_cutoff)
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
@@ -79,7 +80,12 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     """One sweep per quantity, horizon-major so each d_n is built once.
 
     A (quantity, horizon, eps) cell in ``known`` is taken as it is, and d_n
-    is built only for the horizons that still miss a cell.
+    is built only for the horizons that still miss a cell.  Within one
+    horizon, a scale whose threshold graph has the cutoff of an already
+    counted exact cell takes that bracket at its own scale: the graph and
+    the one-set verdict are the same, and the solvers are deterministic.
+    Heuristic brackets are counted at every scale, since the spanning
+    fallback also reads the graph at twice the scale.
     """
     known = known or {}
     sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
@@ -90,10 +96,18 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     for n in horizons:
         dn = next(spaces) if n in missing else None
         for quantity, sweep in sweeps.items():
+            exact: dict[int, CountBracket] = {}  # by graph cutoff, this horizon only
             for eps in scales:
                 cell = known.get((quantity, n, eps))
-                sweep.add(cell if cell is not None else
-                          QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n))
+                if cell is None:
+                    cutoff = graph_cutoff(quantity, dn, eps)
+                    if cutoff in exact:
+                        cell = replace(exact[cutoff], scale=float(eps))
+                    else:
+                        cell = QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n)
+                        if cutoff is not None and cell.mode == "exact":
+                            exact[cutoff] = cell
+                sweep.add(cell)
     return sweeps
 
 

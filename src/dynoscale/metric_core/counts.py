@@ -30,6 +30,9 @@ SPANNING = "spanning"
 BALL_COVER = "ball_cover"
 DIAMETER_COVER = "diameter_cover"
 
+# whether each quantity's threshold graph is d < eps (strict) or d <= eps
+STRICT = {SEPARATED: False, SPANNING: True, BALL_COVER: True, DIAMETER_COVER: True}
+
 # Slightly-off-one multiplier used to keep default grids away from the
 # exact distances of rational systems (counts can jump at aligned scales).
 IRRATIONAL_OFFSET = math.exp(-1.0 / 257.0)
@@ -125,13 +128,25 @@ def _exact(quantity: str, eps, horizon: int, found, method: str,
                         method, witness)
 
 
+def graph_cutoff(quantity: str, space: FiniteMetricSpace, eps) -> int | None:
+    """The level cutoff of ``quantity``'s threshold graph at ``eps``.
+
+    Two scales with the same cutoff give the same graph and the same
+    one-set verdict (``eps`` passes the diameter exactly when the cutoff
+    passes the largest code), so their exact brackets agree but for the
+    scale.  Coordinate spaces take the line sweep and have no level table:
+    they give None.
+    """
+    return None if space.coords is not None else space.cutoff(eps, STRICT[quantity])
+
+
 def _closed_form(quantity: str, space: FiniteMetricSpace, eps, horizon: int,
                  line_solver) -> CountBracket | None:
     """Stages 1 and 2: the one-set answer, then the line sweep; else None."""
     eps_f, diameter = float(eps), space.diameter
     # no pair lies more than the diameter apart, while one open ball or one
     # diameter-<eps set takes the whole space only past the diameter
-    if (eps_f >= diameter) if quantity == SEPARATED else (eps_f > diameter):
+    if (eps_f > diameter) if STRICT[quantity] else (eps_f >= diameter):
         return _exact(quantity, eps, horizon, 1 if quantity == DIAMETER_COVER else [0],
                       "diameter")
     if space.coords is None:
@@ -169,7 +184,8 @@ def max_separated(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
     """Maximal cardinality of a strictly-eps-separated subset."""
     return (_closed_form(SEPARATED, space, eps, horizon, solvers.line_max_separated)
             # d <= eps violates separation
-            or graph_bracket(SEPARATED, eps, horizon, _loopless(space, eps, strict=False),
+            or graph_bracket(SEPARATED, eps, horizon,
+                             _loopless(space, eps, STRICT[SEPARATED]),
                              solvers.exact_max_independent_set, "mis-bnb", budget))
 
 
@@ -181,12 +197,13 @@ def min_spanning(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
         # chain bound: any strictly-2eps-separated set lower-bounds the
         # diameter cover at 2eps, which lower-bounds the spanning count at eps
         sep = solvers.greedy_independent_set(
-            _loopless(space, 2 * _as_cmp_scale(eps), strict=False))
+            _loopless(space, 2 * _as_cmp_scale(eps), STRICT[SEPARATED]))
         return max(1, min(len(sep), len(greedy))), len(greedy), greedy
 
     return (_closed_form(SPANNING, space, eps, horizon, solvers.line_min_ball_cover)
             # row i: the open ball around i
-            or graph_bracket(SPANNING, eps, horizon, space.close_mask(eps, strict=True),
+            or graph_bracket(SPANNING, eps, horizon,
+                             space.close_mask(eps, STRICT[SPANNING]),
                              solvers.exact_min_set_cover, "cover-bnb", budget, fallback))
 
 
@@ -212,7 +229,8 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
     """
     return (_closed_form(DIAMETER_COVER, space, eps, horizon,
                          solvers.line_min_diameter_cover)
-            or graph_bracket(DIAMETER_COVER, eps, horizon, _loopless(space, eps, strict=True),
+            or graph_bracket(DIAMETER_COVER, eps, horizon,
+                             _loopless(space, eps, STRICT[DIAMETER_COVER]),
                              solvers.exact_min_clique_cover, "clique-cover-bnb", budget))
 
 

@@ -469,20 +469,25 @@ def greedy_partial_cover(masks: np.ndarray, weights, target) -> list[int]:
     mass, the lowest index on ties, until the covered mass reaches the
     target or no row adds mass.
 
-    Masses add exactly when weights and target are Fractions.
+    Masses add exactly when weights and target are Fractions.  A row's gain
+    is summed again only when a pick covers some of its columns, so an
+    unchanged uncovered set keeps the sum it had.
     """
     rows = _bitsets(masks)
     w = list(weights)
     zero = type(w[0])(0)
+    gains = [_mass(w, row, zero) for row in rows]
     covered, have, picked = 0, zero, []
     while have < target:
-        gains = [_mass(w, row & ~covered, zero) for row in rows]
         best = max(range(len(rows)), key=gains.__getitem__)
         if gains[best] <= 0:
             break
         picked.append(best)
-        covered |= rows[best]
         have += gains[best]
+        new = rows[best] & ~covered
+        covered |= new
+        gains = [_mass(w, row & ~covered, zero) if row & new else gain
+                 for row, gain in zip(rows, gains)]
     return picked
 
 

@@ -7,9 +7,10 @@ A dense space stores ``levels``, the sorted distinct float64 distances, and
 ``codes``, an (n, n) table of indices into ``levels`` in the narrowest
 unsigned dtype, so that ``levels[codes]`` is the distance table bit for bit.
 Every threshold graph depends only on which distances fall below a scale,
-so it is one compare on the codes; float values are read through
-``levels[codes]`` only for callers that need them.  A float matrix passed in
-is encoded once, at its first threshold, diameter or ``d_n`` gather.
+so it is one compare of the codes with the scale's level cutoff; float
+values are read through ``levels[codes]`` only for callers that need them.
+A float matrix passed in is encoded once, at its first threshold, diameter
+or ``d_n`` gather.
 """
 
 from __future__ import annotations
@@ -177,16 +178,23 @@ class FiniteMetricSpace:
             self._levels, self._codes = _encode(self.as_matrix())
         return self._levels, self._codes
 
-    def close_mask(self, eps: float, strict: bool) -> np.ndarray:
-        """Boolean table of pairs with d < eps (strict) or d <= eps."""
-        levels, codes = self.level_codes()
+    def cutoff(self, eps: float, strict: bool) -> int:
+        """Number of levels < eps (strict) or <= eps, and 0 for NaN.
+
+        The threshold graph at ``eps`` is ``codes < cutoff``, so two scales
+        with the same cutoff have the same graph.
+        """
         eps_f = float(eps)
         if eps_f != eps_f:  # no distance compares true with NaN
-            return np.zeros(codes.shape, dtype=bool)
-        k = np.searchsorted(levels, eps_f, "left" if strict else "right")
+            return 0
+        levels = self.level_codes()[0]
+        return int(np.searchsorted(levels, eps_f, "left" if strict else "right"))
+
+    def close_mask(self, eps: float, strict: bool) -> np.ndarray:
+        """Boolean table of pairs with d < eps (strict) or d <= eps."""
         # a Python int keeps the compare on the narrow dtype; an np.intp
         # bound would promote the whole table to int64 first
-        return codes < int(k)
+        return self.level_codes()[1] < self.cutoff(eps, strict)
 
     def permuted(self, perm: Sequence[int]) -> "FiniteMetricSpace":
         """Same space with points reindexed by ``perm`` (for invariance tests)."""

@@ -53,17 +53,26 @@ def _prefixes(symbols: int, depth: int) -> np.ndarray:
                     dtype=np.int16)
 
 
-def _first_disagreement(symbols: int, depth: int) -> np.ndarray:
-    """(n, n) int16 table of leading agreeing coordinates (depth if equal).
+def _exp_codes(symbols: int, depth: int) -> np.ndarray:
+    """(n, n) level codes of the exp metric: ``depth + 1 - k`` for words that
+    agree on k leading coordinates, and 0 on the diagonal.
 
-    Rows follow the lexicographic order of ``_prefixes``: words that share
-    their first letter agree on one more coordinate than their tails, and
-    words that do not agree on none, so each letter adds a Kronecker layer.
+    Rows follow the lexicographic order of ``_prefixes``, so the words that
+    share all but their last j letters form diagonal blocks of symbols**j
+    rows, and two of them in distinct sub-blocks agree on depth - j letters.
+    Each block is built in place from the one before: copies of it on the
+    diagonal and code j + 1 elsewhere.
     """
-    fd = np.zeros((1, 1), dtype=np.int16)
-    for _ in range(depth):
-        fd = np.kron(np.eye(symbols, dtype=np.int16), fd + 1)
-    return fd
+    n = symbols**depth
+    codes = np.empty((n, n), dtype=code_dtype(depth + 2))
+    codes[0, 0] = 0
+    for j in range(1, depth + 1):
+        s = symbols ** (j - 1)
+        for a in range(s, s * symbols, s):
+            codes[a:a + s, :s * symbols] = j + 1
+            codes[a:a + s, a:a + s] = codes[:s, :s]
+        codes[:s, s:s * symbols] = j + 1
+    return codes
 
 
 def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
@@ -94,10 +103,8 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         powers = np.exp(-math.log(base) * np.arange(depth + 1))
         # level depth + 1 - k is powers[k], and level 0 the diagonal's 0
         levels = np.concatenate(([0.0], powers[::-1]))
-        fd = _first_disagreement(symbols, depth)
-        codes = np.subtract(depth + 1, fd, out=fd).astype(code_dtype(depth + 2))
-        np.fill_diagonal(codes, 0)
-        space = FiniteMetricSpace.from_codes(levels, codes, labels=label, name=name)
+        space = FiniteMetricSpace.from_codes(levels, _exp_codes(symbols, depth),
+                                             labels=label, name=name)
         trunc = base ** (-float(depth))
         alph_diam = 1.0
     else:

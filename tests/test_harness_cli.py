@@ -481,6 +481,36 @@ def test_cli_import_and_system_build_leave_scipy_unloaded():
     assert run.stdout.strip() == "[]"
 
 
+def test_dense_sweep_and_estimate_leave_scipy_unloaded_and_rerun_identically(tmp_path):
+    # the sweep-dense benchmark system: every cell closes without HiGHS
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dynoscale
+    env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
+    config = tmp_path / "dense.json"
+    config.write_text(json.dumps({
+        "system": {"kind": "shift", "symbols": 2, "depth": 12, "metric": "exp"},
+        "quantities": ["separated", "spanning"],
+        "grid": {"start": 0.5, "ratio": 0.6, "count": 6}, "horizons": [1, 2, 3]}))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    code = ("import sys\n"
+            "from dynoscale.cli import main\n"
+            f"for out in {[str(r) for r in runs]!r}:\n"
+            "    for command in ('sweep', 'estimate'):\n"
+            f"        assert main([command, '--config', {str(config)!r}, '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"  # after the paths the CLI prints
+    first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
+    assert "estimates.csv" in first and "trace.jsonl" in first
+    assert first == second
+
+
 def test_cli_lp_quantize_at_budget_one_reports_the_exact_count(tmp_path):
     # mass 7/10 needs two balls of radius 0.3; the greedy must not stop on a
     # float sum just short of the target and report one

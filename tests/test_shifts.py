@@ -10,7 +10,8 @@ from dynoscale.metric_core import (max_separated, min_diameter_cover,
                                    min_spanning)
 from dynoscale.systems import (bowen_space, discrete_alphabet, full_shift,
                                lattice_alphabet, rho_distance)
-from dynoscale.systems.shifts import _first_disagreement, _prefixes
+from dynoscale.metric_core.space import code_dtype
+from dynoscale.systems.shifts import _exp_codes, _prefixes
 
 
 def test_exp_shift_separated_counts(shift12):
@@ -130,8 +131,10 @@ def test_exp_shift_table_matches_a_per_pair_scan(symbols, depth):
             while k < depth and words[i, k] == words[j, k]:
                 k += 1
             scan[i, j] = k
-    table = _first_disagreement(symbols, depth)
-    assert table.dtype == np.int16 and np.array_equal(table, scan)
+    want_codes = (depth + 1 - scan).astype(code_dtype(depth + 2))
+    np.fill_diagonal(want_codes, 0)
+    codes = _exp_codes(symbols, depth)
+    assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
     # the distances are exp(-k ln base) entry by entry, bit for bit
     for base in (math.e, 2.0):
         want = np.exp(-math.log(base) * scan.astype(float))

@@ -260,6 +260,37 @@ def test_partial_cover_search_improves_on_its_greedy():
     assert len(got) == brute_partial_cover(masks, weights, 1)
 
 
+def _greedy_partial_cover_every_row(masks, weights, target):
+    """The greedy partial cover, summing every row's uncovered mass at each pick."""
+    zero = type(weights[0])(0)
+    covered = np.zeros(masks.shape[1], dtype=bool)
+    have, picked = zero, []
+    while have < target:
+        gains = [sum((weights[j] for j in np.flatnonzero(row & ~covered)), start=zero)
+                 for row in masks]
+        best = max(range(len(gains)), key=gains.__getitem__)
+        if gains[best] <= 0:
+            break
+        picked.append(best)
+        covered |= masks[best]
+        have += gains[best]
+    return picked
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_partial_cover_matches_an_every_row_recompute(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 16))
+    masks = rng.random((rows, cols)) < rng.uniform(0.1, 0.6)
+    raw = rng.integers(1, 6, size=cols)
+    exact = [Fraction(int(r), int(raw.sum())) for r in raw]
+    floats = list(rng.random(cols))
+    for weights, target in ((exact, Fraction(int(rng.integers(1, 10)), 10)),
+                            (floats, float(rng.uniform(0.1, 1.0)) * sum(floats))):
+        assert (greedy_partial_cover(masks, weights, target)
+                == _greedy_partial_cover_every_row(masks, weights, target))
+
+
 def test_partial_cover_overlapping_rows_short_of_the_target_raise():
     masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot reach the target"):

@@ -125,4 +125,7 @@ def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype):
             assert np.array_equal(space.close_mask(eps, strict), _float_graph(m, eps, strict))
             assert np.array_equal(moved.close_mask(eps, strict),
                                   _float_graph(moved_m, eps, strict))
+            assert np.array_equal(space.close_mask(eps, strict),
+                                  codes < space.cutoff(eps, strict))
     assert not space.close_mask(np.nan, strict=False).any()
+    assert space.cutoff(np.nan, True) == space.cutoff(np.nan, False) == 0

@@ -1,0 +1,110 @@
+"""A sweep counts each threshold graph once per horizon.
+
+Scales that fall in the same gap between consecutive distances share a
+level cutoff, so their graphs are the same and the sweep reuses the exact
+bracket of the first at the others.  Each test compares against cells
+counted one by one.
+"""
+
+from dynoscale import harness
+from dynoscale.estimators.sweep import ScaleSweep
+from dynoscale.harness import parse_config, run_sweep
+from dynoscale.metric_core import solvers
+from dynoscale.metric_core.counts import QUANTITY_OPS, SPANNING, graph_cutoff
+from dynoscale.systems.base import bowen_spaces
+from dynoscale.systems.descriptor import resolve_system
+
+ALL = ["separated", "spanning", "ball_cover", "diameter_cover"]
+# levels e^-k: scales 0.50 to 0.40 lie in one gap and 0.36 to 0.29 in the next
+EXP = {"system": {"kind": "shift", "symbols": 2, "depth": 6, "metric": "exp"},
+       "quantities": ALL, "grid": {"start": 0.5, "ratio": 0.9, "count": 6},
+       "horizons": [1, 2, 3]}
+LATTICE_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product",
+                 "alphabet": {"type": "unit_lattice", "points": 3}}
+
+
+def _per_cell(system, config):
+    """Every cell counted on its own, in the sweep's row order."""
+    rows = {q: [] for q in config.quantities}
+    for n, dn in zip(config.horizons, bowen_spaces(system, config.horizons)):
+        for q in config.quantities:
+            rows[q] += [QUANTITY_OPS[q](dn, eps, config.budget, horizon=n)
+                        for eps in config.grid.scales()]
+    return rows
+
+
+def _cutoffs(system, config):
+    """(quantity, horizon, cutoff) of every cell that a solver counts: past
+    the largest code one set answers."""
+    cells = []
+    for n, dn in zip(config.horizons, bowen_spaces(system, config.horizons)):
+        top = int(dn.level_codes()[1].max())
+        cells += [(q, n, c) for q in config.quantities for eps in config.grid.scales()
+                  if (c := graph_cutoff(q, dn, eps)) <= top]
+    return cells
+
+
+def test_sweep_writes_what_per_cell_counts_write(tmp_path):
+    config = parse_config(EXP)
+    system = resolve_system(config.system)
+    cells = _cutoffs(system, config)
+    assert len(set(cells)) < len(cells)  # some scales share a graph
+    got = run_sweep(config, tmp_path / "got")
+    want = tmp_path / "want"
+    want.mkdir()
+    sweeps = []
+    for quantity, rows in _per_cell(system, config).items():
+        sweeps.append(ScaleSweep(system.name, quantity))
+        for br in rows:
+            sweeps[-1].add(br)
+        sweeps[-1].write_csv(want / f"sweep_{system.name}_{quantity}.csv")
+    harness._write_trace(want / harness.TRACE, config, sweeps)
+    assert sorted(p.name for p in got) == sorted(p.name for p in want.iterdir())
+    for path in got:
+        assert path.read_bytes() == (want / path.name).read_bytes(), path.name
+
+
+def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):
+    calls = []
+    for name in ("exact_max_independent_set", "exact_min_set_cover",
+                 "exact_min_clique_cover"):
+        def spy(graph, budget, real=getattr(solvers, name)):
+            calls.append(graph.shape)
+            return real(graph, budget)
+        monkeypatch.setattr(solvers, name, spy)
+    config = parse_config(EXP)
+    system = resolve_system(config.system)
+    sweeps = harness._count(system, config.quantities, config, config.horizons)
+    assert all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
+    cells = _cutoffs(system, config)
+    assert len(calls) == len(set(cells)) < len(cells)
+
+
+def test_heuristic_spanning_cells_keep_their_own_chain_bound():
+    # at budget 1 the fallback's lower bound reads the graph at 2 eps, which
+    # the cutoff at eps does not fix
+    config = parse_config({"system": LATTICE_SHIFT, "quantities": [SPANNING],
+                           "grid": {"start": 0.34, "ratio": 0.93, "count": 2},
+                           "horizons": [3], "budget": 1})
+    system = resolve_system(config.system)
+    want = _per_cell(system, config)[SPANNING]
+    lowers = {}
+    for n, dn in zip(config.horizons, bowen_spaces(system, config.horizons)):
+        for br in want:
+            if br.horizon == n and br.mode == "heuristic":
+                key = (n, graph_cutoff(SPANNING, dn, br.scale))
+                lowers.setdefault(key, set()).add(br.lower)
+    assert any(len(found) > 1 for found in lowers.values())
+    got = harness._count(system, [SPANNING], config, config.horizons)[SPANNING].rows
+    assert got == want
+
+
+def test_doubling_sweep_builds_no_matrix_at_horizon_one():
+    config = parse_config({"system": {"kind": "doubling", "grid": 64}, "quantities": ALL,
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1]})
+    system = resolve_system(config.system)
+    sweeps = harness._count(system, config.quantities, config, config.horizons)
+    assert {br.method for s in sweeps.values() for br in s.rows} <= {"line-sweep",
+                                                                   "diameter"}
+    assert system.space._matrix is None and system.space._codes is None
