@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from ..errors import ParameterError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, pack_rows
 from ..metric_core import solvers
 from ..metric_core.counts import max_separated, CountBracket, graph_bracket
 from ..metric_core.solvers import DEFAULT_BUDGET
@@ -132,5 +132,5 @@ def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
         cross_min = support_cross_min(space, measures)
     conflict = cross_min < float(eps)
     np.fill_diagonal(conflict, False)
-    return graph_bracket("apart", eps, 1, conflict, solvers.exact_max_independent_set,
-                         "mis-bnb", budget)
+    return graph_bracket("apart", eps, 1, pack_rows(conflict),
+                         solvers.exact_max_independent_set, "mis-bnb", budget)

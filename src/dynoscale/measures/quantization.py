@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import BudgetExceededError, ParameterError
 from ..metric_core import solvers
 from ..metric_core.counts import CountBracket, graph_bracket
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, pack_rows
 from ..metric_core.solvers import DEFAULT_BUDGET, _Budget
 from ..estimators.slopes import SlopeEstimate, fit
 from ..estimators.quantities import abs_log, log_plus
@@ -77,7 +77,8 @@ def partial_cover_bracket(balls: np.ndarray, weights, target, budget: int = DEFA
     The budgeted exact search, else the bracket [1, greedy cover]; the scale
     is 1 - target, the eps whose LP number this is.  The greedy adds masses
     exactly, so its cover always reaches the target; a target no rows reach
-    raises ValueError before any budget is spent.
+    raises ValueError before any budget is spent.  ``balls`` is a boolean
+    table, packed once for the solvers.
     """
     def exact(graph, budget):
         return solvers.exact_min_partial_cover(graph, weights, target, budget)
@@ -86,8 +87,8 @@ def partial_cover_bracket(balls: np.ndarray, weights, target, budget: int = DEFA
         greedy = solvers.greedy_partial_cover(graph, weights, target)
         return 1, len(greedy), greedy
 
-    return graph_bracket(LP_KIND, 1 - target, horizon, balls, exact, "partial-cover-bnb",
-                         budget, fallback)
+    return graph_bracket(LP_KIND, 1 - target, horizon, pack_rows(balls), exact,
+                         "partial-cover-bnb", budget, fallback)
 
 
 def _lp_number(space, mu, eps, sites, budget, horizon) -> CountBracket:

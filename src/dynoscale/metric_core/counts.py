@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import BudgetExceededError, ParameterError
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, diagonal_bits
 from . import solvers
 from .solvers import DEFAULT_BUDGET
 
@@ -99,11 +99,12 @@ class ScaleGrid:
 # Every graph count runs the same four stages, and the first that answers
 # returns: (1) one set answers past the diameter; (2) coordinate spaces take
 # the exact line sweep; (3) the budgeted exact solver runs on the threshold
-# graph; (4) when its budget runs out, a heuristic fallback brackets the
-# count.  Solvers are passed in as looked up on ``solvers`` at call time, so
-# wrappers bound there see every call.  Diameter covers name no sets: their
-# solvers return the count alone and their brackets carry no witness.  The
-# LP quantization number enters at stage 3 with the partial-cover search.
+# graph, as the packed rows ``close_mask`` builds; (4) when its budget runs
+# out, a heuristic fallback brackets the count.  Solvers are passed in as
+# looked up on ``solvers`` at call time, so wrappers bound there see every
+# call.  Diameter covers name no sets: their solvers return the count alone
+# and their brackets carry no witness.  The LP quantization number enters at
+# stage 3 with the partial-cover search.
 
 
 def _as_cmp_scale(eps):
@@ -112,9 +113,10 @@ def _as_cmp_scale(eps):
 
 
 def _loopless(space: FiniteMetricSpace, eps, strict: bool) -> np.ndarray:
-    """Threshold graph d < eps (strict) or d <= eps, without self-loops."""
+    """Packed threshold graph d < eps (strict) or d <= eps, without self-loops."""
     graph = space.close_mask(eps, strict=strict)
-    np.fill_diagonal(graph, False)
+    i, byte, bit = diagonal_bits(space.size)
+    graph[i, byte] &= ~bit
     return graph
 
 

@@ -1,8 +1,13 @@
 """Exact and greedy combinatorial solvers behind the counting layer.
 
-All solvers are deterministic: ties break on the lowest index.  Exact
-solvers consume a node-expansion budget and raise ``BudgetExceededError``
-when it runs out; callers fall back to certified greedy brackets.
+Graphs and set tables come in as packed rows (``space.pack_rows``), the
+format ``FiniteMetricSpace.close_mask`` builds.  A square table is a graph
+on its rows.  Packed rows do not record their column count, so the exact
+set cover takes it where it is not the row count, and partial covers take
+it from their weights.  All solvers are deterministic:
+ties break on the lowest index.  Exact solvers consume a node-expansion
+budget and raise ``BudgetExceededError`` when it runs out; callers fall back
+to certified greedy brackets.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from operator import or_
 import numpy as np
 
 from ..errors import BudgetExceededError, DynoscaleError
+from .space import block_rows, diagonal_bits, unpack_rows
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -33,23 +39,14 @@ class _Budget:
 
 # -- the set format ----------------------------------------------------------
 #
-# Every search below runs on Python-int bitsets: row i of a boolean table
-# becomes one int whose bit j is set when ``table[i, j]`` is.  Unions,
-# intersections, subset tests and counts are then single int operations.
-
-
-def _packed(table: np.ndarray) -> np.ndarray:
-    """Rows of a boolean table packed eight columns to a byte, column 0 lowest."""
-    return np.packbits(table, axis=1, bitorder="little")
+# Every search below runs on Python-int bitsets: packed row i becomes one
+# int whose bit j is set when row i holds column j.  Unions, intersections,
+# subset tests and counts are then single int operations.
 
 
 def _ints(packed: np.ndarray) -> list[int]:
+    """One int per packed row, bit j for column j."""
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _bitsets(table: np.ndarray) -> list[int]:
-    """One int per row of a boolean table, bit j for column j."""
-    return _ints(_packed(table))
 
 
 def _members(bits: int):
@@ -77,8 +74,8 @@ _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.in
 def _with_loops(packed: np.ndarray) -> np.ndarray:
     """A copy of a square packed table with every point joined to itself."""
     out = packed.copy()
-    i = np.arange(out.shape[0])
-    out[i, i >> 3] |= (1 << (i & 7)).astype(np.uint8)
+    i, byte, bit = diagonal_bits(out.shape[0])
+    out[i, byte] |= bit
     return out
 
 
@@ -110,8 +107,8 @@ def _partition(packed: np.ndarray) -> list[int] | None:
 
 
 def greedy_independent_set(adj: np.ndarray) -> list[int]:
-    """Maximal independent set, points taken in index order."""
-    return _greedy_independent(_bitsets(adj), _full(adj.shape[0]))
+    """Maximal independent set of a packed graph, points taken in index order."""
+    return _greedy_independent(_ints(adj), _full(adj.shape[0]))
 
 
 def _greedy_independent(rows: list[int], alive: int) -> list[int]:
@@ -124,11 +121,11 @@ def _greedy_independent(rows: list[int], alive: int) -> list[int]:
 
 
 def greedy_clique_cover(adj: np.ndarray) -> int:
-    """Number of cliques in a greedy cover of the conflict graph.
+    """Number of cliques in a greedy cover of the packed conflict graph.
 
     Any clique cover count upper-bounds the maximum independent set.
     """
-    return _greedy_clique_cover(_bitsets(adj), _full(adj.shape[0]))
+    return _greedy_clique_cover(_ints(adj), _full(adj.shape[0]))
 
 
 def _greedy_clique_cover(rows: list[int], alive: int) -> int:
@@ -161,7 +158,7 @@ def _components(rows: list[int]):
 
 
 def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Maximum independent set of a conflict graph, by branch and bound.
+    """Maximum independent set of a packed conflict graph, by branch and bound.
 
     A graph of disjoint cliques (the shape of every ultrametric conflict
     graph) answers with its class minima by the partition certificate.
@@ -169,11 +166,10 @@ def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
     closes at the root when its greedy independent set meets its greedy
     clique cover.
     """
-    packed = _packed(adj)
-    classes = _partition(_with_loops(packed))
+    classes = _partition(_with_loops(adj))
     if classes is not None:
         return classes
-    rows = _ints(packed)
+    rows = _ints(adj)
     b = _Budget(budget)
     out: list[int] = []
     for comp in _components(rows):
@@ -217,7 +213,7 @@ def _mis_on_component(rows: list[int], comp: int, b: _Budget) -> list[int]:
 
 
 def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum number of cliques covering an irreflexive graph, exactly.
+    """Minimum number of cliques covering an irreflexive packed graph, exactly.
 
     A graph of disjoint cliques answers with their number by the partition
     certificate.  Otherwise each connected component is covered on its own.
@@ -228,11 +224,10 @@ def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int
     one budget node per branch.  Both greedy bounds add up over the
     components, so a whole-graph check would close no cell that these miss.
     """
-    packed = _packed(adj)
-    classes = _partition(_with_loops(packed))
+    classes = _partition(_with_loops(adj))
     if classes is not None:
         return len(classes)
-    rows = _ints(packed)
+    rows = _ints(adj)
     b = _Budget(budget)
     total = 0
     for comp in _components(rows):
@@ -323,8 +318,8 @@ def _first_rows(rows: list[int]) -> list[int]:
 
 
 def dedupe_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop duplicate and dominated (subset) rows; returns (masks, kept_idx)."""
-    rows = _bitsets(masks)
+    """Drop duplicate and dominated (subset) packed rows; returns (masks, kept_idx)."""
+    rows = _ints(masks)
     sizes = [row.bit_count() for row in rows]
     kept: list[int] = []
     for i in sorted(_first_rows(rows), key=lambda i: (-sizes[i], i)):
@@ -335,8 +330,9 @@ def dedupe_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def greedy_set_cover(masks: np.ndarray) -> list[int]:
-    """Greedy cover of the full universe; ties break on the lowest index."""
-    return _greedy_cover(_bitsets(masks), _full(masks.shape[1]))
+    """Greedy cover of every point by the packed balls of a square table;
+    ties break on the lowest index."""
+    return _greedy_cover(_ints(masks), _full(masks.shape[0]))
 
 
 def _greedy_cover(rows: list[int], universe: int) -> list[int]:
@@ -351,9 +347,10 @@ def _greedy_cover(rows: list[int], universe: int) -> list[int]:
     return picked
 
 
-def _arc_cover(masks: np.ndarray) -> list[int] | None:
-    """Minimum cover, rows ascending, when every nonempty row is one circular
-    run of columns and every column is covered; otherwise None.
+def _arc_cover(masks: np.ndarray, columns: int) -> list[int] | None:
+    """Minimum cover, rows ascending, when every nonempty packed row is one
+    circular run of the ``columns`` columns and every column is covered;
+    otherwise None.
 
     This is the circle cover by arcs (Lee & Lee, IPL 1984).  A full row
     answers alone.  Else each arc through column 0 is tried as the first
@@ -363,20 +360,28 @@ def _arc_cover(masks: np.ndarray) -> list[int] | None:
     greedy never needs more arcs than that optimum, so the shortest chain
     is a minimum cover.
     """
-    m, n = masks.shape
-    if n == 0 or not masks.any(axis=0).all():
+    m, n = masks.shape[0], columns
+    if n == 0 or not unpack_rows(np.bitwise_or.reduce(masks, axis=0, keepdims=True),
+                                 n).all():
         return None
     # a nonempty row that is not full is one circular run when it has
-    # exactly one 0 -> 1 step, read circularly
-    rises = masks & ~np.roll(masks, 1, axis=1)
-    if np.count_nonzero(rises, axis=1).max() > 1:
-        return None
-    lengths = np.count_nonzero(masks, axis=1)
+    # exactly one 0 -> 1 step, read circularly; the rows are unpacked one
+    # block at a time, and the first block with a split row ends the stage
+    starts = np.empty(m, dtype=np.intp)
+    lengths = np.empty(m, dtype=np.intp)
+    step = block_rows(n)
+    for a in range(0, m, step):
+        block = unpack_rows(masks[a:a + step], n)
+        rises = block & ~np.roll(block, 1, axis=1)
+        if np.count_nonzero(rises, axis=1).max() > 1:
+            return None
+        starts[a:a + step] = rises.argmax(axis=1)
+        lengths[a:a + step] = np.count_nonzero(block, axis=1)
     full = np.flatnonzero(lengths == n)
     if full.size:
         return [int(full[0])]
     arcs = np.flatnonzero(lengths)
-    starts = rises[arcs].argmax(axis=1)
+    starts = starts[arcs]
     ends = starts + lengths[arcs]  # past the last column, read on from column n
     # best[p] packs the furthest reach of an arc starting at or before
     # column p with its row, the lowest row on ties; the part of a wrapping
@@ -406,8 +411,10 @@ def _arc_cover(masks: np.ndarray) -> list[int] | None:
     return sorted(chosen)
 
 
-def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Minimum set cover, exactly.
+def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET,
+                        columns: int | None = None) -> list[int]:
+    """Minimum cover of all ``columns`` columns (the row count if None) by
+    packed rows, exactly.
 
     A square table whose rows are the classes of an equivalence relation
     (the ball family of an ultrametric) needs every class, and answers with
@@ -418,34 +425,36 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET) -> list
     branch and cut) with the node budget mapped onto the solver's node
     limit.  Dominated rows are left to the solver's presolve.
     """
-    packed = _packed(masks)
-    if masks.shape[0] == masks.shape[1] and masks.diagonal().all():
-        classes = _partition(packed)
-        if classes is not None:
-            return classes
-    arcs = _arc_cover(masks)
+    n = masks.shape[0] if columns is None else columns
+    if masks.shape[0] == n:
+        i, byte, bit = diagonal_bits(n)
+        if (masks[i, byte] & bit).all():
+            classes = _partition(masks)
+            if classes is not None:
+                return classes
+    arcs = _arc_cover(masks, n)
     if arcs is not None:
         return arcs
-    rows = _ints(packed)
+    rows = _ints(masks)
     kept = [i for i in _first_rows(rows) if rows[i]]
     work = [rows[i] for i in kept]
-    universe = _full(masks.shape[1])
+    universe = _full(n)
     if reduce(or_, work, 0) != universe:
         raise ValueError("universe not coverable by the given sets")
-    chosen = _milp_min_cover(masks[kept], len(_greedy_cover(work, universe)), budget)
+    chosen = _milp_min_cover(masks[kept], n, len(_greedy_cover(work, universe)), budget)
     if chosen is None:
         raise BudgetExceededError("set-cover node limit reached")
     return [kept[i] for i in chosen]
 
 
-def _milp_min_cover(work: np.ndarray, greedy_size: int, budget: int):
+def _milp_min_cover(work: np.ndarray, columns: int, greedy_size: int, budget: int):
     from scipy.optimize import milp, LinearConstraint, Bounds
     from scipy.sparse import csr_matrix
 
     k = work.shape[0]
     # dtype= converts only the nonzeros, never a dense float copy of the table
-    cons = LinearConstraint(csr_matrix(work.T, dtype=float),
-                            lb=np.ones(work.shape[1]), ub=np.inf)
+    cons = LinearConstraint(csr_matrix(unpack_rows(work, columns).T, dtype=float),
+                            lb=np.ones(columns), ub=np.inf)
     res = milp(c=np.ones(k), constraints=cons,
                integrality=np.ones(k), bounds=Bounds(0, 1),
                options={"node_limit": max(budget // 100, 1), "presolve": True})
@@ -465,15 +474,15 @@ def _mass(weights, bits: int, zero):
 
 
 def greedy_partial_cover(masks: np.ndarray, weights, target) -> list[int]:
-    """Greedy mass-constrained cover: the row with the largest uncovered
-    mass, the lowest index on ties, until the covered mass reaches the
-    target or no row adds mass.
+    """Greedy mass-constrained cover by packed rows: the row with the
+    largest uncovered mass, the lowest index on ties, until the covered mass
+    reaches the target or no row adds mass.  Column j weighs ``weights[j]``.
 
     Masses add exactly when weights and target are Fractions.  A row's gain
     is summed again only when a pick covers some of its columns, so an
     unchanged uncovered set keeps the sum it had.
     """
-    rows = _bitsets(masks)
+    rows = _ints(masks)
     w = list(weights)
     zero = type(w[0])(0)
     gains = [_mass(w, row, zero) for row in rows]
@@ -493,7 +502,7 @@ def greedy_partial_cover(masks: np.ndarray, weights, target) -> list[int]:
 
 def exact_min_partial_cover(masks: np.ndarray, weights, target,
                             budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Minimum number of sets whose union carries mass >= target.
+    """Minimum number of packed rows whose union carries mass >= target.
 
     Masses add exactly when weights and target are Fractions.  A target
     that all sets together miss raises ValueError.  The greedy cover is the
@@ -504,7 +513,7 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
     if target <= 0:
         return []
     work, kept = dedupe_masks(masks)
-    rows = _bitsets(work)
+    rows = _ints(work)
     w = list(weights)
     zero = type(w[0])(0)
     if _mass(w, reduce(or_, rows, 0), zero) < target:
@@ -541,7 +550,8 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
 
 
 def maximal_cliques(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[np.ndarray]:
-    """All maximal cliques (Bron-Kerbosch with pivot); one budget node per call.
+    """All maximal cliques of a boolean graph (Bron-Kerbosch with pivot),
+    as boolean rows; one budget node per call.
 
     No count uses it; a set cover over its cliques cross-checks
     ``exact_min_clique_cover``.

@@ -7,10 +7,15 @@ A dense space stores ``levels``, the sorted distinct float64 distances, and
 ``codes``, an (n, n) table of indices into ``levels`` in the narrowest
 unsigned dtype, so that ``levels[codes]`` is the distance table bit for bit.
 Every threshold graph depends only on which distances fall below a scale,
-so it is one compare of the codes with the scale's level cutoff; float
-values are read through ``levels[codes]`` only for callers that need them.
-A float matrix passed in is encoded once, at its first threshold, diameter
-or ``d_n`` gather.
+so it is one compare of the codes with the scale's level cutoff, packed at
+one bit per pair; float values are read through ``levels[codes]`` only for
+callers that need them.  A float matrix passed in is encoded once, at its
+first threshold, diameter or ``d_n`` gather; a coordinate space is encoded
+from its coordinates by row blocks and keeps no float table.
+
+Packed rows are the one format of threshold graphs and solver tables: bit
+j of row i is bit ``j & 7`` of byte ``j >> 3`` (``pack_rows``), and the
+padding bits past the last column are zero.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from ..errors import InvalidMetricError, ParameterError
 
 # Largest point count for which a dense matrix is materialised on demand.
 MATRIX_CAP = 20_000
-# Float entries searched per block while encoding a matrix (8 MB of indices).
+# Float entries searched per block while encoding a matrix (8 MB of indices);
+# threshold graphs and d_n gathers take an eighth of this a block.
 ENCODE_BLOCK = 1 << 20
 
 TRIANGLE_SPOT_CHECKS = 64
@@ -163,19 +169,27 @@ class FiniteMetricSpace:
         if self._matrix is None:
             if self.coords is None:
                 self._matrix = self._levels[self._codes]
-            elif self.size > MATRIX_CAP:
-                raise ParameterError(
-                    f"refusing to materialise {self.size}x{self.size} matrix"
-                )
             else:
-                c = self._coords_float
-                self._matrix = np.abs(c[:, None] - c[None, :])
+                self._matrix = self._coord_rows(0, self.size)
         return self._matrix
 
+    def _coord_rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b of a coordinate space's float distance table."""
+        if self.size > MATRIX_CAP:
+            raise ParameterError(f"refusing to materialise {self.size}x{self.size} matrix")
+        c = self._coords_float
+        return np.abs(c[a:b, None] - c[None, :])
+
     def level_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(levels, codes)``: the sorted distances and the table of their indices."""
+        """``(levels, codes)``: the sorted distances and the table of their indices.
+
+        A coordinate space without a float table encodes its distances one
+        row block at a time and keeps no float table.
+        """
         if self._codes is None:
-            self._levels, self._codes = _encode(self.as_matrix())
+            m = self._matrix
+            rows = self._coord_rows if m is None else (lambda a, b: m[a:b])
+            self._levels, self._codes = _encode(rows, self.size)
         return self._levels, self._codes
 
     def cutoff(self, eps: float, strict: bool) -> int:
@@ -191,10 +205,22 @@ class FiniteMetricSpace:
         return int(np.searchsorted(levels, eps_f, "left" if strict else "right"))
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
-        """Boolean table of pairs with d < eps (strict) or d <= eps."""
+        """Packed threshold graph: row i has bit j set when d(i, j) < eps
+        (strict) or d(i, j) <= eps.
+
+        The (n, ceil(n / 8)) uint8 table is built one row block at a time,
+        so no n x n boolean table is ever made.
+        """
+        codes = self.level_codes()[1]
         # a Python int keeps the compare on the narrow dtype; an np.intp
-        # bound would promote the whole table to int64 first
-        return self.level_codes()[1] < self.cutoff(eps, strict)
+        # bound would promote each block to int64 first
+        cutoff = self.cutoff(eps, strict)
+        n = self.size
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        rows = block_rows(n)
+        for a in range(0, n, rows):
+            packed[a:a + rows] = pack_rows(codes[a:a + rows] < cutoff)
+        return packed
 
     def permuted(self, perm: Sequence[int]) -> "FiniteMetricSpace":
         """Same space with points reindexed by ``perm`` (for invariance tests)."""
@@ -221,17 +247,45 @@ def code_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(count - 1)
 
 
-def _encode(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct entries of ``m`` and the table of their indices.
+def block_rows(n: int) -> int:
+    """Rows of an n-column table that a threshold or gather loop takes at once.
 
-    Both passes run over row blocks, so besides the levels no temporary
-    outgrows one block (``np.unique(m, return_inverse=True)`` would make
-    table-sized int64 ones).
+    A block holds at most ``ENCODE_BLOCK // 8`` entries (128 KiB of one-byte
+    codes), so the loop's temporaries stay a fraction of any larger table,
+    even where one ``ENCODE_BLOCK`` would hold all of it; a smaller table is
+    one block.
     """
-    rows = max(1, ENCODE_BLOCK // m.shape[1])
-    blocks = range(0, m.shape[0], rows)
-    levels = np.unique(np.concatenate([np.unique(m[a:a + rows]) for a in blocks]))
-    codes = np.empty(m.shape, dtype=code_dtype(len(levels)))
+    return max(1, (ENCODE_BLOCK // 8) // n)
+
+
+def pack_rows(table: np.ndarray) -> np.ndarray:
+    """Rows of a boolean table packed eight columns to a byte, column 0 lowest."""
+    return np.packbits(table, axis=1, bitorder="little")
+
+
+def unpack_rows(packed: np.ndarray, columns: int) -> np.ndarray:
+    """The boolean table of ``columns`` columns whose packed rows are given."""
+    return np.unpackbits(packed, axis=1, count=columns, bitorder="little").view(bool)
+
+
+def diagonal_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, byte and bit mask of each point's own column in n packed rows."""
+    i = np.arange(n)
+    return i, i >> 3, (1 << (i & 7)).astype(np.uint8)
+
+
+def _encode(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of an (n, n) float table and the table of
+    their indices; ``rows(a, b)`` gives the table's rows a..b.
+
+    Both passes run over row blocks, so besides the levels and the codes no
+    temporary outgrows one block (``np.unique(m, return_inverse=True)``
+    would make table-sized int64 ones).
+    """
+    step = max(1, ENCODE_BLOCK // n)
+    blocks = range(0, n, step)
+    levels = np.unique(np.concatenate([np.unique(rows(a, a + step)) for a in blocks]))
+    codes = np.empty((n, n), dtype=code_dtype(len(levels)))
     for a in blocks:
-        codes[a:a + rows] = np.searchsorted(levels, m[a:a + rows])
+        codes[a:a + step] = np.searchsorted(levels, rows(a, a + step))
     return levels, codes

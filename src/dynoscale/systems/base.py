@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ..errors import ParameterError, RepresentationError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, block_rows
 
 
 @dataclass
@@ -77,9 +77,10 @@ def bowen_spaces(system: DynamicalSystem,
     """The space under each horizon-n dynamical metric, in the order given.
 
     ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
-    gather of the base space's level codes per horizon, written into the
-    gathered buffer, so a run of increasing horizons costs one table per
-    step.  Every ``d_n`` shares the base levels: codes are monotone in the
+    gather of the base space's level codes per horizon.  The gather runs
+    over row blocks (``block_rows``) straight into the new table, so at
+    every size only d_{n-1}, d_n and one block are alive besides the base
+    codes.  Every ``d_n`` shares the base levels: codes are monotone in the
     distance, so the max of two codes is the code of the max, at one to
     four bytes per pair.  Max is exact, so every table is bitwise the one
     built anew.  A horizon below the last one starts again from ``d_1``,
@@ -100,11 +101,22 @@ def bowen_spaces(system: DynamicalSystem,
         while done < n:
             # idx holds the indices of f^done
             idx = system.step if done == 1 else system.step[idx]
-            layer = codes.take(idx, 0).take(idx, 1)
-            table = np.maximum(layer, codes if done == 1 else table, out=layer)
+            table = _max_gather(codes, codes if done == 1 else table, idx)
             done += 1
         yield FiniteMetricSpace.from_codes(levels, table, labels=system.space.labels,
                                            name=f"{system.name}|d_{n}")
+
+
+def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``max(prev, codes[idx][:, idx])``, gathered by row blocks into a new table."""
+    table = np.empty_like(codes)
+    rows = block_rows(len(idx))
+    for a in range(0, len(idx), rows):
+        out = table[a:a + rows]
+        # the indices are in range, so "clip" only skips the buffered bounds check
+        np.take(codes.take(idx[a:a + rows], 0, mode="clip"), idx, 1, out=out, mode="clip")
+        np.maximum(out, prev[a:a + rows], out=out)
+    return table
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

@@ -8,6 +8,8 @@ import pytest
 
 from dynoscale import harness, oracle, verify
 from dynoscale.metric_core import ScaleGrid, min_spanning, solvers
+from dynoscale.metric_core import space
+from dynoscale.metric_core.space import pack_rows, unpack_rows
 from dynoscale.systems import bowen_spaces, doubling_grid
 
 
@@ -49,8 +51,16 @@ def _arc_family(rng, n, rows):
 def _stage_off(monkeypatch, solve, *args):
     """``solve(*args)`` with the arc stage switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_arc_cover", lambda table: None)
+        patch.setattr(solvers, "_arc_cover", lambda table, columns: None)
         return solve(*args)
+
+
+def _arc_cover(masks):
+    return solvers._arc_cover(pack_rows(masks), masks.shape[1])
+
+
+def _set_cover(masks):
+    return solvers.exact_min_set_cover(pack_rows(masks), columns=masks.shape[1])
 
 
 def _spy_milp(monkeypatch):
@@ -68,33 +78,33 @@ def test_circle_cover_matches_brute_and_the_stage_off_run(seed, monkeypatch):
     for rows in (1, 2, 5, 11):
         masks = _arc_family(rng, n, rows)
         assert masks.any(axis=0).all()
-        got = solvers._arc_cover(masks)
+        got = _arc_cover(masks)
         assert got is not None
         assert got == sorted(set(got))
         assert masks[got].any(axis=0).all()
         assert len(got) == _brute_cover(masks)
-        assert solvers.exact_min_set_cover(masks) == got
-        assert len(_stage_off(monkeypatch, solvers.exact_min_set_cover, masks)) == len(got)
+        assert _set_cover(masks) == got
+        assert len(_stage_off(monkeypatch, _set_cover, masks)) == len(got)
 
 
 def test_full_row_answers_alone():
     masks = np.array([_arc(6, 4, 3), _arc(6, 0, 6), _arc(6, 1, 2), _arc(6, 0, 6)])
-    assert solvers.exact_min_set_cover(masks) == [1]
+    assert _set_cover(masks) == [1]
 
 
 def test_wrapping_arcs_are_counted_once():
     # three arcs of a 12-point circle, two of them wrapping past point 0
     masks = np.array([_arc(12, 10, 5), _arc(12, 3, 4), _arc(12, 2, 2),
                       _arc(12, 6, 6), _arc(12, 7, 2)])
-    assert solvers.exact_min_set_cover(masks) == [0, 1, 3]
+    assert _set_cover(masks) == [0, 1, 3]
     assert _brute_cover(masks) == 3
 
 
 def test_a_table_with_a_split_row_falls_through(monkeypatch):
     masks = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 0]], dtype=bool)
-    assert solvers._arc_cover(masks) is None
+    assert _arc_cover(masks) is None
     calls = _spy_milp(monkeypatch)
-    assert len(solvers.exact_min_set_cover(masks)) == 2
+    assert len(_set_cover(masks)) == 2
     assert len(calls) == 1
 
 
@@ -103,9 +113,24 @@ def test_a_table_with_a_split_row_falls_through(monkeypatch):
                                   [_arc(1, 0, 0)]])
 def test_a_point_no_arc_covers_still_raises(rows):
     masks = np.array(rows)
-    assert solvers._arc_cover(masks) is None
+    assert _arc_cover(masks) is None
     with pytest.raises(ValueError):
-        solvers.exact_min_set_cover(masks)
+        _set_cover(masks)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_circle_cover_reads_the_same_rows_one_block_at_a_time(seed, monkeypatch):
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(4, 40))
+    masks = _arc_family(rng, n, 11)
+    row = np.zeros(n, dtype=bool)
+    row[[0, 2]] = True  # two runs, in one more row after the arcs
+    split = np.vstack([masks, row])
+    whole = [_arc_cover(masks), _arc_cover(split)]
+    monkeypatch.setattr(space, "ENCODE_BLOCK", 8 * n)  # one row a block
+    assert space.block_rows(n) == 1
+    assert [_arc_cover(masks), _arc_cover(split)] == whole
+    assert whole[0] is not None and whole[1] is None
 
 
 # the six scales of the benchmark's sweeps (start inside their start band)
@@ -118,7 +143,8 @@ def test_doubling_spanning_brackets_match_the_stage_off_run(points, monkeypatch)
     for n, dn in zip(range(1, 6), bowen_spaces(system, range(1, 6))):
         for eps in BENCH_SCALES:
             on = min_spanning(dn, eps, horizon=n)
-            assert dn.close_mask(eps, strict=True)[list(on.witness)].any(axis=0).all()
+            balls = unpack_rows(dn.close_mask(eps, strict=True), dn.size)
+            assert balls[list(on.witness)].any(axis=0).all()
             off = _stage_off(monkeypatch, min_spanning, dn, eps, solvers.DEFAULT_BUDGET, n)
             assert (on.lower, on.upper, on.mode, on.method) == \
                 (off.lower, off.upper, off.mode, off.method), (points, n, eps)

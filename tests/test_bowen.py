@@ -142,6 +142,26 @@ def test_counting_dense_horizons_allocates_less_than_one_float_table():
     assert peak < 8 * size**2, peak
 
 
+@pytest.mark.parametrize("depth", [10, 11])
+def test_counting_dense_horizons_holds_two_code_tables_and_one_block(depth):
+    # one-byte codes, so a table is size**2 bytes; at 1024 points one
+    # ENCODE_BLOCK would hold the whole table, at 2048 it takes four
+    system = binary_exp_shift(depth, horizon_cap=3)
+    size = system.space.size
+    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1, 2, 3]})
+    tracemalloc.start()
+    try:
+        _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gather of d_3 holds d_2, d_3 and one block; the graphs are packed.
+    # A table-sized gather temporary or boolean graph would pass 3 tables.
+    assert peak < 2.5 * size**2, peak / size**2
+
+
 LADDERS = {
     "F1": lambda: KolyadaSnohaMap.family_f1(3),
     "F2": lambda: KolyadaSnohaMap.family_f2(Fraction(1, 2), 3),

@@ -88,12 +88,13 @@ def test_chain_on_random_space_all_grid_scales():
 def test_greedy_separated_lies_between_spanning_and_separated():
     # a maximal separated set is simultaneously spanning at the same scale
     from dynoscale.metric_core.solvers import greedy_independent_set
+    from dynoscale.metric_core.space import pack_rows, unpack_rows
     sp = random_space(10, seed=8)
     dense = FiniteMetricSpace(matrix=sp.as_matrix(), check=False)
     for eps in (0.1, 0.22, 0.37):
-        conflict = dense.close_mask(eps, strict=False)
+        conflict = unpack_rows(dense.close_mask(eps, strict=False), dense.size)
         np.fill_diagonal(conflict, False)
-        greedy = len(greedy_independent_set(conflict))
+        greedy = len(greedy_independent_set(pack_rows(conflict)))
         r = min_spanning(dense, eps).value
         s = max_separated(dense, eps).value
         assert r <= greedy <= s

@@ -14,6 +14,7 @@ from dynoscale.measures import (AtomicMeasure, LP_KIND, W_KIND,
 from dynoscale.errors import BudgetExceededError
 from dynoscale.measures import quantization
 from dynoscale.metric_core import min_diameter_cover, max_separated, solvers
+from dynoscale.metric_core.space import pack_rows
 from dynoscale.oracle import brute_k_median_cost, brute_partial_cover
 from dynoscale.systems import bowen_space, doubling_grid
 
@@ -263,7 +264,8 @@ def test_lp_kind_fallback_brackets_with_the_greedy_cover(system, monkeypatch):
     eps = 0.1
     rep = quantization_number(system.space, mu, eps, kind=LP_KIND, sites=sites)
     balls = system.space.as_matrix()[np.ix_(sites, list(mu.atoms))] <= eps
-    greedy = solvers.greedy_partial_cover(balls, list(mu.weights), 1 - Fraction(eps))
+    greedy = solvers.greedy_partial_cover(pack_rows(balls), list(mu.weights),
+                                          1 - Fraction(eps))
     assert (rep.lower, rep.upper, rep.mode, rep.method) == (1, len(greedy), "heuristic",
                                                             "greedy")
     assert rep.witness == tuple(sites[i] for i in greedy)

@@ -12,7 +12,7 @@ from dynoscale.metric_core.solvers import (
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
     greedy_independent_set, greedy_partial_cover, line_max_separated,
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
-from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.metric_core.space import FiniteMetricSpace, pack_rows
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
 
 
@@ -81,7 +81,7 @@ def test_mis_matches_brute(seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 11))
         adj = _random_graph(rng, n, rng.uniform(0.1, 0.8))
-    got = exact_max_independent_set(adj)
+    got = exact_max_independent_set(pack_rows(adj))
     assert len(got) == _brute_mis(adj)
     assert not any(adj[i, j] for i, j in itertools.combinations(got, 2))
 
@@ -90,15 +90,16 @@ def test_mis_budget_exhaustion_raises():
     rng = np.random.default_rng(0)
     adj = _random_graph(rng, 30, 0.4)
     with pytest.raises(BudgetExceededError):
-        exact_max_independent_set(adj, budget=3)
+        exact_max_independent_set(pack_rows(adj), budget=3)
 
 
 def test_greedy_bounds_bracket_mis():
     rng = np.random.default_rng(3)
     adj = _random_graph(rng, 12, 0.5)
-    lower = len(greedy_independent_set(adj))
-    upper = greedy_clique_cover(adj)
-    exact = len(exact_max_independent_set(adj))
+    packed = pack_rows(adj)
+    lower = len(greedy_independent_set(packed))
+    upper = greedy_clique_cover(packed)
+    exact = len(exact_max_independent_set(packed))
     assert lower <= exact <= upper
 
 
@@ -134,7 +135,7 @@ def test_set_cover_matches_brute(seed):
         m = int(rng.integers(3, 9))
         masks = rng.random((m, n)) < 0.45
         masks[rng.integers(m), :] |= ~masks.any(axis=0)  # make coverable
-    got = exact_min_set_cover(masks)
+    got = exact_min_set_cover(pack_rows(masks), columns=n)
     union = np.zeros(n, dtype=bool)
     for s in got:
         union |= masks[s]
@@ -145,7 +146,7 @@ def test_set_cover_matches_brute(seed):
 def test_set_cover_uncoverable_raises():
     masks = np.array([[True, False, False]])
     with pytest.raises(ValueError):
-        exact_min_set_cover(masks)
+        exact_min_set_cover(pack_rows(masks), columns=3)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -158,7 +159,7 @@ def test_partial_cover_matches_brute(seed):
     raw = [int(x) for x in rng.integers(1, 9, size=n)]
     weights = [Fraction(r, sum(raw)) for r in raw]
     target = Fraction(int(rng.integers(1, 10)), 10)
-    got = exact_min_partial_cover(masks, weights, target)
+    got = exact_min_partial_cover(pack_rows(masks), weights, target)
     assert len(got) == brute_partial_cover(masks, weights, target)
 
 
@@ -169,7 +170,7 @@ def test_dedupe_drops_subsets_and_duplicates():
         [1, 1, 0, 0],  # duplicate
         [0, 0, 1, 1],
     ], dtype=bool)
-    work, kept = dedupe_masks(masks)
+    work, kept = dedupe_masks(pack_rows(masks))
     assert work.shape[0] == 2
     assert set(map(int, kept)) == {0, 3}
 
@@ -196,7 +197,8 @@ def _near(dist, eps):
 
 
 def _root_closes(adj):
-    return len(greedy_independent_set(adj)) == greedy_clique_cover(adj)
+    packed = pack_rows(adj)
+    return len(greedy_independent_set(packed)) == greedy_clique_cover(packed)
 
 
 def test_five_cycle_clique_cover_searches_within_budget():
@@ -204,9 +206,9 @@ def test_five_cycle_clique_cover_searches_within_budget():
     c5 = np.roll(np.eye(5, dtype=bool), 1, axis=1)
     c5 |= c5.T
     assert not _root_closes(c5)
-    assert exact_min_clique_cover(c5) == 3
+    assert exact_min_clique_cover(pack_rows(c5)) == 3
     with pytest.raises(BudgetExceededError):
-        exact_min_clique_cover(c5, budget=1)
+        exact_min_clique_cover(pack_rows(c5), budget=1)
 
 
 def test_clique_cover_matches_brute_where_the_root_does_not_close():
@@ -219,7 +221,7 @@ def test_clique_cover_matches_brute_where_the_root_does_not_close():
             if _root_closes(near):
                 continue
             searched += 1
-            assert exact_min_clique_cover(near) == brute_min_diameter_cover(sp, eps), \
+            assert exact_min_clique_cover(pack_rows(near)) == brute_min_diameter_cover(sp, eps), \
                 (seed, eps)
     assert searched >= 20
 
@@ -229,8 +231,9 @@ def test_clique_cover_matches_set_cover_over_maximal_cliques(seed):
     dist = _planar(1000 + seed, 30, 30)
     for eps in (0.2, 0.35, 0.5):
         near = _near(dist, eps)
-        want = len(exact_min_set_cover(np.stack(maximal_cliques(near))))
-        assert exact_min_clique_cover(near) == want, eps
+        cliques = pack_rows(np.stack(maximal_cliques(near)))
+        want = len(exact_min_set_cover(cliques, columns=near.shape[0]))
+        assert exact_min_clique_cover(pack_rows(near)) == want, eps
 
 
 def test_line_sweeps_match_generic_on_random_sets():
@@ -254,8 +257,8 @@ def test_partial_cover_search_improves_on_its_greedy():
                       [0, 0, 1, 1, 0, 1]], dtype=bool)
     weights = [Fraction(1, 6)] * 6
     # the greedy takes the heaviest row first and then needs both others
-    assert greedy_partial_cover(masks, weights, 1) == [0, 1, 2]
-    got = exact_min_partial_cover(masks, weights, 1)
+    assert greedy_partial_cover(pack_rows(masks), weights, 1) == [0, 1, 2]
+    got = exact_min_partial_cover(pack_rows(masks), weights, 1)
     assert sorted(got) == [1, 2]
     assert len(got) == brute_partial_cover(masks, weights, 1)
 
@@ -287,11 +290,11 @@ def test_greedy_partial_cover_matches_an_every_row_recompute(seed):
     floats = list(rng.random(cols))
     for weights, target in ((exact, Fraction(int(rng.integers(1, 10)), 10)),
                             (floats, float(rng.uniform(0.1, 1.0)) * sum(floats))):
-        assert (greedy_partial_cover(masks, weights, target)
+        assert (greedy_partial_cover(pack_rows(masks), weights, target)
                 == _greedy_partial_cover_every_row(masks, weights, target))
 
 
 def test_partial_cover_overlapping_rows_short_of_the_target_raise():
     masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot reach the target"):
-        exact_min_partial_cover(masks, [Fraction(1, 4)] * 4, Fraction(9, 10))
+        exact_min_partial_cover(pack_rows(masks), [Fraction(1, 4)] * 4, Fraction(9, 10))

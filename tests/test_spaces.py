@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from dynoscale.errors import InvalidMetricError, ParameterError
 from dynoscale.metric_core import FiniteMetricSpace, max_separated, write_cache, read_cache
-from dynoscale.systems import random_space
+from dynoscale.metric_core import space as space_module
+from dynoscale.metric_core.space import code_dtype, pack_rows, unpack_rows
+from dynoscale.systems import doubling_grid, random_space
 
 
 def test_requires_exactly_one_backend():
@@ -49,8 +51,8 @@ def test_diameter_matches_max_pair():
 
 def test_close_mask_strictness():
     sp = FiniteMetricSpace(coords=[Fraction(0), Fraction(1, 2), Fraction(1)])
-    le = sp.close_mask(Fraction(1, 2), strict=False)
-    lt = sp.close_mask(Fraction(1, 2), strict=True)
+    le = unpack_rows(sp.close_mask(Fraction(1, 2), strict=False), 3)
+    lt = unpack_rows(sp.close_mask(Fraction(1, 2), strict=True), 3)
     assert le[0, 1] and not lt[0, 1]  # tie at exactly 1/2
 
 
@@ -99,10 +101,23 @@ def _float_graph(m, eps, strict):
     return (m < eps) if strict else (m <= eps)
 
 
+def _assert_packed_graph(packed, graph):
+    """``packed`` is ``graph`` packed bit for bit, its padding bits zero."""
+    n = graph.shape[0]
+    assert packed.dtype == np.uint8 and packed.shape == (n, (n + 7) // 8)
+    assert packed.tobytes() == pack_rows(graph).tobytes()
+    assert not unpack_rows(packed, 8 * packed.shape[1])[:, n:].any()
+
+
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("points, draws, dtype", [(12, 4, np.uint8), (30, None, np.uint16)],
-                         ids=["ties-uint8", "wide-uint16"])
-def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype):
+@pytest.mark.parametrize("points, draws, dtype, block", [
+    (12, 4, np.uint8, None), (30, None, np.uint16, None), (61, 3, np.uint8, 8 * 61 * 3)],
+    ids=["ties-uint8", "wide-uint16", "blocks-uint8"])
+def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype, block,
+                                                 monkeypatch):
+    if block:  # 3 rows a block: 20 blocks and a last one of one row
+        monkeypatch.setattr(space_module, "ENCODE_BLOCK", block)
+        assert space_module.block_rows(points) == 3
     rng = np.random.default_rng(seed)
     if draws:  # a few distinct draws: many tied distances
         values = rng.integers(1, draws + 1, size=(points, points)) / draws
@@ -113,6 +128,7 @@ def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype):
     space = FiniteMetricSpace(matrix=m, check=False)
     levels, codes = space.level_codes()
     assert codes.dtype == dtype and levels[codes].tobytes() == m.tobytes()
+    assert points % 8  # the last byte of each packed row has padding bits
     mids = (levels[1:] + levels[:-1]) / 2
     scales = [*levels, *mids, -1.0, levels[-1] + 1, np.inf, -np.inf, np.nan]
     perm = rng.permutation(points)
@@ -122,10 +138,29 @@ def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype):
     assert moved.as_matrix().tobytes() == moved_m.tobytes()
     for eps in scales:
         for strict in (True, False):
-            assert np.array_equal(space.close_mask(eps, strict), _float_graph(m, eps, strict))
-            assert np.array_equal(moved.close_mask(eps, strict),
-                                  _float_graph(moved_m, eps, strict))
-            assert np.array_equal(space.close_mask(eps, strict),
-                                  codes < space.cutoff(eps, strict))
+            _assert_packed_graph(space.close_mask(eps, strict), _float_graph(m, eps, strict))
+            _assert_packed_graph(moved.close_mask(eps, strict),
+                                 _float_graph(moved_m, eps, strict))
+            _assert_packed_graph(space.close_mask(eps, strict),
+                                 codes < space.cutoff(eps, strict))
     assert not space.close_mask(np.nan, strict=False).any()
     assert space.cutoff(np.nan, True) == space.cutoff(np.nan, False) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: doubling_grid(203).space,
+    lambda: FiniteMetricSpace(coords=np.random.default_rng(5).random(211).tolist()),
+    lambda: random_space(190, seed=3)], ids=["doubling", "random-floats", "random-fractions"])
+def test_coordinate_codes_equal_the_encoded_float_table(make, monkeypatch):
+    # 1024 entries a block: 5 or 4 rows, so each encode pass takes many blocks
+    monkeypatch.setattr(space_module, "ENCODE_BLOCK", 1 << 10)
+    space = make()
+    levels, codes = space.level_codes()
+    assert space._matrix is None  # no float table is kept
+    m = make().as_matrix()
+    want_levels = np.unique(m)
+    want_codes = np.searchsorted(want_levels, m).astype(code_dtype(len(want_levels)))
+    assert levels.tobytes() == want_levels.tobytes()
+    assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
+    # the float table still materialises on demand, bitwise
+    assert space.as_matrix().tobytes() == m.tobytes()
