@@ -45,13 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--budget", type=positive_int, help="override the config budget")
-    sweep.add_argument("--seed", type=int, help="override the config seed")
 
     est = sub.add_parser("estimate", help="slope estimates from a sweep config")
     est.add_argument("--config", required=True)
     est.add_argument("--out", required=True)
     est.add_argument("--budget", type=positive_int, help="override the config budget")
-    est.add_argument("--seed", type=int, help="override the config seed")
 
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
@@ -117,8 +115,6 @@ def _load_with_overrides(args):
     config = load_config(args.config)
     if getattr(args, "budget", None) is not None:
         config.budget = args.budget
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
     return config
 
 

@@ -1,7 +1,7 @@
 """Configuration-driven experiment runner.
 
 A config JSON names a system descriptor, the quantities to count, a scale
-grid, a horizon range, budgets and a seed.  ``run_sweep`` is deterministic:
+grid, a horizon range and a budget.  ``run_sweep`` is deterministic:
 same config, byte-identical CSV outputs and trace.  Within one horizon a
 threshold graph is counted once: scales with the same level cutoff share
 their exact bracket.  ``run_estimates`` takes the exact cells of a matching
@@ -40,7 +40,6 @@ class ExperimentConfig:
     grid: ScaleGrid
     horizons: list[int]
     budget: int = DEFAULT_BUDGET
-    seed: int = 0  # accepted and overridable by --seed; nothing reads it yet
 
     def __post_init__(self):
         self.horizons = sorted(set(self.horizons))
@@ -54,7 +53,7 @@ _BUDGET = (integer(1), DEFAULT_BUDGET)
 _CONFIG = build(ExperimentConfig, {
     "system": lambda value, path: value,  # resolved when the sweep runs
     "quantities": list_of(choice(*QUANTITY_OPS)), "grid": _GRID,
-    "horizons": _HORIZONS, "budget": _BUDGET, "seed": (integer(), 0)})
+    "horizons": _HORIZONS, "budget": _BUDGET})
 
 
 def parse_config(data) -> ExperimentConfig:

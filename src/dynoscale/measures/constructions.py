@@ -130,7 +130,5 @@ def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
         raise ParameterError("need candidate measures")
     if cross_min is None:
         cross_min = support_cross_min(space, measures)
-    conflict = cross_min < float(eps)
-    np.fill_diagonal(conflict, False)
-    return graph_bracket("apart", eps, 1, pack_rows(conflict),
+    return graph_bracket("apart", eps, 1, pack_rows(cross_min < float(eps)),
                          solvers.exact_max_independent_set, "mis-bnb", budget)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import BudgetExceededError, ParameterError
-from .space import FiniteMetricSpace, diagonal_bits
+from .space import FiniteMetricSpace
 from . import solvers
 from .solvers import DEFAULT_BUDGET
 
@@ -112,14 +112,6 @@ def _as_cmp_scale(eps):
     return eps if isinstance(eps, Fraction) else Fraction(float(eps))
 
 
-def _loopless(space: FiniteMetricSpace, eps, strict: bool) -> np.ndarray:
-    """Packed threshold graph d < eps (strict) or d <= eps, without self-loops."""
-    graph = space.close_mask(eps, strict=strict)
-    i, byte, bit = diagonal_bits(space.size)
-    graph[i, byte] &= ~bit
-    return graph
-
-
 def _exact(quantity: str, eps, horizon: int, found, method: str,
            order: list[int] | None = None) -> CountBracket:
     """Exact bracket from a solver's set, indexed through ``order`` if given."""
@@ -187,7 +179,7 @@ def max_separated(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
     return (_closed_form(SEPARATED, space, eps, horizon, solvers.line_max_separated)
             # d <= eps violates separation
             or graph_bracket(SEPARATED, eps, horizon,
-                             _loopless(space, eps, STRICT[SEPARATED]),
+                             space.close_mask(eps, STRICT[SEPARATED]),
                              solvers.exact_max_independent_set, "mis-bnb", budget))
 
 
@@ -199,7 +191,7 @@ def min_spanning(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
         # chain bound: any strictly-2eps-separated set lower-bounds the
         # diameter cover at 2eps, which lower-bounds the spanning count at eps
         sep = solvers.greedy_independent_set(
-            _loopless(space, 2 * _as_cmp_scale(eps), STRICT[SEPARATED]))
+            space.close_mask(2 * _as_cmp_scale(eps), STRICT[SEPARATED]))
         return max(1, min(len(sep), len(greedy))), len(greedy), greedy
 
     return (_closed_form(SPANNING, space, eps, horizon, solvers.line_min_ball_cover)
@@ -232,7 +224,7 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
     return (_closed_form(DIAMETER_COVER, space, eps, horizon,
                          solvers.line_min_diameter_cover)
             or graph_bracket(DIAMETER_COVER, eps, horizon,
-                             _loopless(space, eps, STRICT[DIAMETER_COVER]),
+                             space.close_mask(eps, STRICT[DIAMETER_COVER]),
                              solvers.exact_min_clique_cover, "clique-cover-bnb", budget))
 
 

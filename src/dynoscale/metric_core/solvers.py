@@ -2,9 +2,11 @@
 
 Graphs and set tables come in as packed rows (``space.pack_rows``), the
 format ``FiniteMetricSpace.close_mask`` builds.  A square table is a graph
-on its rows.  Packed rows do not record their column count, so the exact
-set cover takes it where it is not the row count, and partial covers take
-it from their weights.  All solvers are deterministic:
+on its rows, and the graph searches ignore a point's own bit, so a
+threshold graph comes in as built, each point in its own row.  Packed rows
+do not record their column count, so the exact set cover takes it where it
+is not the row count, and partial covers take it from their weights.  All
+solvers are deterministic:
 ties break on the lowest index.  Exact solvers consume a node-expansion
 budget and raise ``BudgetExceededError`` when it runs out; callers fall back
 to certified greedy brackets.
@@ -20,7 +22,7 @@ from operator import or_
 import numpy as np
 
 from ..errors import BudgetExceededError, DynoscaleError
-from .space import block_rows, diagonal_bits, unpack_rows
+from .space import block_rows, unpack_rows
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -49,6 +51,11 @@ def _ints(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _neighbours(adj: np.ndarray) -> list[int]:
+    """One int per packed graph row, without the row's own point."""
+    return [row & ~(1 << i) for i, row in enumerate(_ints(adj))]
+
+
 def _members(bits: int):
     """Indices of the set bits, ascending."""
     while bits:
@@ -63,31 +70,24 @@ def _full(n: int) -> int:
 
 # -- the partition certificate ---------------------------------------------
 #
-# A threshold graph of an ultrametric (every exp shift, at every horizon) is
-# an equivalence relation once each point is joined to itself, and then each
+# A threshold graph of an ultrametric (every exp shift, at every horizon),
+# each point joined to itself, is an equivalence relation, and then each
 # count is its number of classes.  One test on the packed rows finds this
 # before any row is read into Python.
 
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.intp)
 
 
-def _with_loops(packed: np.ndarray) -> np.ndarray:
-    """A copy of a square packed table with every point joined to itself."""
-    out = packed.copy()
-    i, byte, bit = diagonal_bits(out.shape[0])
-    out[i, byte] |= bit
-    return out
-
-
 def _partition(packed: np.ndarray) -> list[int] | None:
-    """Class minima, ascending, when the rows of a square packed table, each
-    holding its own point, are the classes of an equivalence relation;
-    otherwise None.
+    """Class minima, ascending, when the rows of a square packed table are
+    the classes of a partition of its N points; otherwise None.
 
     Let ``first[i]`` be the lowest member of row i.  When every row equals
-    row ``first[i]`` and the rows with ``first[i] == i`` hold N points between
-    them, those rows are disjoint, cover every point and are all the
-    distinct rows.
+    row ``first[i]``, and the rows with ``first[i] == i`` hold N points
+    between them and N points in their union, those rows are disjoint,
+    cover every point and are all the distinct rows.  Every cover then
+    takes each of them; a symmetric table passes only when it is a
+    reflexive equivalence relation.
     """
     n = packed.shape[0]
     if n == 0:
@@ -98,7 +98,9 @@ def _partition(packed: np.ndarray) -> list[int] | None:
     if not np.array_equal(packed, packed[first]):
         return None
     minima = np.flatnonzero(first == i)
-    if np.count_nonzero(np.unpackbits(packed[minima])) != n:
+    classes = packed[minima]
+    if (np.count_nonzero(np.unpackbits(classes)) != n
+            or np.count_nonzero(np.unpackbits(np.bitwise_or.reduce(classes, axis=0))) != n):
         return None
     return minima.tolist()
 
@@ -108,7 +110,7 @@ def _partition(packed: np.ndarray) -> list[int] | None:
 
 def greedy_independent_set(adj: np.ndarray) -> list[int]:
     """Maximal independent set of a packed graph, points taken in index order."""
-    return _greedy_independent(_ints(adj), _full(adj.shape[0]))
+    return _greedy_independent(_neighbours(adj), _full(adj.shape[0]))
 
 
 def _greedy_independent(rows: list[int], alive: int) -> list[int]:
@@ -125,7 +127,7 @@ def greedy_clique_cover(adj: np.ndarray) -> int:
 
     Any clique cover count upper-bounds the maximum independent set.
     """
-    return _greedy_clique_cover(_ints(adj), _full(adj.shape[0]))
+    return _greedy_clique_cover(_neighbours(adj), _full(adj.shape[0]))
 
 
 def _greedy_clique_cover(rows: list[int], alive: int) -> int:
@@ -166,10 +168,10 @@ def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> 
     closes at the root when its greedy independent set meets its greedy
     clique cover.
     """
-    classes = _partition(_with_loops(adj))
+    classes = _partition(adj)
     if classes is not None:
         return classes
-    rows = _ints(adj)
+    rows = _neighbours(adj)
     b = _Budget(budget)
     out: list[int] = []
     for comp in _components(rows):
@@ -213,7 +215,8 @@ def _mis_on_component(rows: list[int], comp: int, b: _Budget) -> list[int]:
 
 
 def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum number of cliques covering an irreflexive packed graph, exactly.
+    """Minimum number of cliques covering a packed graph, exactly; a point's
+    own bit is ignored.
 
     A graph of disjoint cliques answers with their number by the partition
     certificate.  Otherwise each connected component is covered on its own.
@@ -224,10 +227,10 @@ def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int
     one budget node per branch.  Both greedy bounds add up over the
     components, so a whole-graph check would close no cell that these miss.
     """
-    classes = _partition(_with_loops(adj))
+    classes = _partition(adj)
     if classes is not None:
         return len(classes)
-    rows = _ints(adj)
+    rows = _neighbours(adj)
     b = _Budget(budget)
     total = 0
     for comp in _components(rows):
@@ -427,11 +430,9 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET,
     """
     n = masks.shape[0] if columns is None else columns
     if masks.shape[0] == n:
-        i, byte, bit = diagonal_bits(n)
-        if (masks[i, byte] & bit).all():
-            classes = _partition(masks)
-            if classes is not None:
-                return classes
+        classes = _partition(masks)
+        if classes is not None:
+            return classes
     arcs = _arc_cover(masks, n)
     if arcs is not None:
         return arcs

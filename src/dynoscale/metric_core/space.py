@@ -59,7 +59,6 @@ class FiniteMetricSpace:
         labels: Sequence | None = None,
         name: str = "space",
         check: bool = True,
-        seed: int = 0,
     ):
         if (matrix is None) == (coords is None):
             raise ParameterError("exactly one of matrix/coords must be given")
@@ -82,7 +81,7 @@ class FiniteMetricSpace:
             self.size = matrix.shape[0]
         self._set_labels(labels)
         if check:
-            self._validate(seed)
+            self._validate()
 
     @classmethod
     def from_codes(cls, levels: np.ndarray, codes: np.ndarray,
@@ -107,7 +106,7 @@ class FiniteMetricSpace:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self, seed: int) -> None:
+    def _validate(self) -> None:
         if self.coords is not None:
             return  # |x - y| is a metric by construction
         m = self._matrix
@@ -129,7 +128,7 @@ class FiniteMetricSpace:
                 raise InvalidMetricError(
                     f"triangle inequality fails on ({i},{j},{k})")
             return
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for _ in range(TRIANGLE_SPOT_CHECKS):
             i, j, k = rng.integers(0, n, size=3)
             if m[i, j] > m[i, k] + m[k, j] + TRIANGLE_SLACK:
@@ -266,12 +265,6 @@ def pack_rows(table: np.ndarray) -> np.ndarray:
 def unpack_rows(packed: np.ndarray, columns: int) -> np.ndarray:
     """The boolean table of ``columns`` columns whose packed rows are given."""
     return np.unpackbits(packed, axis=1, count=columns, bitorder="little").view(bool)
-
-
-def diagonal_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, byte and bit mask of each point's own column in n packed rows."""
-    i = np.arange(n)
-    return i, i >> 3, (1 << (i & 7)).astype(np.uint8)
 
 
 def _encode(rows, n: int) -> tuple[np.ndarray, np.ndarray]:

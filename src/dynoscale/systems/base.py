@@ -50,10 +50,9 @@ def system_from_step(space: FiniteMetricSpace, step: np.ndarray,
     return DynamicalSystem(space, step, horizon_cap, name=name, meta=meta or {})
 
 
-def identity_system(space: FiniteMetricSpace, horizon_cap: int = 8,
-                    name: str | None = None) -> DynamicalSystem:
+def identity_system(space: FiniteMetricSpace, horizon_cap: int = 8) -> DynamicalSystem:
     return system_from_step(space, np.arange(space.size), horizon_cap,
-                            name=name or f"id({space.name})",
+                            name=f"id({space.name})",
                             meta={"omega_full": True})
 
 

@@ -14,12 +14,12 @@ from ..metric_core.space import FiniteMetricSpace
 from .base import DynamicalSystem, identity_system, system_from_step
 
 
-def unit_lattice(points: int, name: str | None = None) -> FiniteMetricSpace:
+def unit_lattice(points: int) -> FiniteMetricSpace:
     """Evenly spaced points of [0, 1] including both endpoints."""
     if points < 2:
         raise ParameterError("need at least two lattice points")
     coords = [Fraction(i, points - 1) for i in range(points)]
-    return FiniteMetricSpace(coords=coords, name=name or f"unit-lattice({points})")
+    return FiniteMetricSpace(coords=coords, name=f"unit-lattice({points})")
 
 
 def null_sequence_space(k_max: int) -> FiniteMetricSpace:
@@ -46,9 +46,9 @@ def static_system(space: FiniteMetricSpace, horizon_cap: int = 4) -> DynamicalSy
     return identity_system(space, horizon_cap)
 
 
-def random_space(points: int, seed: int, name: str | None = None) -> FiniteMetricSpace:
+def random_space(points: int, seed: int) -> FiniteMetricSpace:
     """Random points of [0, 1] under |x - y| (deterministic per seed)."""
     rng = np.random.default_rng(seed)
     draws = sorted(rng.integers(0, 10**9, size=points).tolist())
     coords = [Fraction(int(v), 10**9) for v in draws]
-    return FiniteMetricSpace(coords=coords, name=name or f"random({points},{seed})")
+    return FiniteMetricSpace(coords=coords, name=f"random({points},{seed})")

@@ -150,8 +150,9 @@ def product_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRe
 def nonwandering_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """separated(X, n, 2e) <= separated(Omega, n, e) where Omega is declared.
 
-    Runs only on systems whose nonwandering set is the whole space (full
-    shifts and the doubling grid), where the restriction is the identity.
+    Runs only on systems whose nonwandering set is declared the whole space
+    (the exp shift, the product shift and the static random net), where the
+    restriction is the identity.
     """
     report = VerificationReport("nonwandering")
     for system in _shipped_systems(seed):

@@ -263,7 +263,6 @@ def test_criterion_11_determinism(tmp_path):
         "quantities": ["separated", "spanning", "diameter_cover"],
         "grid": {"start": 0.5, "ratio": 0.6, "count": 4},
         "horizons": [1, 2, 3],
-        "seed": 11,
     })
     first = run_sweep(config, tmp_path / "a")
     second = run_sweep(config, tmp_path / "b")

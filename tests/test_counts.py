@@ -1,5 +1,7 @@
 """Counting operations: pinned example values and bracket semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -13,8 +15,8 @@ from dynoscale.metric_core.counts import IRRATIONAL_OFFSET
 from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import (brute_max_separated, brute_min_diameter_cover,
                               brute_min_spanning)
-from dynoscale.systems import (bowen_space, doubling_grid, null_sequence_space,
-                               random_space)
+from dynoscale.systems import (binary_exp_shift, bowen_space, doubling_grid,
+                               null_sequence_space, random_space)
 
 
 def _one_point():
@@ -88,13 +90,10 @@ def test_chain_on_random_space_all_grid_scales():
 def test_greedy_separated_lies_between_spanning_and_separated():
     # a maximal separated set is simultaneously spanning at the same scale
     from dynoscale.metric_core.solvers import greedy_independent_set
-    from dynoscale.metric_core.space import pack_rows, unpack_rows
     sp = random_space(10, seed=8)
     dense = FiniteMetricSpace(matrix=sp.as_matrix(), check=False)
     for eps in (0.1, 0.22, 0.37):
-        conflict = unpack_rows(dense.close_mask(eps, strict=False), dense.size)
-        np.fill_diagonal(conflict, False)
-        greedy = len(greedy_independent_set(pack_rows(conflict)))
+        greedy = len(greedy_independent_set(dense.close_mask(eps, strict=False)))
         r = min_spanning(dense, eps).value
         s = max_separated(dense, eps).value
         assert r <= greedy <= s
@@ -146,6 +145,23 @@ def test_doubling_256_diameter_covers_are_exact():
              for n in range(1, 6) for eps in scales]
     assert len(cells) == 30
     assert all(c.mode == "exact" for c in cells)
+
+
+def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
+    # d_3 of the 2048-point exp shift is one byte a pair, N**2 bytes, built
+    # before tracing; each count holds one packed graph (N**2 / 8 bytes) and
+    # the partition certificate's packed temporaries
+    dn = bowen_space(binary_exp_shift(11, horizon_cap=3), 3)
+    size = dn.size
+    tracemalloc.start()
+    try:
+        for eps in ScaleGrid(0.5, 0.6, 6).scales():
+            for op in (max_separated, min_spanning, min_diameter_cover):
+                assert op(dn, eps, horizon=3).mode == "exact"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * size**2, peak / size**2
 
 
 def _pentagon():

@@ -22,7 +22,6 @@ GOOD = {
     "quantities": ["separated"],
     "grid": {"start": 0.5, "ratio": 0.6, "count": 3},
     "horizons": [1, 2],
-    "seed": 1,
 }
 
 
@@ -299,6 +298,7 @@ SHORT_SHIFT = {"kind": "shift", "depth": 4}  # horizon cap 4
      "config.grid"),
     ("estimate", GOOD, ("grid",), {"start": 1e-323, "ratio": 0.9, "count": 4},
      "config.grid"),
+    ("sweep", GOOD, ("seed",), 1, "config.seed"),
 ])
 def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
                                                    where, tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError
 from dynoscale.metric_core.solvers import (
-    dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
+    _partition, dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
     greedy_independent_set, greedy_partial_cover, line_max_separated,
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
@@ -67,7 +67,9 @@ FIXED_TABLES = {**{f"equivalence-{k}": _equivalence(k) for k in range(5)},
 
 
 # unions of two random graphs: several components, some closing at the root
-# (greedy set meets clique cover) and some needing the search
+# (greedy set meets clique cover) and some needing the search.  Each graph is
+# also given with every point joined to itself, as close_mask builds it, and
+# must give the same set.
 @pytest.mark.parametrize("seed", [*range(30), *(f"union-{k}" for k in range(10)),
                                   *FIXED_TABLES])
 def test_mis_matches_brute(seed):
@@ -84,6 +86,7 @@ def test_mis_matches_brute(seed):
     got = exact_max_independent_set(pack_rows(adj))
     assert len(got) == _brute_mis(adj)
     assert not any(adj[i, j] for i, j in itertools.combinations(got, 2))
+    assert exact_max_independent_set(pack_rows(adj | np.eye(len(adj), dtype=bool))) == got
 
 
 def test_mis_budget_exhaustion_raises():
@@ -221,8 +224,10 @@ def test_clique_cover_matches_brute_where_the_root_does_not_close():
             if _root_closes(near):
                 continue
             searched += 1
-            assert exact_min_clique_cover(pack_rows(near)) == brute_min_diameter_cover(sp, eps), \
-                (seed, eps)
+            want = brute_min_diameter_cover(sp, eps)
+            # the d < eps graph without and with each point in its own row
+            for graph in (near, dist < eps):
+                assert exact_min_clique_cover(pack_rows(graph)) == want, (seed, eps)
     assert searched >= 20
 
 
@@ -234,6 +239,79 @@ def test_clique_cover_matches_set_cover_over_maximal_cliques(seed):
         cliques = pack_rows(np.stack(maximal_cliques(near)))
         want = len(exact_min_set_cover(cliques, columns=near.shape[0]))
         assert exact_min_clique_cover(pack_rows(near)) == want, eps
+
+
+def _is_equivalence(table):
+    """Reflexive, symmetric and transitive: R . R == R for a reflexive R."""
+    square = table.astype(int)
+    return (table.diagonal().all() and np.array_equal(table, table.T)
+            and np.array_equal(square @ square > 0, table))
+
+
+def _check_partition(table):
+    """``_partition`` names the class minima of every equivalence relation,
+    and whatever it certifies is a minimum cover, ascending; on a symmetric
+    table it certifies only an equivalence relation."""
+    got = _partition(pack_rows(table))
+    equivalence = _is_equivalence(table)
+    if equivalence:
+        assert got == sorted({int(np.flatnonzero(row)[0]) for row in table})
+    if got is None:
+        return False
+    assert got == sorted(got)
+    assert table[got].any(axis=0).all()
+    assert len(got) == _brute_cover(table)
+    if np.array_equal(table, table.T):
+        assert equivalence
+    return True
+
+
+def test_partition_certifies_only_minimum_covers_on_every_small_table():
+    certified = 0
+    for n in range(1, 4):
+        for bits in itertools.product([False, True], repeat=n * n):
+            certified += _check_partition(np.array(bits).reshape(n, n))
+    # the 1 + 2 + 5 equivalence relations, and rows that are classes but
+    # leave their own point to another class
+    assert certified > 8
+
+
+def _near_partition(seed):
+    """A 4-8 point table: an equivalence relation, the classes with each
+    class's lowest point holding its own class and every other point any
+    class, or random bits; then up to two entries flipped (half of the time
+    with their mirror)."""
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(4, 9))
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+    kind = seed % 3
+    if kind == 0:
+        table = labels[:, None] == labels[None, :]
+    elif kind == 1:
+        held = labels[rng.integers(0, n, n)]
+        lowest = np.unique(labels, return_index=True)[1]
+        held[lowest] = labels[lowest]
+        table = held[:, None] == labels[None, :]
+    else:
+        table = rng.random((n, n)) < rng.uniform(0.2, 0.8)
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, n, 2)
+        table[i, j] = not table[i, j]
+        if rng.random() < 0.5:
+            table[j, i] = table[i, j]
+    return table
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_partition_certifies_only_minimum_covers_on_seeded_tables(seed):
+    _check_partition(_near_partition(seed))
+
+
+def test_partition_rejects_overlapping_class_rows_that_miss_a_point():
+    # rows 0 and 1 start at their own point and hold 4 points between them,
+    # yet both hold point 1 and neither holds point 3
+    table = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=bool)
+    assert _partition(pack_rows(table)) is None
 
 
 def test_line_sweeps_match_generic_on_random_sets():

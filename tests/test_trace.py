@@ -13,7 +13,6 @@ GOOD = {
     "quantities": ["separated"],
     "grid": {"start": 0.5, "ratio": 0.6, "count": 3},
     "horizons": [1, 2],
-    "seed": 1,
 }
 LATTICE_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product",
                  "alphabet": {"type": "unit_lattice", "points": 3}}
