@@ -108,11 +108,10 @@ def support_cross_min(space: FiniteMetricSpace,
     leaves its distances unchanged, so the table is the minimum of one
     gather per pair of atom positions.
     """
-    m = space.as_matrix()
     width = max(mu.support_size for mu in measures)
     atoms = np.array([mu.atoms + mu.atoms[-1:] * (width - mu.support_size)
                       for mu in measures])
-    return reduce(np.minimum, (m[np.ix_(atoms[:, s], atoms[:, t])]
+    return reduce(np.minimum, (space.distances(atoms[:, s], atoms[:, t])
                                for s in range(width) for t in range(width)))
 
 

@@ -115,7 +115,6 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
     cells = []
     for n in horizons:
         base = bowen_space(system, n)
-        base_m = base.as_matrix()
         lattice = lattice_transport_space(system, measures, n)
         cross = support_cross_min(base, measures)
         for eps in grid:
@@ -126,7 +125,7 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
                                        horizon=n)
             witness = sep.witness or ()
             dirac_family_apart = all(
-                base_m[i, j] > float(eps)
+                base.dist(i, j) > float(eps)
                 for a, i in enumerate(witness) for j in witness[a + 1:])
             apart_floor = max(apart.lower,
                               len(witness) if dirac_family_apart else 0)

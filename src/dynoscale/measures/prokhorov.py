@@ -29,7 +29,7 @@ def levy_prokhorov(space: FiniteMetricSpace, mu: AtomicMeasure,
         raise ParameterError(
             f"combined support {len(pts)} exceeds the exact limit "
             f"{EXACT_SUPPORT_LIMIT}; use w1_upper_report instead")
-    dm = space.as_matrix()[np.ix_(pts, pts)]
+    dm = space.distances(pts, pts)
     mu_w = np.array([float(mu.weight_of(p)) for p in pts])
     nu_w = np.array([float(nu.weight_of(p)) for p in pts])
     crit = np.unique(np.concatenate([dm.reshape(-1), [0.0, 1.0]]))
@@ -69,7 +69,7 @@ def lp_condition_holds(space: FiniteMetricSpace, mu: AtomicMeasure,
     below it.
     """
     pts = sorted(set(mu.atoms) | set(nu.atoms))
-    dm = space.as_matrix()[np.ix_(pts, pts)]
+    dm = space.distances(pts, pts)
     mu_w = [float(mu.weight_of(p)) for p in pts]
     nu_w = [float(nu.weight_of(p)) for p in pts]
     n = len(pts)

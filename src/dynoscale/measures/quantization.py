@@ -96,13 +96,13 @@ def _lp_number(space, mu, eps, sites, budget, horizon) -> CountBracket:
     if target <= 0:
         return CountBracket(LP_KIND, float(eps), horizon, 1, 1, "exact", "vacuous-target",
                             (int(mu.atoms[0]),))
-    balls = space.as_matrix()[np.ix_(sites, list(mu.atoms))] <= float(eps)  # closed balls
+    balls = space.distances(sites, mu.atoms) <= float(eps)  # closed balls
     found = partial_cover_bracket(balls, list(mu.weights), target, budget, horizon)
     return replace(found, witness=tuple(sites[i] for i in found.witness))
 
 
 def _w_number(space, mu, eps, p, sites, budget, horizon) -> CountBracket:
-    dist = space.as_matrix()[np.ix_(sites, list(mu.atoms))] ** p
+    dist = space.distances(sites, mu.atoms) ** p
     w = np.array([float(x) for x in mu.weights])
     bound = float(eps) ** p * (1 + W_SLACK)
     spent = _Budget(budget)

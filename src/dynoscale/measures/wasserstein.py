@@ -42,7 +42,9 @@ def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
         raise ParameterError("order p must be >= 1")
     if p == math.inf:
         raise ParameterError("order p must be finite")
-    cost = _cost_matrix(space, mu.atoms, nu.atoms, p)
+    cost = space.distances(mu.atoms, nu.atoms)
+    if p != 1.0:
+        cost = cost**p
     a = np.array([float(w) for w in mu.weights])
     b = np.array([float(w) for w in nu.weights])
     if len(mu.atoms) == 1:
@@ -53,12 +55,6 @@ def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
         plan = _transport(cost, a, b)
     value = float((cost * plan).sum()) ** (1.0 / p)
     return value, CouplingPlan(mu.atoms, nu.atoms, plan)
-
-
-def _cost_matrix(space: FiniteMetricSpace, rows, cols, p: float) -> np.ndarray:
-    m = space.as_matrix()
-    sub = m[np.ix_(list(rows), list(cols))]
-    return sub if p == 1.0 else sub**p
 
 
 def _transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ A dense space stores ``levels``, the sorted distinct float64 distances, and
 unsigned dtype, so that ``levels[codes]`` is the distance table bit for bit.
 Every threshold graph depends only on which distances fall below a scale,
 so it is one compare of the codes with the scale's level cutoff, packed at
-one bit per pair; float values are read through ``levels[codes]`` only for
-callers that need them.  A float matrix passed in is encoded once, at its
-first threshold, diameter or ``d_n`` gather; a coordinate space is encoded
-from its coordinates by row blocks and keeps no float table.
+one bit per pair; float values are read by ``distances(rows, cols)``, which
+gathers only the block asked for.  A float matrix passed in is encoded at
+construction and not kept; a coordinate space is encoded from its
+coordinates by row blocks at its first threshold or ``d_n`` gather.  No
+space keeps a float table.
 
 Packed rows are the one format of threshold graphs and solver tables: bit
 j of row i is bit ``j & 7`` of byte ``j >> 3`` (``pack_rows``), and the
@@ -43,13 +44,15 @@ class FiniteMetricSpace:
     Parameters
     ----------
     matrix:
-        Dense (n, n) float distance table, kept for value reads and encoded
-        into level codes on first use.  Mutually exclusive with ``coords``.
+        Dense (n, n) float distance table, encoded into level codes at
+        construction and not kept.  Mutually exclusive with ``coords``.
     coords:
         1-d positions; the metric is ``|x_i - x_j|``.  Fractions keep the
         comparison layer exact.
     labels:
         Opaque per-point descriptors; defaults to the indices.
+    check:
+        Check a matrix's metric axioms; ``|x - y|`` is a metric by construction.
     """
 
     def __init__(
@@ -64,7 +67,7 @@ class FiniteMetricSpace:
             raise ParameterError("exactly one of matrix/coords must be given")
         self.name = name
         self.coords = None
-        self._matrix = self._levels = self._codes = None
+        self._levels = self._codes = None
         if coords is not None:
             if len(coords) == 0:
                 raise ParameterError("empty spaces are rejected")
@@ -77,11 +80,12 @@ class FiniteMetricSpace:
                 raise ParameterError("distance matrix must be square")
             if matrix.shape[0] == 0:
                 raise ParameterError("empty spaces are rejected")
-            self._matrix = matrix
             self.size = matrix.shape[0]
         self._set_labels(labels)
-        if check:
-            self._validate()
+        if matrix is not None:
+            if check:
+                self._validate(matrix)
+            self._levels, self._codes = _encode(lambda a, b: matrix[a:b], self.size)
 
     @classmethod
     def from_codes(cls, levels: np.ndarray, codes: np.ndarray,
@@ -92,7 +96,7 @@ class FiniteMetricSpace:
         order of the codes is the order of the distances.
         """
         space = cls.__new__(cls)
-        space.name, space.coords, space._matrix = name, None, None
+        space.name, space.coords = name, None
         space._levels, space._codes = levels, codes
         space.size = codes.shape[0]
         space._set_labels(labels)
@@ -106,10 +110,7 @@ class FiniteMetricSpace:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self) -> None:
-        if self.coords is not None:
-            return  # |x - y| is a metric by construction
-        m = self._matrix
+    def _validate(self, m: np.ndarray) -> None:
         if not np.allclose(np.diag(m), 0.0, atol=0.0):
             raise InvalidMetricError("nonzero self-distance")
         if (m < 0).any():
@@ -140,9 +141,15 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> float:
         if self.coords is not None:
             return abs(float(self._coords_float[i] - self._coords_float[j]))
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
         return float(self._levels[self._codes[i, j]])
+
+    def distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """Float block ``d(rows[a], cols[b])``, bitwise that of ``as_matrix()``."""
+        r, c = np.ix_(rows, cols)
+        if self.coords is not None:
+            x = self._coords_float
+            return np.abs(x[r] - x[c])
+        return self._levels[self._codes[r, c]]
 
     def dist_exact(self, i: int, j: int):
         """Exact distance when available (Fractions), else the float value."""
@@ -164,13 +171,10 @@ class FiniteMetricSpace:
         return self._diameter
 
     def as_matrix(self) -> np.ndarray:
-        """Dense float distance table, materialised on demand and kept."""
-        if self._matrix is None:
-            if self.coords is None:
-                self._matrix = self._levels[self._codes]
-            else:
-                self._matrix = self._coord_rows(0, self.size)
-        return self._matrix
+        """Dense float distance table, built anew on each call and not kept."""
+        if self.coords is None:
+            return self._levels[self._codes]
+        return self._coord_rows(0, self.size)
 
     def _coord_rows(self, a: int, b: int) -> np.ndarray:
         """Rows a..b of a coordinate space's float distance table."""
@@ -182,13 +186,11 @@ class FiniteMetricSpace:
     def level_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """``(levels, codes)``: the sorted distances and the table of their indices.
 
-        A coordinate space without a float table encodes its distances one
-        row block at a time and keeps no float table.
+        A coordinate space encodes its distances one row block at a time,
+        on first use.
         """
         if self._codes is None:
-            m = self._matrix
-            rows = self._coord_rows if m is None else (lambda a, b: m[a:b])
-            self._levels, self._codes = _encode(rows, self.size)
+            self._levels, self._codes = _encode(self._coord_rows, self.size)
         return self._levels, self._codes
 
     def cutoff(self, eps: float, strict: bool) -> int:
@@ -229,7 +231,6 @@ class FiniteMetricSpace:
                 coords=[self.coords[p] for p in perm],
                 labels=[self.labels[p] for p in perm],
                 name=self.name,
-                check=False,
             )
         idx = np.array(perm)
         levels, codes = self.level_codes()

@@ -219,8 +219,7 @@ class KolyadaSnohaMap:
             seeds.extend(blk.left + blk.length * Fraction(2 * i + 1, 2 * cells)
                          for i in range(cells))
         seeds.append(Fraction(1))
-        space = FiniteMetricSpace(coords=seeds,
-                                  name=f"kolyada-{self.family}-net", check=False)
+        space = FiniteMetricSpace(coords=seeds, name=f"kolyada-{self.family}-net")
         # coords were already sorted ascending by construction
         index = {x: i for i, x in enumerate(seeds)}
         # an image off the net would index -1, which the system rejects

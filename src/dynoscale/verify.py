@@ -333,7 +333,7 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
         nu = AtomicMeasure.from_weights(atoms_b, [Fraction(w, sum(wb)) for w in wb])
         dn = bowen_space(system, int(rng.integers(1, 4)))
         value, plan = wasserstein(dn, mu, nu)
-        cost = dn.as_matrix()[np.ix_(mu.atoms, nu.atoms)]
+        cost = dn.distances(mu.atoms, nu.atoms)
         brute = oracle.brute_wasserstein(
             cost, np.array([float(w) for w in mu.weights]),
             np.array([float(w) for w in nu.weights]))

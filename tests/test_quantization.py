@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from dynoscale.measures import quantization
 from dynoscale.metric_core import min_diameter_cover, max_separated, solvers
 from dynoscale.metric_core.space import pack_rows
 from dynoscale.oracle import brute_k_median_cost, brute_partial_cover
-from dynoscale.systems import bowen_space, doubling_grid
+from dynoscale.measures.wasserstein import wasserstein
+from dynoscale.systems import binary_exp_shift, bowen_space, doubling_grid
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,27 @@ def test_dirac_needs_one_site(system):
     for kind in (LP_KIND, W_KIND):
         rep = quantization_number(system.space, mu, 0.2, kind=kind)
         assert rep.upper == 1 and rep.mode == "exact"
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_value_reads_gather_blocks_not_the_float_table(horizon):
+    system = binary_exp_shift(11, horizon_cap=2)
+    size = system.space.size
+    dn = bowen_space(system, horizon)
+    mu = AtomicMeasure.uniform([0, 300, 700, 1500, 2047])
+    nu = AtomicMeasure.uniform([5, 1024, 1999])
+    tracemalloc.start()
+    try:
+        for kind in (LP_KIND, W_KIND):
+            assert quantization_number(dn, mu, 0.3, kind=kind, horizon=horizon).mode == "exact"
+        wasserstein(dn, mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 table of the net would be 8 * size**2 bytes
+    assert peak < size**2, peak / size**2
+    assert not [v for v in vars(dn).values() if isinstance(v, np.ndarray)
+                and v.dtype == np.float64 and v.size == size**2]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan])

@@ -97,6 +97,21 @@ def test_exact_counts_invariant_under_reindexing(seed, perm_seed):
     assert a.value == b.value
 
 
+def _float_tables(space):
+    """The float64 arrays of n x n entries that ``space`` holds."""
+    return [v for v in vars(space).values() if isinstance(v, np.ndarray)
+            and v.dtype == np.float64 and v.size == space.size**2]
+
+
+def _assert_blocks(space, m):
+    """``distances`` gathers blocks of ``m`` bitwise, in any row and column order."""
+    n = m.shape[0]
+    for rows, cols in [([5, 0, 5, n - 1, 2, 2], [n - 1, 3, 0, 3, 7]),
+                       (np.arange(n)[::-1], [1]), (range(n), range(n))]:
+        got = space.distances(rows, cols)
+        assert got.tobytes() == m[np.ix_(rows, cols)].tobytes()
+
+
 def _float_graph(m, eps, strict):
     return (m < eps) if strict else (m <= eps)
 
@@ -126,8 +141,10 @@ def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype, blo
     m = np.triu(values, 1)
     m = m + m.T
     space = FiniteMetricSpace(matrix=m, check=False)
+    assert not _float_tables(space)  # the matrix is encoded, not kept
     levels, codes = space.level_codes()
     assert codes.dtype == dtype and levels[codes].tobytes() == m.tobytes()
+    _assert_blocks(space, m)
     assert points % 8  # the last byte of each packed row has padding bits
     mids = (levels[1:] + levels[:-1]) / 2
     scales = [*levels, *mids, -1.0, levels[-1] + 1, np.inf, -np.inf, np.nan]
@@ -156,11 +173,13 @@ def test_coordinate_codes_equal_the_encoded_float_table(make, monkeypatch):
     monkeypatch.setattr(space_module, "ENCODE_BLOCK", 1 << 10)
     space = make()
     levels, codes = space.level_codes()
-    assert space._matrix is None  # no float table is kept
     m = make().as_matrix()
+    _assert_blocks(space, m)
+    _assert_blocks(FiniteMetricSpace.from_codes(levels, codes), m)
     want_levels = np.unique(m)
     want_codes = np.searchsorted(want_levels, m).astype(code_dtype(len(want_levels)))
     assert levels.tobytes() == want_levels.tobytes()
     assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
-    # the float table still materialises on demand, bitwise
+    # the float table still materialises on demand, bitwise, and is not kept
     assert space.as_matrix().tobytes() == m.tobytes()
+    assert not _float_tables(space)

