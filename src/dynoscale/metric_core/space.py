@@ -11,8 +11,9 @@ so it is one compare of the codes with the scale's level cutoff, packed at
 one bit per pair; float values are read by ``distances(rows, cols)``, which
 gathers only the block asked for.  A float matrix passed in is encoded at
 construction and not kept; a coordinate space is encoded from its
-coordinates by row blocks at its first threshold or ``d_n`` gather.  No
-space keeps a float table.
+coordinates by row blocks at its first threshold or ``d_n`` gather.  Products
+(under the max or the sum of the factors' distances) combine the factors'
+codes (``product_codes``).  No space keeps a float table.
 
 Packed rows are the one format of threshold graphs and solver tables: bit
 j of row i is bit ``j & 7`` of byte ``j >> 3`` (``pack_rows``), and the
@@ -266,6 +267,19 @@ def pack_rows(table: np.ndarray) -> np.ndarray:
 def unpack_rows(packed: np.ndarray, columns: int) -> np.ndarray:
     """The boolean table of ``columns`` columns whose packed rows are given."""
     return np.unpackbits(packed, axis=1, count=columns, bitorder="little").view(bool)
+
+
+def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, codes)`` of the pairs of points of two spaces, from theirs: pair (i, j)
+    is point ``i * nb + j``, at ``op(d_a(i, k), d_b(j, l))`` from (k, l).  The levels
+    are ``op`` of the levels that the factors' codes use, so every one is taken.
+    """
+    (la, ca), (lb, cb) = a, b
+    used = [lv[np.bincount(c.ravel(), minlength=len(lv)) > 0] for lv, c in (a, b)]
+    levels = np.unique(op.outer(*used))
+    lut = np.searchsorted(levels, op.outer(la, lb)).astype(code_dtype(len(levels)))
+    n = len(ca) * len(cb)
+    return levels, lut[ca[:, None, :, None], cb[None, :, None, :]].reshape(n, n)
 
 
 def _encode(rows, n: int) -> tuple[np.ndarray, np.ndarray]:

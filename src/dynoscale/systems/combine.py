@@ -5,24 +5,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, product_codes
 from .base import DynamicalSystem
 
+# bounds a product's N x N tables: its level codes and one per d_n, one or two
+# bytes a pair, and the 200 MB float table of a caller that reads it whole
 PRODUCT_CAP = 5_000
 
 
 def product_system(a: DynamicalSystem, b: DynamicalSystem) -> DynamicalSystem:
-    """Product dynamics under the coordinate-max metric."""
+    """Product dynamics under the coordinate-max metric, its level codes
+    combined from the factors' codes (``product_codes``)."""
     na, nb = a.space.size, b.space.size
     if na * nb > PRODUCT_CAP:
-        raise ParameterError(f"product of {na}x{nb} points exceeds cap")
-    da, db = a.space.as_matrix(), b.space.as_matrix()
-    dist = np.maximum(np.kron(da, np.ones((nb, nb))),
-                      np.kron(np.ones((na, na)), db))
+        raise ParameterError(f"product of {na}x{nb} points exceeds cap {PRODUCT_CAP}")
     labels = [(a.space.label(i), b.space.label(j))
               for i in range(na) for j in range(nb)]
-    space = FiniteMetricSpace(matrix=dist, labels=labels,
-                              name=f"({a.name})x({b.name})", check=False)
+    space = FiniteMetricSpace.from_codes(
+        *product_codes(a.space.level_codes(), b.space.level_codes(), np.maximum),
+        labels=labels, name=f"({a.name})x({b.name})")
     # point i * nb + j is the pair (i, j)
     step = (a.step[:, None] * nb + b.step[None, :]).ravel()
     meta = {"kind": "product",

@@ -24,10 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import ParameterError, ShapeError
-from ..metric_core.space import FiniteMetricSpace, code_dtype
+from ..metric_core.space import FiniteMetricSpace, code_dtype, product_codes
 from .base import DynamicalSystem, system_from_step
 
-# dense float64 distance tables (product metric, value reads) cap memory at ~200 MB
+# bounds a net's N x N tables: its level codes and one per d_n, one or two
+# bytes a pair, and the 200 MB float table of a caller that reads it whole
 MAX_POINTS = 5_000
 
 
@@ -82,7 +83,8 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
                alphabet: FiniteMetricSpace | None = None,
                base: float = math.e, tail: int = 0,
                horizon_cap: int | None = None, name: str | None = None) -> DynamicalSystem:
-    """Full shift on ``symbols`` letters truncated at ``depth`` coordinates."""
+    """Full shift on ``symbols`` letters truncated at ``depth`` coordinates; under
+    ``product`` its codes add the alphabet's one coordinate at a time (``product_codes``)."""
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     if metric not in ("exp", "product"):
@@ -111,15 +113,13 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         trunc = base ** (-float(depth))
         alph_diam = 1.0
     else:
-        amat = alphabet.as_matrix()
         # word p * symbols + a extends prefix p by letter a, so each coordinate
         # adds its term to every pair of prefixes, in the order rho sums them
-        dist = np.zeros((1, 1))
+        prefix = (np.array([0.0]), np.zeros((1, 1), dtype=np.uint8))
+        alevels, acodes = alphabet.level_codes()
         for t in range(depth):
-            size = dist.shape[0] * symbols
-            term = 2.0 ** (-(t + 1)) * amat
-            dist = (dist[:, None, :, None] + term[None, :, None, :]).reshape(size, size)
-        space = FiniteMetricSpace(matrix=dist, labels=label, name=name, check=False)
+            prefix = product_codes(prefix, (2.0 ** -(t + 1) * alevels, acodes), np.add)
+        space = FiniteMetricSpace.from_codes(*prefix, labels=label, name=name)
         alph_diam = alphabet.diameter
         trunc = 2.0 ** (-depth) * alph_diam
 

@@ -309,7 +309,7 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
     for t in range(instances):
         pts = int(rng.integers(4, 9))
         space = random_space(pts, int(rng.integers(1 << 30)))
-        dense = FiniteMetricSpace(matrix=space.as_matrix(), name="dense", check=False)
+        dense = FiniteMetricSpace.from_codes(*space.level_codes(), name="dense")
         eps = float(rng.uniform(0.05, 0.8)) * space.diameter
         sep = max_separated(dense, eps, budget)
         span = min_spanning(dense, eps, budget)

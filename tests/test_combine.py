@@ -1,10 +1,13 @@
 """Products and powers of systems."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.metric_core import max_separated, min_spanning
-from dynoscale.systems import (bowen_space, doubling_grid, power_system,
+from dynoscale.metric_core import FiniteMetricSpace, max_separated, min_spanning
+from dynoscale.systems import (bowen_space, doubling_grid, full_shift, power_system,
                                product_system, random_space, static_system)
 
 
@@ -18,7 +21,57 @@ def test_product_metric_is_coordinate_max():
                 for l in range(b.space.size):
                     expect = max(a.space.dist(i, k), b.space.dist(j, l))
                     got = z.space.dist(i * b.space.size + j, k * b.space.size + l)
-                    assert got == pytest.approx(expect)
+                    assert got == expect
+
+
+def _kron_max(a, b):
+    # reference: the pair table as the max of two Kronecker float tables
+    na, nb = a.space.size, b.space.size
+    return np.maximum(np.kron(a.space.as_matrix(), np.ones((nb, nb))),
+                      np.kron(np.ones((na, na)), b.space.as_matrix()))
+
+
+@pytest.mark.parametrize("factors, dtype", [
+    (lambda: (doubling_grid(6), static_system(random_space(6, 0))), np.uint8),
+    (lambda: (doubling_grid(16), full_shift(2, 4, metric="product")), np.uint8),
+    # the exp shift lists base**-depth, a level no pair of distinct words takes
+    (lambda: (full_shift(3, 2), full_shift(2, 5, metric="product")), np.uint8),
+    (lambda: (static_system(random_space(20, 1)), static_system(random_space(20, 2))),
+     np.uint16),
+], ids=["grid-random", "grid-product-shift", "unused-level", "uint16"])
+def test_product_codes_equal_the_encoded_kron_max_table_bitwise(factors, dtype):
+    a, b = factors()
+    want = _kron_max(a, b)
+    z = product_system(a, b)
+    assert z.space.as_matrix().tobytes() == want.tobytes()
+    levels, codes = z.space.level_codes()
+    ref_levels, ref_codes = FiniteMetricSpace(matrix=want, check=False).level_codes()
+    assert levels.tobytes() == ref_levels.tobytes()
+    assert codes.dtype == ref_codes.dtype == dtype
+    assert np.array_equal(codes, ref_codes)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        system = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return system.space.size, peak
+
+
+def test_product_of_grids_allocates_about_its_code_table():
+    a, b = doubling_grid(64), doubling_grid(64)
+    size, peak = _traced_peak(lambda: product_system(a, b))
+    # one-byte codes, N**2 bytes; a float table would take 8 * N**2
+    assert peak < 1.5 * size**2, peak / size**2
+
+
+def test_product_metric_shift_allocates_a_few_bytes_a_pair():
+    size, peak = _traced_peak(lambda: full_shift(2, 12, metric="product"))
+    # 4096 levels, so two-byte codes, beside the last step's factor codes
+    assert peak < 3 * size**2, peak / size**2
 
 
 def test_power_one_is_identity_on_counts(doubling64):
