@@ -75,6 +75,13 @@ def _table(item):
     return convert
 
 
+def _cost(value, path):
+    """Field type: a transport cost, a finite number >= 0, as a float."""
+    if number(value, path) < 0:
+        raise ConfigError(path, f"must be a nonnegative cost, got {value!r}")
+    return float(value)
+
+
 def _vector(value, path):
     return np.array(list_of(number)(value, path))
 
@@ -96,7 +103,7 @@ _ORACLES = {
     "diameter_cover": build(
         lambda matrix, eps: oracle.brute_min_diameter_cover(_space(matrix), eps), _MATRIX),
     "coupling": build(lambda **kw: oracle.brute_wasserstein(**kw),
-                      {"cost": _table(number), "a": _vector, "b": _vector,
+                      {"cost": _table(_cost), "a": _vector, "b": _vector,
                        "p": (number, 1.0)}),
     "partial_cover": build(lambda **kw: oracle.brute_partial_cover(**kw),
                            {"masks": _table(boolean), "weights": list_of(number),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterError, RepresentationError
-from ..schema import build, integer, list_of, load_json, rational
+from ..schema import build, integer, list_of, load_json, number, rational
 
 FLOAT_WEIGHT_TOL = Fraction(1, 10**12)
 
@@ -34,18 +34,22 @@ class AtomicMeasure:
 
     @classmethod
     def from_weights(cls, atoms, weights) -> "AtomicMeasure":
-        """Build from floats or rationals; float totals within 1e-12 renormalise."""
+        """Build from floats or rationals.
+
+        Rational weights must sum to exactly 1.  When some weight is a float,
+        a total within 1e-12 of 1 is accepted and renormalised.
+        """
         if len(atoms) != len(weights):
             raise ParameterError(f"{len(atoms)} atoms but {len(weights)} weights")
         fr = [Fraction(w) if not isinstance(w, float) else Fraction(w).limit_denominator(10**15)
               for w in weights]
         total = sum(fr)
-        if total <= 0:
-            raise ParameterError("total mass must be positive")
-        if abs(total - 1) > FLOAT_WEIGHT_TOL and any(isinstance(w, float) for w in weights):
-            raise ParameterError(f"float weights sum to {float(total)}, not 1")
-        if total != 1:
+        if any(isinstance(w, float) for w in weights):
+            if abs(total - 1) > FLOAT_WEIGHT_TOL:
+                raise ParameterError(f"float weights sum to {float(total)}, not 1")
             fr = [w / total for w in fr]
+        elif total != 1:
+            raise ParameterError(f"weights sum to {total}, not 1")
         pairs = sorted(zip(atoms, fr))
         return cls(tuple(int(a) for a, _ in pairs), tuple(w for _, w in pairs))
 
@@ -115,9 +119,16 @@ def measure_to_json(mu: AtomicMeasure) -> str:
                        "weights": [str(w) for w in mu.weights]})
 
 
-# Field type of a measure object: exactly 'atoms' and 'weights', rational weights.
+def _weight(value, path: str):
+    """Field type: a JSON float stays a float, so that the float tolerance of
+    ``from_weights`` applies to it; an integer or a string is read as a rational.
+    """
+    return number(value, path) if type(value) is float else rational(value, path)
+
+
+# Field type of a measure object: exactly 'atoms' and 'weights'.
 MEASURE = build(AtomicMeasure.from_weights,
-                {"atoms": list_of(integer(0)), "weights": list_of(rational)})
+                {"atoms": list_of(integer(0)), "weights": list_of(_weight)})
 
 
 def measure_from_json(text: str | Path) -> AtomicMeasure:

@@ -100,19 +100,20 @@ def check_transport_lower_bound(space: FiniteMetricSpace, separated: tuple[int, 
             "holds": value >= float(bound) - 1e-12}
 
 
+def padded_atoms(measures: list[AtomicMeasure]) -> np.ndarray:
+    """(k, width) atoms of k measures, each padded with its last atom to the widest."""
+    width = max(mu.support_size for mu in measures)
+    return np.array([mu.atoms + mu.atoms[-1:] * (width - mu.support_size)
+                     for mu in measures])
+
+
 def support_cross_min(space: FiniteMetricSpace,
                       measures: list[AtomicMeasure]) -> np.ndarray:
-    """Pairwise minimum distance between supports.
-
-    Each support is padded with its last atom to the widest one, which
-    leaves its distances unchanged, so the table is the minimum of one
-    gather per pair of atom positions.
+    """Pairwise minimum distance between supports: padding a support with its
+    last atom keeps its distances, so this is one gather per pair of atom positions.
     """
-    width = max(mu.support_size for mu in measures)
-    atoms = np.array([mu.atoms + mu.atoms[-1:] * (width - mu.support_size)
-                      for mu in measures])
-    return reduce(np.minimum, (space.distances(atoms[:, s], atoms[:, t])
-                               for s in range(width) for t in range(width)))
+    atoms = padded_atoms(measures).T
+    return reduce(np.minimum, (space.distances(x, y) for x in atoms for y in atoms))
 
 
 def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],

@@ -17,13 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import ParameterError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, block_rows
 from ..metric_core.counts import max_separated, min_diameter_cover, CountBracket
 from ..metric_core.solvers import DEFAULT_BUDGET
-from ..systems.base import DynamicalSystem, bowen_space
+from ..systems.base import DynamicalSystem, bowen_spaces
 from .atomic import AtomicMeasure, pushforward
 from .wasserstein import w1_pairs_two_atom
-from .constructions import apart_count
+from .constructions import apart_count, padded_atoms, support_cross_min
 
 LATTICE_CAP = 2_000
 
@@ -46,27 +46,31 @@ def measure_lattice(size: int, max_atoms: int = 2, q: int = 4) -> list[AtomicMea
     return out
 
 
-def lattice_transport_space(system: DynamicalSystem, measures: list[AtomicMeasure],
-                            horizon: int = 1) -> FiniteMetricSpace:
-    """Finite metric space of exact W_1 distances at the given horizon."""
-    dn = bowen_space(system, horizon).as_matrix()
-    k = len(measures)
-    a0 = np.array([mu.atoms[0] for mu in measures])
-    a1 = np.array([mu.atoms[-1] for mu in measures])  # repeats atom for diracs
+def lattice_transport_space(space: FiniteMetricSpace,
+                            measures: list[AtomicMeasure]) -> FiniteMetricSpace:
+    """Finite metric space of exact W_1 distances, with ground costs read in ``space``.
+
+    The table is filled one row block at a time from four ``distances``
+    gathers of the measures' (first, last) atoms.  Every pair is read in
+    (lower, higher) index order, so the table is exactly symmetric.
+    """
+    atoms = padded_atoms(measures).T
+    if len(atoms) > 2:
+        raise ParameterError("closed-form W_1 takes at most two atoms")
+    ends, k = atoms[[0, -1]], len(measures)
     wa = np.array([float(mu.weights[0]) for mu in measures])
-    ii, jj = np.triu_indices(k, 1)
-    blocks = np.empty((ii.size, 2, 2))
-    blocks[:, 0, 0] = dn[a0[ii], a0[jj]]
-    blocks[:, 0, 1] = dn[a0[ii], a1[jj]]
-    blocks[:, 1, 0] = dn[a1[ii], a0[jj]]
-    blocks[:, 1, 1] = dn[a1[ii], a1[jj]]
-    vals = w1_pairs_two_atom(blocks, wa[ii], wa[jj])
-    dist = np.zeros((k, k))
-    dist[ii, jj] = vals
-    dist += dist.T
-    return FiniteMetricSpace(matrix=dist,
-                             name=f"pmeasure({system.name},n={horizon})",
-                             check=False)
+    dist = np.empty((k, k))
+    step = block_rows(k)
+    for a in range(0, k, step):
+        r = np.arange(a, min(a + step, k))
+        c11, c12, c21, c22 = (space.distances(x[r], y) for x in ends for y in ends)
+        # left of the diagonal the row's measure is the pair's second one
+        low = np.arange(k) < r[:, None]
+        cost = np.stack([c11, np.where(low, c21, c12), np.where(low, c12, c21), c22], -1)
+        dist[a:a + step] = w1_pairs_two_atom(
+            cost.reshape(-1, 2, 2), np.where(low, wa, wa[r, None]).ravel(),
+            np.where(low, wa[r, None], wa).ravel()).reshape(-1, k)
+    return FiniteMetricSpace(matrix=dist, name=f"pmeasure({space.name})", check=False)
 
 
 def induced_step(measures: list[AtomicMeasure], step: np.ndarray) -> np.ndarray:
@@ -109,13 +113,10 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
     log log (C / eps) with C twice the base diameter; the constant is not
     pinned down, so the comparison is reported and never asserted.
     """
-    from .constructions import support_cross_min
-
     measures = measure_lattice(system.space.size, max_atoms, q)
     cells = []
-    for n in horizons:
-        base = bowen_space(system, n)
-        lattice = lattice_transport_space(system, measures, n)
+    for n, base in zip(horizons, bowen_spaces(system, horizons)):
+        lattice = lattice_transport_space(base, measures)
         cross = support_cross_min(base, measures)
         for eps in grid:
             sep = max_separated(base, eps, budget, horizon=n)

@@ -2,7 +2,8 @@
 
 Layout: magic bytes ``DYNO``, format version u16, point count u64, then the
 row-major lower triangle (diagonal excluded) as IEEE-754 little-endian
-float64.  Readers reject a mismatched magic or version.
+float64.  Readers reject a mismatched magic or version, and a table that
+fails the metric checks of ``FiniteMetricSpace``.
 """
 
 from __future__ import annotations
@@ -51,4 +52,5 @@ def read_cache(path: str | Path) -> FiniteMetricSpace:
         m[i, :i] = tri[pos:pos + i]
         pos += i
     m = m + m.T
-    return FiniteMetricSpace(matrix=m, name=str(Path(path).stem), check=False)
+    # the file is outside input, so its table is checked like any other
+    return FiniteMetricSpace(matrix=m, name=str(Path(path).stem))

@@ -168,5 +168,8 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
                 & (np.abs(grid.sum(axis=1) - b).max(axis=1) <= 1e-9))
     if not feasible.any():
         raise ParameterError("no coupling: marginals need equal mass, no negatives")
-    cp = cost if p == 1.0 else cost**p
+    with np.errstate(over="ignore"):
+        cp = cost if p == 1.0 else cost**p
+    if not np.isfinite(cp).all():
+        raise ParameterError(f"cost**p overflows a float at p = {p}")
     return float((cp.ravel() * plans[feasible]).sum(axis=1).min()) ** (1.0 / p)

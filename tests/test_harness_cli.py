@@ -299,6 +299,11 @@ SHORT_SHIFT = {"kind": "shift", "depth": 4}  # horizon cap 4
     ("estimate", GOOD, ("grid",), {"start": 1e-323, "ratio": 0.9, "count": 4},
      "config.grid"),
     ("sweep", GOOD, ("seed",), 1, "config.seed"),
+    # weights that miss 1 are refused, not renormalised
+    ("quantize", QUANTIZE, ("measure",), {"atoms": [0, 1], "weights": [0.2, 0.3]},
+     "quantize.measure: float weights sum to 0.5, not 1"),
+    ("quantize", QUANTIZE, ("measure",), {"atoms": [0, 1], "weights": ["1/3", "1/3"]},
+     "quantize.measure: weights sum to 2/3, not 1"),
 ])
 def test_cli_malformed_value_exits_2_with_key_path(command, config, key_path, value,
                                                    where, tmp_path, capsys):
@@ -412,6 +417,19 @@ def test_cli_oracle_rejects_a_matrix_that_is_not_a_metric(matrix, tmp_path, caps
     inst.write_text(json.dumps({"kind": "separated", "eps": 0.5, "matrix": matrix}))
     code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("cost, p, where", [
+    ([[0, -1], [1, 0]], 1.5, "instance.cost[0][1]"),
+    ([[0, 1e200], [1e200, 0]], 2, "instance: cost**p overflows"),
+])
+def test_cli_coupling_oracle_rejects_a_cost_it_cannot_price(cost, p, where, tmp_path,
+                                                            capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "coupling", "cost": cost, "a": [0.5, 0.5],
+                                "b": [0.5, 0.5], "p": p}))
+    code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
+    assert code == 2 and where in err
 
 
 def test_sweep_writes_its_csvs_and_trace_only(tmp_path):

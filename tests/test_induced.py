@@ -1,15 +1,19 @@
 """Measure lattices and the induced dynamics."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.measures import (induced_step, induced_sweep,
+from dynoscale.measures import (AtomicMeasure, induced_step, induced_sweep,
                                 lattice_transport_space, measure_lattice,
                                 pushforward, wasserstein)
-from dynoscale.systems import binary_exp_shift, bowen_space, identity_system, random_space
+from dynoscale.measures.wasserstein import w1_pairs_two_atom
+from dynoscale.metric_core import FiniteMetricSpace
+from dynoscale.systems import (binary_exp_shift, bowen_space, doubling_grid,
+                               identity_system, random_space)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +59,8 @@ def test_identity_induces_identity():
 def test_lattice_distances_match_direct_transport(shift4):
     mus = measure_lattice(shift4.space.size)
     for n in (1, 3):
-        lat = lattice_transport_space(shift4, mus, n)
         dn = bowen_space(shift4, n)
+        lat = lattice_transport_space(dn, mus)
         rng = np.random.default_rng(0)
         for _ in range(25):
             i, j = rng.integers(0, len(mus), 2)
@@ -70,3 +74,56 @@ def test_induced_sweep_embedding_and_diagnostics(shift4):
     for c in cells:
         assert c.covering_diagnostic["asserted"] is False
         assert c.apart.lower >= c.base_separated.value or c.embedding_holds
+
+
+def _all_pairs_lattice(dn: FiniteMetricSpace, measures) -> FiniteMetricSpace:
+    """The lattice as first built: one (pairs, 2, 2) cost array over the upper
+    triangle of the float table, mirrored, then encoded."""
+    m = dn.as_matrix()
+    k = len(measures)
+    a0 = np.array([mu.atoms[0] for mu in measures])
+    a1 = np.array([mu.atoms[-1] for mu in measures])
+    wa = np.array([float(mu.weights[0]) for mu in measures])
+    ii, jj = np.triu_indices(k, 1)
+    blocks = np.empty((ii.size, 2, 2))
+    blocks[:, 0, 0] = m[a0[ii], a0[jj]]
+    blocks[:, 0, 1] = m[a0[ii], a1[jj]]
+    blocks[:, 1, 0] = m[a1[ii], a0[jj]]
+    blocks[:, 1, 1] = m[a1[ii], a1[jj]]
+    dist = np.zeros((k, k))
+    dist[ii, jj] = w1_pairs_two_atom(blocks, wa[ii], wa[jj])
+    dist += dist.T
+    return FiniteMetricSpace(matrix=dist, check=False)
+
+
+@pytest.mark.parametrize("system, n", [
+    *((doubling_grid(24), n) for n in (1, 2, 3)),
+    *((binary_exp_shift(depth=4, horizon_cap=4), n) for n in (1, 2, 3, 4))])
+def test_row_block_lattice_codes_are_bitwise_the_all_pairs_ones(system, n):
+    dn = bowen_space(system, n)
+    mus = measure_lattice(dn.size, 2, 4)
+    levels, codes = lattice_transport_space(dn, mus).level_codes()
+    want_levels, want_codes = _all_pairs_lattice(dn, mus).level_codes()
+    assert levels.tobytes() == want_levels.tobytes()
+    assert codes.dtype == want_codes.dtype
+    assert np.array_equal(codes, want_codes)
+
+
+def test_lattice_of_1520_measures_peaks_below_50_mib():
+    # the all-pairs construction peaked at 114.5 MiB here
+    system = doubling_grid(32)
+    mus = measure_lattice(32, 2, 4)
+    assert len(mus) == 1520
+    tracemalloc.start()
+    try:
+        lattice_transport_space(bowen_space(system, 2), mus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
+def test_lattice_rejects_measures_with_three_atoms():
+    mus = [AtomicMeasure.dirac(0), AtomicMeasure.uniform([0, 1, 2])]
+    with pytest.raises(ParameterError):
+        lattice_transport_space(random_space(4, 2), mus)

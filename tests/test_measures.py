@@ -32,6 +32,22 @@ def test_float_weights_renormalise_within_tolerance():
         AtomicMeasure.from_weights([0, 1], [0.2, 0.3])
 
 
+def test_rational_weights_must_sum_to_exactly_one():
+    with pytest.raises(ParameterError):
+        AtomicMeasure.from_weights([0, 1], [Fraction(1, 3), Fraction(1, 3)])
+    with pytest.raises(ParameterError):
+        measure_from_json('{"atoms": [0, 1], "weights": ["1/3", "1/3"]}')
+
+
+def test_json_float_weights_keep_the_float_tolerance():
+    mu = measure_from_json('{"atoms": [0, 1, 2], "weights": [0.2, 0.3, 0.5]}')
+    assert mu.weights == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
+    mu = measure_from_json('{"atoms": [0, 1], "weights": [0.25, 0.75000000000001]}')
+    assert sum(mu.weights) == 1
+    with pytest.raises(ParameterError):
+        measure_from_json('{"atoms": [0, 1], "weights": [0.2, 0.3]}')
+
+
 def test_uniform_and_dirac():
     assert AtomicMeasure.dirac(3).support_size == 1
     mu = AtomicMeasure.uniform([4, 2, 2])

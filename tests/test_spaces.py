@@ -83,6 +83,27 @@ def test_cache_rejects_bad_version(tmp_path):
         read_cache(path)
 
 
+def _seed0_triangle_break(n: int) -> np.ndarray:
+    """All distances 1 but d(i, j) = 3 on the first triple (i, j, k) that the
+    seed-0 triangle spot check draws, so d(i, j) > d(i, k) + d(k, j)."""
+    i, j, k = np.random.default_rng(0).integers(0, n, size=3)
+    assert len({i, j, k}) == 3
+    m = 1.0 - np.eye(n)
+    m[i, j] = m[j, i] = 3.0
+    return m
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0.0, -1, 2], [-1, 0, 5], [2, 5, 0]]),  # lower triangle [-1, 2, 5]
+    _seed0_triangle_break(20),
+], ids=["negative", "spot-checked-triangle"])
+def test_cache_rejects_a_table_that_is_not_a_metric(table, tmp_path):
+    path = tmp_path / "space.dyno"
+    write_cache(path, FiniteMetricSpace(matrix=table, check=False))
+    with pytest.raises(InvalidMetricError):
+        read_cache(path)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6), perm_seed=st.integers(0, 10**6))
 def test_exact_counts_invariant_under_reindexing(seed, perm_seed):
