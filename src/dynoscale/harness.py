@@ -239,15 +239,15 @@ def _net_estimates(system: DynamicalSystem, config: ExperimentConfig, known: Cel
     # the box dimension is a horizon-1 quantity
     balls = _count(system, [BALL_COVER], config, [n for n in config.horizons if n == 1],
                    known)
-    if balls[BALL_COVER].rows:
-        box = box_dimension_estimate(balls[BALL_COVER].at_horizon(1))
-        rows.append(_row("box-dimension", system.name, 0.0, box))
     seps = _count(system, [SEPARATED], config, config.horizons, known)[SEPARATED]
-    try:
-        mo = metric_order_estimate(seps.at_horizon(1))
-        rows.append(_row("metric-order", system.name, 0.0, mo))
-    except ParameterError:
-        pass  # all-unit counts or no horizon-1 rows: nothing to regress
+    # a row with too few exact or usable scales is left out, not an error
+    for quantity, estimate, counts in (
+            ("box-dimension", box_dimension_estimate, balls[BALL_COVER]),
+            ("metric-order", metric_order_estimate, seps)):
+        try:
+            rows.append(_row(quantity, system.name, 0.0, estimate(counts.at_horizon(1))))
+        except ParameterError:
+            pass
     h_rows = []
     for eps in config.grid.scales():
         per_n = seps.at_scale(eps)

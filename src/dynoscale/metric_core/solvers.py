@@ -21,7 +21,7 @@ from operator import or_
 
 import numpy as np
 
-from ..errors import BudgetExceededError, DynoscaleError
+from ..errors import BudgetExceededError
 from .space import block_rows, unpack_rows
 
 DEFAULT_BUDGET = 10_000_000
@@ -424,9 +424,8 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET,
     the first row of each by the partition certificate.  A table whose rows
     are all arcs of a circle (the ball family of sorted points on a line or
     a circle) answers by the circle cover, its rows ascending.  Neither
-    spends budget.  The rest goes through an exact integer program (HiGHS
-    branch and cut) with the node budget mapped onto the solver's node
-    limit.  Dominated rows are left to the solver's presolve.
+    spends budget.  The rest goes to ``_cover_search`` on the distinct
+    nonempty rows, one budget node per search node.
     """
     n = masks.shape[0] if columns is None else columns
     if masks.shape[0] == n:
@@ -439,34 +438,66 @@ def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET,
     rows = _ints(masks)
     kept = [i for i in _first_rows(rows) if rows[i]]
     work = [rows[i] for i in kept]
-    universe = _full(n)
-    if reduce(or_, work, 0) != universe:
+    if reduce(or_, work, 0) != _full(n):
         raise ValueError("universe not coverable by the given sets")
-    chosen = _milp_min_cover(masks[kept], n, len(_greedy_cover(work, universe)), budget)
-    if chosen is None:
-        raise BudgetExceededError("set-cover node limit reached")
-    return [kept[i] for i in chosen]
+    # column j's holders: the rows that hold it, one int over the kept rows
+    holders = _ints(np.packbits(unpack_rows(masks[kept], n).T, axis=1, bitorder="little"))
+    return [kept[i] for i in _cover_search(work, holders, _Budget(budget))]
 
 
-def _milp_min_cover(work: np.ndarray, columns: int, greedy_size: int, budget: int):
-    from scipy.optimize import milp, LinearConstraint, Bounds
-    from scipy.sparse import csr_matrix
+def _cover_search(work: list[int], holders: list[int], b: _Budget) -> list[int]:
+    """Minimum cover, rows ascending, of the columns ``work`` holds, column
+    j held by the rows ``holders[j]``.  Each component (columns joined by a
+    common row) has its greedy cover as incumbent and a greedy column
+    packing as bound (fewest holders first, each striking every column its
+    holders cover); when they meet, no budget is spent.  Else, for k from
+    the bound up, a depth-first search for a cover of at most k rows
+    branches on the column with the fewest holders left, tries them by new
+    coverage, bars each tried row from its later siblings and prunes at
+    depth + bound > k."""
+    def fewest(cols: int, allowed: int) -> list[int]:
+        return sorted(_members(cols), key=lambda c: (holders[c] & allowed).bit_count())
 
-    k = work.shape[0]
-    # dtype= converts only the nonzeros, never a dense float copy of the table
-    cons = LinearConstraint(csr_matrix(unpack_rows(work, columns).T, dtype=float),
-                            lb=np.ones(columns), ub=np.inf)
-    res = milp(c=np.ones(k), constraints=cons,
-               integrality=np.ones(k), bounds=Bounds(0, 1),
-               options={"node_limit": max(budget // 100, 1), "presolve": True})
-    if res.status != 0 or res.x is None:
+    def bound(cols: int, allowed: int) -> int:
+        count = 0
+        for c in fewest(cols, allowed):
+            if cols >> c & 1:
+                count += 1
+                cols &= ~reduce(or_, (work[r] for r in _members(holders[c] & allowed)), 0)
+        return count
+
+    def search(cols: int, allowed: int, k: int, picked: list[int]) -> list[int] | None:
+        b.spend()
+        if not cols:
+            return picked
+        if len(picked) + bound(cols, allowed) > k:
+            return None
+        tries = _members(holders[fewest(cols, allowed)[0]] & allowed)
+        for r in sorted(tries, key=lambda r: -(work[r] & cols).bit_count()):
+            found = search(cols & ~work[r], allowed, k, picked + [r])
+            if found is not None:
+                return found
+            allowed &= ~(1 << r)
         return None
-    picked = [i for i in range(k) if res.x[i] > 0.5]
-    # HiGHS certifies optimality; the greedy can only confirm, never beat it
-    if len(picked) > greedy_size:
-        raise DynoscaleError(
-            f"MILP optimum {len(picked)} exceeds the greedy cover {greedy_size}")
-    return picked
+
+    out, left = [], reduce(or_, work, 0)
+    while left:
+        cols = frontier = left & -left
+        allowed = 0  # the component's rows
+        while frontier:
+            new = reduce(or_, (holders[c] for c in _members(frontier))) & ~allowed
+            allowed |= new
+            frontier = reduce(or_, (work[r] for r in _members(new)), 0) & ~cols
+            cols |= frontier
+        left &= ~cols
+        rows = list(_members(allowed))
+        best = [rows[i] for i in _greedy_cover([work[r] for r in rows], cols)]
+        for k in range(bound(cols, allowed), len(best)):
+            if found := search(cols, allowed, k, []):
+                best = found  # no cover of k - 1 rows was found, so a minimum
+                break
+        out.extend(best)
+    return sorted(out)
 
 
 def _mass(weights, bits: int, zero):

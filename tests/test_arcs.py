@@ -63,11 +63,11 @@ def _set_cover(masks):
     return solvers.exact_min_set_cover(pack_rows(masks), columns=masks.shape[1])
 
 
-def _spy_milp(monkeypatch):
+def _spy_search(monkeypatch):
     calls = []
-    milp = solvers._milp_min_cover
-    monkeypatch.setattr(solvers, "_milp_min_cover",
-                        lambda *args: calls.append(args) or milp(*args))
+    search = solvers._cover_search
+    monkeypatch.setattr(solvers, "_cover_search",
+                        lambda *args: calls.append(args) or search(*args))
     return calls
 
 
@@ -103,7 +103,7 @@ def test_wrapping_arcs_are_counted_once():
 def test_a_table_with_a_split_row_falls_through(monkeypatch):
     masks = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 0]], dtype=bool)
     assert _arc_cover(masks) is None
-    calls = _spy_milp(monkeypatch)
+    calls = _spy_search(monkeypatch)
     assert len(_set_cover(masks)) == 2
     assert len(calls) == 1
 
@@ -151,7 +151,7 @@ def test_doubling_spanning_brackets_match_the_stage_off_run(points, monkeypatch)
 
 
 def test_oracle_equivalence_makes_no_milp_call(monkeypatch):
-    calls = _spy_milp(monkeypatch)
+    calls = _spy_search(monkeypatch)
     assert verify.oracle_equivalence_suite(0).passed
     assert calls == []
 
@@ -164,7 +164,7 @@ def test_only_the_non_arc_sweep_cover_cells_reach_the_milp(tmp_path, monkeypatch
         "quantities": ["separated", "spanning", "diameter_cover"],
         "grid": {"start": start, "ratio": 0.6, "count": 6},
         "horizons": [1, 2, 3, 4, 5]})
-    calls = _spy_milp(monkeypatch)
+    calls = _spy_search(monkeypatch)
     cells, reached = [], []
     spanning = harness.QUANTITY_OPS["spanning"]
 

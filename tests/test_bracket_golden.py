@@ -10,6 +10,8 @@ Each entry is (method, lower, upper, witness) for the separated, spanning
 and diameter-cover brackets, in that order.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ GOLDEN = {
     ],
     (1, 12, 0.5, 1): [
         ("greedy", 3, 4, (0, 2, 3)),
-        ("cover-bnb", 2, 2, (4, 6)),
+        ("greedy", 1, 3, (2, 0, 3)),
         ("greedy", 3, 4, None),
     ],
     (1, 12, 0.5, 50): [
@@ -68,17 +70,17 @@ GOLDEN = {
     ],
     (2, 20, 0.25, 1): [
         ("greedy", 9, 10, (0, 1, 2, 3, 4, 5, 8, 12, 17)),
-        ("cover-bnb", 7, 7, (0, 1, 9, 11, 15, 17, 18)),
+        ("cover-bnb", 7, 7, (0, 1, 9, 11, 12, 17, 18)),
         ("greedy", 9, 10, None),
     ],
     (2, 20, 0.25, 50): [
         ("mis-bnb", 9, 9, (0, 1, 2, 3, 4, 5, 8, 12, 17)),
-        ("cover-bnb", 7, 7, (0, 1, 9, 11, 15, 17, 18)),
+        ("cover-bnb", 7, 7, (0, 1, 9, 11, 12, 17, 18)),
         ("clique-cover-bnb", 9, 9, None),
     ],
     (2, 20, 0.25, "default"): [
         ("mis-bnb", 9, 9, (0, 1, 2, 3, 4, 5, 8, 12, 17)),
-        ("cover-bnb", 7, 7, (0, 1, 9, 11, 15, 17, 18)),
+        ("cover-bnb", 7, 7, (0, 1, 9, 11, 12, 17, 18)),
         ("clique-cover-bnb", 9, 9, None),
     ],
     (2, 20, 0.25, "forced"): [
@@ -88,17 +90,17 @@ GOLDEN = {
     ],
     (2, 20, 0.5, 1): [
         ("greedy", 3, 4, (0, 1, 2)),
-        ("cover-bnb", 2, 2, (9, 18)),
+        ("cover-bnb", 2, 2, (5, 18)),
         ("greedy", 3, 4, None),
     ],
     (2, 20, 0.5, 50): [
         ("mis-bnb", 4, 4, (1, 3, 6, 8)),
-        ("cover-bnb", 2, 2, (9, 18)),
+        ("cover-bnb", 2, 2, (5, 18)),
         ("clique-cover-bnb", 4, 4, None),
     ],
     (2, 20, 0.5, "default"): [
         ("mis-bnb", 4, 4, (1, 3, 6, 8)),
-        ("cover-bnb", 2, 2, (9, 18)),
+        ("cover-bnb", 2, 2, (5, 18)),
         ("clique-cover-bnb", 4, 4, None),
     ],
     (2, 20, 0.5, "forced"): [
@@ -108,17 +110,17 @@ GOLDEN = {
     ],
     (3, 30, 0.35, 1): [
         ("greedy", 7, 9, (0, 1, 3, 5, 7, 10, 23)),
-        ("cover-bnb", 4, 4, (11, 14, 21, 29)),
+        ("greedy", 3, 5, (28, 13, 0, 24, 10)),
         ("greedy", 7, 9, None),
     ],
     (3, 30, 0.35, 50): [
         ("mis-bnb", 8, 8, (2, 10, 12, 15, 16, 18, 23, 28)),
-        ("cover-bnb", 4, 4, (11, 14, 21, 29)),
+        ("cover-bnb", 4, 4, (4, 11, 14, 21)),
         ("greedy", 7, 9, None),
     ],
     (3, 30, 0.35, "default"): [
         ("mis-bnb", 8, 8, (2, 10, 12, 15, 16, 18, 23, 28)),
-        ("cover-bnb", 4, 4, (11, 14, 21, 29)),
+        ("cover-bnb", 4, 4, (4, 11, 14, 21)),
         ("clique-cover-bnb", 8, 8, None),
     ],
     (3, 30, 0.35, "forced"): [
@@ -128,7 +130,7 @@ GOLDEN = {
     ],
     (3, 30, 0.5, 1): [
         ("greedy", 3, 5, (0, 1, 10)),
-        ("cover-bnb", 2, 2, (3, 22)),
+        ("greedy", 1, 3, (6, 1, 8)),
         ("greedy", 3, 5, None),
     ],
     (3, 30, 0.5, 50): [
@@ -229,10 +231,13 @@ GOLDEN = {
 }
 
 
-def _planar(seed, n):
+def _planar_distances(seed, n):
     pts = np.random.default_rng(seed).random((n, 2))
-    return FiniteMetricSpace(matrix=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)),
-                             check=False)
+    return np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+
+
+def _planar(seed, n):
+    return FiniteMetricSpace(matrix=_planar_distances(seed, n), check=False)
 
 
 def _out_of_budget(*args, **kwargs):
@@ -257,3 +262,17 @@ def test_bracket_reprs_match_golden(key, monkeypatch):
         got = count(space, eps, budget if isinstance(budget, int) else DEFAULT_BUDGET,
                     horizon)
         assert repr(got) == want, quantity
+
+
+EXACT_SPANNING = [key for key, entries in GOLDEN.items()
+                  if key[0] != "shift" and entries[1][0] != "greedy"]
+
+
+@pytest.mark.parametrize("key", EXACT_SPANNING, ids=lambda key: "-".join(map(str, key)))
+def test_golden_spanning_witnesses_are_minimum_covers(key):
+    seed, n, eps, _ = key
+    _, count, _, witness = GOLDEN[key][1]
+    balls = _planar_distances(seed, n) < eps
+    assert len(witness) == count and balls[list(witness)].any(axis=0).all()
+    assert not any(balls[list(rows)].any(axis=0).all()
+                   for rows in combinations(range(n), count - 1))

@@ -560,3 +560,58 @@ def test_cli_estimate_on_a_ladder_map_writes_entropy_rows_then_mdim(tmp_path):
     rows = list(csv.DictReader(io.StringIO(written[0].decode())))
     assert [r["quantity"] for r in rows] == ["entropy-at-scale"] * 5 + ["mdim", "mdim-mo"]
     assert {r["system"] for r in rows} == {"F1"}
+
+
+def test_estimate_leaves_out_a_box_dimension_it_cannot_fit(tmp_path, capsys):
+    # one scale gives one ball-cover count, too few for a slope
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "system": {"kind": "doubling", "grid": 32}, "quantities": ["separated"],
+        "grid": {"start": 0.5, "ratio": 0.6, "count": 1}, "horizons": [1, 2]}))
+    code, err = _exit_code(["estimate", "--config", str(path), "--out", str(tmp_path / "o")],
+                           capsys)
+    assert code == 0, err
+    rows = list(csv.DictReader((tmp_path / "o" / "estimates.csv").open()))
+    assert rows and "box-dimension" not in {row["quantity"] for row in rows}
+
+
+def test_every_cli_command_leaves_scipy_unloaded(tmp_path):
+    import os
+    import random
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dynoscale
+    env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
+    # the seed-1 sweep-cover benchmark config: four spanning cells reach the search
+    sweep = {"system": {"kind": "doubling", "grid": 128, "horizon_cap": 5},
+             "quantities": ["separated", "spanning", "diameter_cover"],
+             "grid": {"start": 0.4975 + 0.003 * random.Random(1).random(), "ratio": 0.6,
+                      "count": 6},
+             "horizons": [1, 2, 3, 4, 5]}
+    oracles = [{"kind": kind, "eps": 1.5, "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+               for kind in ("separated", "spanning", "diameter_cover")] + [
+        {"kind": "coupling", "cost": [[0, 1], [1, 0]], "a": [0.5, 0.5], "b": [0.25, 0.75]},
+        {"kind": "partial_cover", "masks": [[True, False], [False, True]],
+         "weights": [0.5, 0.5], "target": 0.75}]
+    for name, config in [("sweep", sweep), ("lp", QUANTIZE), ("w", W_QUANTIZE),
+                         *((f"oracle{i}", inst) for i, inst in enumerate(oracles))]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    out = str(tmp_path / "out")
+    argvs = [["sweep", "--config", str(tmp_path / "sweep.json"), "--out", out],
+             ["estimate", "--config", str(tmp_path / "sweep.json"), "--out", out],
+             ["quantize", "--config", str(tmp_path / "lp.json"), "--out", out],
+             ["quantize", "--config", str(tmp_path / "w.json"), "--out", out],
+             ["verify", "--suite", "all"],
+             *(["oracle", "--instance", str(tmp_path / f"oracle{i}.json")]
+               for i in range(len(oracles)))]
+    code = ("import sys\n"
+            "from dynoscale.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

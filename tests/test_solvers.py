@@ -7,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError
+from dynoscale.metric_core import min_spanning, solvers
 from dynoscale.metric_core.solvers import (
     _partition, dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
@@ -14,6 +15,7 @@ from dynoscale.metric_core.solvers import (
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
 from dynoscale.metric_core.space import FiniteMetricSpace, pack_rows
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
+from dynoscale.systems import bowen_space, full_shift, lattice_alphabet
 
 
 def _random_graph(rng, n, p):
@@ -150,6 +152,22 @@ def test_set_cover_uncoverable_raises():
     masks = np.array([[True, False, False]])
     with pytest.raises(ValueError):
         exact_min_set_cover(pack_rows(masks), columns=3)
+
+
+def test_the_budget_bounds_the_set_cover_search(monkeypatch):
+    # the ball family of d_3 on the 81-point lattice shift: its root bound is
+    # 4, its optimum 8, so only the search can close it
+    space = bowen_space(full_shift(2, 4, metric="product", alphabet=lattice_alphabet(3)), 3)
+    spent = []  # the nodes spent before the budget ran out
+    spend = solvers._Budget.spend
+    monkeypatch.setattr(solvers._Budget, "spend",
+                        lambda self, k=1: spend(self, k) or spent.append(k))
+    with pytest.raises(BudgetExceededError):
+        exact_min_set_cover(space.close_mask(0.3387, strict=True), budget=1)
+    assert spent == [1]
+    assert min_spanning(space, 0.3387, 1, 3).method == "greedy"
+    bracket = min_spanning(space, 0.3387, horizon=3)
+    assert (bracket.mode, bracket.lower, bracket.upper) == ("exact", 8, 8)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -16,7 +16,8 @@ GOOD = {
 }
 LATTICE_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product",
                  "alphabet": {"type": "unit_lattice", "points": 3}}
-# at budget 3 the horizon-2 separated count at eps 0.314 stays heuristic [14, 16]
+# at budget 3 the horizon-2 separated count at eps 0.314 stays heuristic [14, 16],
+# and so do two spanning counts at each horizon
 SMALL_BUDGET = {"system": LATTICE_SHIFT, "quantities": ["separated", "spanning"],
                 "grid": {"start": 0.45, "ratio": 0.7, "count": 3},
                 "horizons": [1, 2], "budget": 3}
@@ -92,10 +93,10 @@ def test_heuristic_cells_are_counted_again(tmp_path, monkeypatch, capsys):
     swept = _run("sweep", SMALL_BUDGET, tmp_path / "swept", capsys)
     _, cells = _trace_lines(swept)
     assert [(c["quantity"], c["horizon"]) for c in cells if c["mode"] != "exact"] == [
-        ("separated", 2)]
+        ("separated", 2), ("spanning", 1), ("spanning", 1), ("spanning", 2), ("spanning", 2)]
     asked = _spy_horizons(monkeypatch)
     _estimates(SMALL_BUDGET, swept, capsys)
-    assert asked == [[], [2]]  # ball covers from spanning rows, then d_2 alone
+    assert asked == [[1], [2]]  # ball covers at d_1 again, then separated sets at d_2
 
 
 def test_ball_covers_without_spanning_rows_are_counted(tmp_path, monkeypatch, capsys):
