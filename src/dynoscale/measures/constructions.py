@@ -109,26 +109,24 @@ def padded_atoms(measures: list[AtomicMeasure]) -> np.ndarray:
 
 def support_cross_min(space: FiniteMetricSpace,
                       measures: list[AtomicMeasure]) -> np.ndarray:
-    """Pairwise minimum distance between supports: padding a support with its
-    last atom keeps its distances, so this is one gather per pair of atom positions.
-    """
-    atoms = padded_atoms(measures).T
-    return reduce(np.minimum, (space.distances(x, y) for x in atoms for y in atoms))
+    """Level codes of the pairwise minimum distance between supports: padding a
+    support with its last atom keeps its distances, and codes are monotone in
+    them, so this is one code gather per pair of atom positions."""
+    codes, atoms = space.level_codes()[1], padded_atoms(measures).T
+    return reduce(np.minimum, (codes[np.ix_(x, y)] for x in atoms for y in atoms))
 
 
 def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
-                eps, budget: int = DEFAULT_BUDGET,
-                cross_min: np.ndarray | None = None) -> CountBracket:
+                eps, budget: int = DEFAULT_BUDGET) -> CountBracket:
     """Maximal family of measures with pairwise support distance >= eps.
 
-    Apartness fails when some cross-support pair sits strictly below eps,
-    so the family is a maximum independent set of that violation graph.
-    When the budget runs out, the greedy independent set and the greedy
-    clique cover of that graph bracket it.
+    Apartness fails when the support gap sits strictly below eps (its code
+    below the strict cutoff), so the family is a maximum independent set of
+    that violation graph.  When the budget runs out, the greedy independent
+    set and the greedy clique cover of that graph bracket it.
     """
     if not measures:
         raise ParameterError("need candidate measures")
-    if cross_min is None:
-        cross_min = support_cross_min(space, measures)
-    return graph_bracket("apart", eps, 1, pack_rows(cross_min < float(eps)),
+    gaps = support_cross_min(space, measures)
+    return graph_bracket("apart", eps, 1, pack_rows(gaps < space.cutoff(eps, True)),
                          solvers.exact_max_independent_set, "mis-bnb", budget)

@@ -23,7 +23,7 @@ from ..metric_core.solvers import DEFAULT_BUDGET
 from ..systems.base import DynamicalSystem, bowen_spaces
 from .atomic import AtomicMeasure, pushforward
 from .wasserstein import w1_pairs_two_atom
-from .constructions import apart_count, padded_atoms, support_cross_min
+from .constructions import apart_count, padded_atoms
 
 LATTICE_CAP = 2_000
 
@@ -50,9 +50,10 @@ def lattice_transport_space(space: FiniteMetricSpace,
                             measures: list[AtomicMeasure]) -> FiniteMetricSpace:
     """Finite metric space of exact W_1 distances, with ground costs read in ``space``.
 
-    The table is filled one row block at a time from four ``distances``
-    gathers of the measures' (first, last) atoms.  Every pair is read in
-    (lower, higher) index order, so the table is exactly symmetric.
+    Each row block is priced against the columns from its first row on, from
+    four ``distances`` gathers of the measures' (first, last) atoms; each row
+    keeps its pairs from the diagonal on and mirrors them.  Every pair is thus
+    read in (lower, higher) index order, so the table is exactly symmetric.
     """
     atoms = padded_atoms(measures).T
     if len(atoms) > 2:
@@ -63,13 +64,10 @@ def lattice_transport_space(space: FiniteMetricSpace,
     step = block_rows(k)
     for a in range(0, k, step):
         r = np.arange(a, min(a + step, k))
-        c11, c12, c21, c22 = (space.distances(x[r], y) for x in ends for y in ends)
-        # left of the diagonal the row's measure is the pair's second one
-        low = np.arange(k) < r[:, None]
-        cost = np.stack([c11, np.where(low, c21, c12), np.where(low, c12, c21), c22], -1)
-        dist[a:a + step] = w1_pairs_two_atom(
-            cost.reshape(-1, 2, 2), np.where(low, wa, wa[r, None]).ravel(),
-            np.where(low, wa[r, None], wa).ravel()).reshape(-1, k)
+        w = w1_pairs_two_atom(*(space.distances(x[r], y[a:]) for x in ends for y in ends),
+                              wa[r, None], wa[a:])
+        for p, i in enumerate(r):
+            dist[i, i:] = dist[i:, i] = w[p, p:]
     return FiniteMetricSpace(matrix=dist, name=f"pmeasure({space.name})", check=False)
 
 
@@ -117,11 +115,9 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
     cells = []
     for n, base in zip(horizons, bowen_spaces(system, horizons)):
         lattice = lattice_transport_space(base, measures)
-        cross = support_cross_min(base, measures)
         for eps in grid:
             sep = max_separated(base, eps, budget, horizon=n)
-            apart = apart_count(base, measures, eps,
-                                min(budget, DIAGNOSTIC_BUDGET), cross_min=cross)
+            apart = apart_count(base, measures, eps, min(budget, DIAGNOSTIC_BUDGET))
             cover = min_diameter_cover(lattice, eps, min(budget, DIAGNOSTIC_BUDGET),
                                        horizon=n)
             witness = sep.witness or ()

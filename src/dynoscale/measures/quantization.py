@@ -40,7 +40,7 @@ from .atomic import AtomicMeasure
 
 EXHAUSTIVE_SITES = 20
 EXHAUSTIVE_K = 3
-# a site set is feasible when its cost is at most eps^p (1 + W_SLACK)
+# a site set is feasible when its cost, in units of eps^p, is at most 1 + W_SLACK
 W_SLACK = 1e-12
 # the group DP holds (3^m - 1) / 2 splits of m atoms, about 0.1 GB at 14 atoms,
 # whatever the budget
@@ -102,9 +102,11 @@ def _lp_number(space, mu, eps, sites, budget, horizon) -> CountBracket:
 
 
 def _w_number(space, mu, eps, p, sites, budget, horizon) -> CountBracket:
-    dist = space.distances(sites, mu.atoms) ** p
+    # in units of eps no power of a distance near eps under- or overflows
+    with np.errstate(over="ignore"):
+        dist = (space.distances(sites, mu.atoms) / float(eps)) ** p
     w = np.array([float(x) for x in mu.weights])
-    bound = float(eps) ** p * (1 + W_SLACK)
+    bound = 1 + W_SLACK
     spent = _Budget(budget)
 
     def cost(site_idx) -> float:

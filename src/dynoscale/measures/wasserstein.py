@@ -43,8 +43,10 @@ def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
     if p == math.inf:
         raise ParameterError("order p must be finite")
     cost = space.distances(mu.atoms, nu.atoms)
-    if p != 1.0:
-        cost = cost**p
+    scale = 1.0
+    if p != 1.0:  # powers of costs of at most 1 do not overflow, nor all underflow
+        scale = float(cost.max()) or 1.0
+        cost = (cost / scale) ** p
     a = np.array([float(w) for w in mu.weights])
     b = np.array([float(w) for w in nu.weights])
     if len(mu.atoms) == 1:
@@ -53,7 +55,7 @@ def wasserstein(space: FiniteMetricSpace, mu: AtomicMeasure, nu: AtomicMeasure,
         plan = a[:, None].copy()
     else:
         plan = _transport(cost, a, b)
-    value = float((cost * plan).sum()) ** (1.0 / p)
+    value = float((cost * plan).sum()) ** (1.0 / p) * scale
     return value, CouplingPlan(mu.atoms, nu.atoms, plan)
 
 
@@ -131,18 +133,15 @@ def _transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return plan
 
 
-def w1_pairs_two_atom(cost_blocks: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+def w1_pairs_two_atom(c11, c12, c21, c22, wa, wb) -> np.ndarray:
     """Vectorised W_1 for batches of measures with at most two atoms each.
 
-    cost_blocks: (k, 2, 2) ground costs (pad phantom atoms arbitrarily),
-    wa, wb: (k,) first-atom weights of each side (second atom carries the
-    rest).  With marginals fixed the coupling is pi11 = t on
-    [max(0, wa+wb-1), min(wa, wb)] and the cost is affine in t.
+    cij: ground cost from atom i of the first side to atom j of the second
+    (pad phantom atoms arbitrarily), wa, wb: first-atom weights of each side
+    (second atom carries the rest); all broadcast together.  With marginals
+    fixed the coupling is pi11 = t on [max(0, wa+wb-1), min(wa, wb)] and the
+    cost is affine in t.
     """
-    c11 = cost_blocks[:, 0, 0]
-    c12 = cost_blocks[:, 0, 1]
-    c21 = cost_blocks[:, 1, 0]
-    c22 = cost_blocks[:, 1, 1]
     t_lo = np.maximum(0.0, wa + wb - 1.0)
     t_hi = np.minimum(wa, wb)
 

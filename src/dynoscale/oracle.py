@@ -172,4 +172,6 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         cp = cost if p == 1.0 else cost**p
     if not np.isfinite(cp).all():
         raise ParameterError(f"cost**p overflows a float at p = {p}")
+    if (cp[cost > 0] < np.finfo(float).tiny).any():
+        raise ParameterError(f"cost**p underflows a float at p = {p}")
     return float((cp.ravel() * plans[feasible]).sum(axis=1).min()) ** (1.0 / p)

@@ -20,7 +20,7 @@ from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_ch
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
 from .metric_core.solvers import DEFAULT_BUDGET
 from .metric_core.space import FiniteMetricSpace
-from .systems import (DynamicalSystem, binary_exp_shift, bowen_space,
+from .systems import (DynamicalSystem, binary_exp_shift, bowen_spaces,
                       doubling_grid, full_shift, power_system, product_system,
                       random_space, static_system)
 from .measures.atomic import AtomicMeasure
@@ -68,6 +68,12 @@ def _grid_for(system: DynamicalSystem) -> list[float]:
     return [diam * 0.43 * 0.57**i for i in range(4)]
 
 
+def _spaces(system: DynamicalSystem, horizons) -> dict[int, FiniteMetricSpace]:
+    """d_n by n for the given horizons within the system's cap, from one walk."""
+    ns = sorted({n for n in horizons if n <= system.horizon_cap})
+    return dict(zip(ns, bowen_spaces(system, ns)))
+
+
 def _below_product(whole: int, left: int, right: int) -> bool:
     return whole <= left * right
 
@@ -76,10 +82,7 @@ def chain_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRepo
     """The count chain and the ball/separated bracket on every shipped system."""
     report = VerificationReport("chain")
     for system in _shipped_systems(seed):
-        for n in (1, 2, 3):
-            if n > system.horizon_cap:
-                continue
-            dn = bowen_space(system, n)
+        for n, dn in _spaces(system, (1, 2, 3)).items():
             for eps in _grid_for(system):
                 for res in verify_chain(dn, eps, budget, horizon=n):
                     res.detail["system"] = system.name
@@ -92,11 +95,11 @@ def subadditivity_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verifica
     """cover(n+m) <= cover(n) * cover(m) on shipped systems."""
     report = VerificationReport("subadditivity")
     for system in _shipped_systems(seed):
-        pairs = [(1, 1), (1, 2), (2, 2), (2, 3)]
-        for n, m in pairs:
-            if n + m > system.horizon_cap:
+        spaces = _spaces(system, range(1, 6))
+        for n, m in [(1, 1), (1, 2), (2, 2), (2, 3)]:
+            if n + m not in spaces:
                 continue
-            dn, dm, dnm = (bowen_space(system, k) for k in (n, m, n + m))
+            dn, dm, dnm = (spaces[k] for k in (n, m, n + m))
             for eps in _grid_for(system):
                 a = min_diameter_cover(dn, eps, budget, n)
                 b = min_diameter_cover(dm, eps, budget, m)
@@ -114,12 +117,12 @@ def power_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRepo
     systems = [binary_exp_shift(depth=6, horizon_cap=7),
                doubling_grid(64, horizon_cap=10)]
     for system in systems:
+        spaces = _spaces(system, range(1, 10))
         for ell in (2, 3):
-            powered = power_system(system, ell)
-            for n in (1, 2, 3):
-                if ell * n > system.horizon_cap or n > powered.horizon_cap:
+            for n, powered_n in _spaces(power_system(system, ell), (1, 2, 3)).items():
+                if ell * n not in spaces:
                     continue
-                powered_n, system_ln = bowen_space(powered, n), bowen_space(system, ell * n)
+                system_ln = spaces[ell * n]
                 for eps in _grid_for(system):
                     lhs = max_separated(powered_n, eps, budget, n)
                     rhs = max_separated(system_ln, eps, budget, ell * n)
@@ -135,8 +138,9 @@ def product_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRe
     a = static_system(random_space(6, seed), horizon_cap=4)
     b = doubling_grid(6, horizon_cap=4)
     z = product_system(a, b)
+    spaces = [_spaces(system, (1, 2, 3)) for system in (a, b, z)]
     for n in (1, 2, 3):
-        an, bn, zn = (bowen_space(system, n) for system in (a, b, z))
+        an, bn, zn = (d[n] for d in spaces)
         for eps in _grid_for(z):
             ra = min_spanning(an, eps, budget, n)
             rb = min_spanning(bn, eps, budget, n)
@@ -158,10 +162,7 @@ def nonwandering_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
     for system in _shipped_systems(seed):
         if not system.meta.get("omega_full"):
             continue
-        for n in (1, 2, 3):
-            if n > system.horizon_cap:
-                continue
-            dn = bowen_space(system, n)
+        for n, dn in _spaces(system, (1, 2, 3)).items():
             for eps in _grid_for(system):
                 big = max_separated(dn, 2 * eps, budget, n)
                 small = max_separated(dn, eps, budget, n)
@@ -191,8 +192,7 @@ def shift_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
     ]
     for system, raw_grid in cases:
         alphabet = system.meta["alphabet"]
-        for n in (1, 2, 3):
-            dn = bowen_space(system, n)
+        for n, dn in _spaces(system, (1, 2, 3)).items():
             for eps in raw_grid:
                 sep_alpha = max_separated(alphabet, eps, budget)
                 span_alpha = min_spanning(alphabet, eps, budget)
@@ -226,10 +226,7 @@ def quantization_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Ve
         raw = sorted(rng.integers(1, 10, size=len(support)).tolist())
         measures.append(AtomicMeasure.from_weights(
             support, [Fraction(r, sum(raw)) for r in raw]))
-        for n in (1, 2):
-            if n > system.horizon_cap:
-                continue
-            dn = bowen_space(system, n)
+        for n, dn in _spaces(system, (1, 2)).items():
             for eps in _grid_for(system)[:3]:
                 cover = min_diameter_cover(dn, eps, budget, n)
                 for kind in (LP_KIND, W_KIND):
@@ -248,10 +245,10 @@ def transport_floor_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
     """W_1 against the uniform-separated floor on constructed instances."""
     report = VerificationReport("transport-floor")
     rng = np.random.default_rng(seed)
-    system = binary_exp_shift(depth=6, horizon_cap=4)
+    spaces = _spaces(binary_exp_shift(depth=6, horizon_cap=4), (1, 2, 3))
     for t in range(instances):
         n = int(rng.integers(1, 4))
-        dn = bowen_space(system, n)
+        dn = spaces[n]
         eps = float(rng.choice([0.9, 0.3, 0.12, 0.04]))
         # a heuristic bracket still witnesses an eps-separated set
         atoms = max_separated(dn, eps, budget, horizon=n).witness
@@ -276,10 +273,10 @@ def domination_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
     report = VerificationReport("domination")
     rng = np.random.default_rng(seed)
     system = doubling_grid(32, horizon_cap=4)
-    size = system.space.size
+    size, spaces = system.space.size, _spaces(system, (1, 2, 3))
     for t_idx in range(pairs):
         n = int(rng.integers(1, 4))
-        dn = bowen_space(system, n)
+        dn = spaces[n]
         support = sorted(rng.choice(size, size=int(rng.integers(2, 6)),
                                     replace=False).tolist())
         eta = AtomicMeasure.uniform(support)
@@ -322,7 +319,7 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
             "counts-vs-oracle", detail, lambda *got: got == brute,
             sep=sep, span=span, cover=cover))
 
-    system = doubling_grid(16, horizon_cap=3)
+    spaces = _spaces(doubling_grid(16, horizon_cap=3), (1, 2, 3))
     for t in range(instances):
         na, nb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         atoms_a = sorted(rng.choice(16, size=na, replace=False).tolist())
@@ -331,7 +328,7 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
         wb = [int(x) for x in rng.integers(1, 6, size=nb)]
         mu = AtomicMeasure.from_weights(atoms_a, [Fraction(w, sum(wa)) for w in wa])
         nu = AtomicMeasure.from_weights(atoms_b, [Fraction(w, sum(wb)) for w in wb])
-        dn = bowen_space(system, int(rng.integers(1, 4)))
+        dn = spaces[int(rng.integers(1, 4))]
         value, plan = wasserstein(dn, mu, nu)
         cost = dn.distances(mu.atoms, nu.atoms)
         brute = oracle.brute_wasserstein(

@@ -155,9 +155,12 @@ def test_support_cross_min_and_apart_count_on_wide_supports():
     def gap(i, j):
         return min(dense_m[a, b] for a in measures[i].atoms for b in measures[j].atoms)
 
+    levels, codes = sp.level_codes()
     cross = support_cross_min(sp, measures)
+    assert cross.dtype == codes.dtype
     k = len(measures)
-    assert all(cross[i, j] == gap(i, j) for i, j in itertools.product(range(k), repeat=2))
+    assert all(levels[cross[i, j]] == gap(i, j)
+               for i, j in itertools.product(range(k), repeat=2))
     eps = 0.05
     best = max(r for r in range(1, k + 1)
                if any(all(gap(i, j) >= eps for i, j in itertools.combinations(c, 2))

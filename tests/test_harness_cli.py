@@ -422,6 +422,8 @@ def test_cli_oracle_rejects_a_matrix_that_is_not_a_metric(matrix, tmp_path, caps
 @pytest.mark.parametrize("cost, p, where", [
     ([[0, -1], [1, 0]], 1.5, "instance.cost[0][1]"),
     ([[0, 1e200], [1e200, 0]], 2, "instance: cost**p overflows"),
+    # 0.25**1000 is 0 in floats, so the unscaled reference would print 0
+    ([[0, 0.25], [0.25, 0]], 1000, "instance: cost**p underflows"),
 ])
 def test_cli_coupling_oracle_rejects_a_cost_it_cannot_price(cost, p, where, tmp_path,
                                                             capsys):
@@ -430,6 +432,20 @@ def test_cli_coupling_oracle_rejects_a_cost_it_cannot_price(cost, p, where, tmp_
                                 "b": [0.5, 0.5], "p": p}))
     code, err = _exit_code(["oracle", "--instance", str(inst)], capsys)
     assert code == 2 and where in err
+
+
+def test_cli_wasserstein_quantize_at_a_large_order_needs_every_atom(tmp_path):
+    # any three sites serve two atoms 0.25 apart from one site, so one of them
+    # is at least 0.125 away, past both scales
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({
+        "system": {"kind": "doubling", "grid": 64},
+        "measure": {"atoms": [0, 16, 32, 48], "weights": ["1/4"] * 4},
+        "kind": "wasserstein", "p": 1000,
+        "grid": {"start": 0.1, "ratio": 0.5, "count": 2}}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "quantization.csv").open()))
+    assert [(r["Q"], r["mode"]) for r in rows] == [("4", "exact")] * 2
 
 
 def test_sweep_writes_its_csvs_and_trace_only(tmp_path):

@@ -10,6 +10,8 @@ from dynoscale.errors import ParameterError
 from dynoscale.measures import (AtomicMeasure, induced_step, induced_sweep,
                                 lattice_transport_space, measure_lattice,
                                 pushforward, wasserstein)
+from dynoscale.measures.constructions import apart_count, support_cross_min
+from dynoscale.measures.induced import DIAGNOSTIC_BUDGET
 from dynoscale.measures.wasserstein import w1_pairs_two_atom
 from dynoscale.metric_core import FiniteMetricSpace
 from dynoscale.systems import (binary_exp_shift, bowen_space, doubling_grid,
@@ -77,21 +79,17 @@ def test_induced_sweep_embedding_and_diagnostics(shift4):
 
 
 def _all_pairs_lattice(dn: FiniteMetricSpace, measures) -> FiniteMetricSpace:
-    """The lattice as first built: one (pairs, 2, 2) cost array over the upper
-    triangle of the float table, mirrored, then encoded."""
+    """The lattice as first built: the four cost arrays over the upper
+    triangle of the float table, priced, mirrored, then encoded."""
     m = dn.as_matrix()
     k = len(measures)
     a0 = np.array([mu.atoms[0] for mu in measures])
     a1 = np.array([mu.atoms[-1] for mu in measures])
     wa = np.array([float(mu.weights[0]) for mu in measures])
     ii, jj = np.triu_indices(k, 1)
-    blocks = np.empty((ii.size, 2, 2))
-    blocks[:, 0, 0] = m[a0[ii], a0[jj]]
-    blocks[:, 0, 1] = m[a0[ii], a1[jj]]
-    blocks[:, 1, 0] = m[a1[ii], a0[jj]]
-    blocks[:, 1, 1] = m[a1[ii], a1[jj]]
     dist = np.zeros((k, k))
-    dist[ii, jj] = w1_pairs_two_atom(blocks, wa[ii], wa[jj])
+    dist[ii, jj] = w1_pairs_two_atom(m[a0[ii], a0[jj]], m[a0[ii], a1[jj]],
+                                     m[a1[ii], a0[jj]], m[a1[ii], a1[jj]], wa[ii], wa[jj])
     dist += dist.T
     return FiniteMetricSpace(matrix=dist, check=False)
 
@@ -121,6 +119,21 @@ def test_lattice_of_1520_measures_peaks_below_50_mib():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def test_support_gaps_and_an_apart_count_on_1520_measures_peak_below_16_mib():
+    # the float64 gap table alone peaked at 72.8 MiB here
+    dn = bowen_space(doubling_grid(32), 2)
+    mus = measure_lattice(32, 2, 4)
+    tracemalloc.start()
+    try:
+        gaps = support_cross_min(dn, mus)
+        apart_count(dn, mus, 0.4, DIAGNOSTIC_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert gaps.dtype == dn.level_codes()[1].dtype
 
 
 def test_lattice_rejects_measures_with_three_atoms():

@@ -35,6 +35,13 @@ def test_identical_measures_have_zero_distance(system):
     assert plan.check_marginals(mu, mu)
 
 
+def test_a_large_order_keeps_the_distance_of_point_masses():
+    # 0.25**1000 underflows to 0, so unscaled costs would give W_p = 0
+    space = doubling_grid(64).space
+    v, _ = wasserstein(space, AtomicMeasure.dirac(0), AtomicMeasure.dirac(16), p=1000)
+    assert v == 0.25
+
+
 def test_two_by_two_closed_form_matches_lp(system):
     dn = bowen_space(system, 2).as_matrix()
     rng = np.random.default_rng(1)
@@ -48,9 +55,8 @@ def test_two_by_two_closed_form_matches_lp(system):
         from dynoscale.metric_core.space import FiniteMetricSpace
         sp = FiniteMetricSpace(matrix=dn, check=False)
         lp_value, _ = wasserstein(sp, mu, nu)
-        blocks = dn[np.ix_(a, b)][None, :, :]
-        closed = w1_pairs_two_atom(blocks, np.array([float(wa)]),
-                                   np.array([float(wb)]))[0]
+        closed = w1_pairs_two_atom(dn[a[0], b[0]], dn[a[0], b[1]], dn[a[1], b[0]],
+                                   dn[a[1], b[1]], float(wa), float(wb))
         assert closed == pytest.approx(lp_value, abs=1e-9)
 
 
