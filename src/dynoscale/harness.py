@@ -42,6 +42,7 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        self.quantities = list(dict.fromkeys(self.quantities))  # first-seen order
         self.horizons = sorted(set(self.horizons))
 
 
@@ -107,6 +108,7 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
                         if cutoff is not None and cell.mode == "exact":
                             exact[cutoff] = cell
                 sweep.add(cell)
+        del dn  # so the walk may extend this table into the next d_n in place
     return sweeps
 
 
@@ -288,12 +290,15 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
-    for n, dn in zip(horizons, bowen_spaces(q["system"], horizons)):
+    spaces = bowen_spaces(q["system"], horizons)
+    for n in horizons:
+        dn = next(spaces)
         for eps in q["grid"].scales():
             br = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
                                      budget=q["budget"], horizon=n)
             lines.append(f"{format_float(br.scale)},{br.horizon},{br.quantity},"
                          f"{br.upper},{br.mode}")
+        del dn  # as in _count
     path = out / "quantization.csv"
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -117,7 +117,7 @@ def support_cross_min(space: FiniteMetricSpace,
 
 
 def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
-                eps, budget: int = DEFAULT_BUDGET) -> CountBracket:
+                eps, budget: int = DEFAULT_BUDGET, horizon: int = 1) -> CountBracket:
     """Maximal family of measures with pairwise support distance >= eps.
 
     Apartness fails when the support gap sits strictly below eps (its code
@@ -128,5 +128,5 @@ def apart_count(space: FiniteMetricSpace, measures: list[AtomicMeasure],
     if not measures:
         raise ParameterError("need candidate measures")
     gaps = support_cross_min(space, measures)
-    return graph_bracket("apart", eps, 1, pack_rows(gaps < space.cutoff(eps, True)),
+    return graph_bracket("apart", eps, horizon, pack_rows(gaps < space.cutoff(eps, True)),
                          solvers.exact_max_independent_set, "mis-bnb", budget)

@@ -113,11 +113,14 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
     """
     measures = measure_lattice(system.space.size, max_atoms, q)
     cells = []
-    for n, base in zip(horizons, bowen_spaces(system, horizons)):
+    spaces = bowen_spaces(system, horizons)
+    for n in horizons:
+        base = next(spaces)
         lattice = lattice_transport_space(base, measures)
         for eps in grid:
             sep = max_separated(base, eps, budget, horizon=n)
-            apart = apart_count(base, measures, eps, min(budget, DIAGNOSTIC_BUDGET))
+            apart = apart_count(base, measures, eps, min(budget, DIAGNOSTIC_BUDGET),
+                                horizon=n)
             cover = min_diameter_cover(lattice, eps, min(budget, DIAGNOSTIC_BUDGET),
                                        horizon=n)
             witness = sep.witness or ()
@@ -131,6 +134,7 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
                 n, float(eps), sep, apart, cover, holds,
                 _covering_diagnostic(base, cover, eps,
                                      min(budget, DIAGNOSTIC_BUDGET), n)))
+        del base, lattice  # so the walk may extend this table into the next d_n in place
     return cells
 
 

@@ -88,16 +88,23 @@ def _partition(packed: np.ndarray) -> list[int] | None:
     cover every point and are all the distinct rows.  Every cover then
     takes each of them; a symmetric table passes only when it is a
     reflexive equivalence relation.
+
+    ``first`` is found and the rows compared one ``block_rows`` block at a
+    time, so the test holds no temporary larger than a block, and a table
+    that fails stops at its first failing block.
     """
     n = packed.shape[0]
     if n == 0:
         return []
-    i = np.arange(n)
-    byte = (packed != 0).argmax(1)
-    first = 8 * byte + _LOW_BIT[packed[i, byte]]
-    if not np.array_equal(packed, packed[first]):
-        return None
-    minima = np.flatnonzero(first == i)
+    first = np.empty(n, dtype=np.intp)
+    rows = block_rows(packed.shape[1])
+    for a in range(0, n, rows):
+        block = packed[a:a + rows]
+        byte = (block != 0).argmax(1)
+        first[a:a + rows] = 8 * byte + _LOW_BIT[block[np.arange(len(block)), byte]]
+        if not np.array_equal(block, packed[first[a:a + rows]]):
+            return None
+    minima = np.flatnonzero(first == np.arange(n))
     classes = packed[minima]
     if (np.count_nonzero(np.unpackbits(classes)) != n
             or np.count_nonzero(np.unpackbits(np.bitwise_or.reduce(classes, axis=0))) != n):

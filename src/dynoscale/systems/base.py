@@ -7,6 +7,7 @@ certifies d_k for every horizon k <= ``horizon_cap``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -71,19 +72,32 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
     return best
 
 
+# Before 3.14, CPython passes a local to a call as a new reference, so a
+# count of two there is this name and the call's argument: nothing else
+# holds the table.  3.14 may lend the local without a reference, so the
+# count can read two while someone else holds it; there, and on other
+# interpreters, the walk never writes into a table it has yielded.
+_REFCOUNT_OWNS = sys.implementation.name == "cpython" and sys.version_info < (3, 14)
+
+
 def bowen_spaces(system: DynamicalSystem,
                  horizons: Iterable[int]) -> Iterator[FiniteMetricSpace]:
     """The space under each horizon-n dynamical metric, in the order given.
 
     ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
-    gather of the base space's level codes per horizon.  The gather runs
-    over row blocks (``block_rows``) straight into the new table, so at
-    every size only d_{n-1}, d_n and one block are alive besides the base
-    codes.  Every ``d_n`` shares the base levels: codes are monotone in the
-    distance, so the max of two codes is the code of the max, at one to
-    four bytes per pair.  Max is exact, so every table is bitwise the one
-    built anew.  A horizon below the last one starts again from ``d_1``,
-    which is the space itself.
+    gather of the base space's level codes per horizon, one row block at a
+    time (``block_rows``).  When nothing but this walk holds the d_{n-1}
+    table (no yielded space, caller or numpy view: the reference count test
+    of ``ndarray.resize``), d_n is written into it in place; otherwise into
+    a new table.  So a consumer that drops each space before asking for the
+    next holds the base codes, one table and one block, and one that keeps
+    a space or its codes keeps them intact.  The count is read only where
+    it is known to mean this (``_REFCOUNT_OWNS``); elsewhere every d_n gets
+    a new table, which is correct but holds d_{n-1} beside it.  Every d_n
+    shares the base levels: codes are monotone in the distance, so the max
+    of two codes is the code of the max, at one to four bytes per pair.
+    Max is exact, so every table is bitwise the one built anew.  A horizon
+    below the last one starts again from ``d_1``, which is the space itself.
     """
     done, table = 1, None
     for n in horizons:
@@ -100,21 +114,30 @@ def bowen_spaces(system: DynamicalSystem,
         while done < n:
             # idx holds the indices of f^done
             idx = system.step if done == 1 else system.step[idx]
-            table = _max_gather(codes, codes if done == 1 else table, idx)
+            own = _REFCOUNT_OWNS and done > 1 and sys.getrefcount(table) == 2
+            table = _max_gather(codes, codes if done == 1 else table, idx,
+                                table if own else np.empty_like(codes))
             done += 1
         yield FiniteMetricSpace.from_codes(levels, table, labels=system.space.labels,
                                            name=f"{system.name}|d_{n}")
 
 
-def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``max(prev, codes[idx][:, idx])``, gathered by row blocks into a new table."""
-    table = np.empty_like(codes)
-    rows = block_rows(len(idx))
-    for a in range(0, len(idx), rows):
-        out = table[a:a + rows]
+def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
+                table: np.ndarray) -> np.ndarray:
+    """``max(prev, codes[idx][:, idx])`` written into ``table``, by row blocks.
+
+    Each row block is gathered into one block-sized buffer before the max
+    writes it, and a block of ``prev`` is read only for the rows it writes,
+    so ``table`` may be ``prev`` itself.
+    """
+    n = len(idx)
+    rows = block_rows(n)
+    buf = np.empty((min(rows, n), n), dtype=codes.dtype)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
         # the indices are in range, so "clip" only skips the buffered bounds check
-        np.take(codes.take(idx[a:a + rows], 0, mode="clip"), idx, 1, out=out, mode="clip")
-        np.maximum(out, prev[a:a + rows], out=out)
+        np.take(codes.take(idx[a:b], 0, mode="clip"), idx, 1, out=buf[:b - a], mode="clip")
+        np.maximum(buf[:b - a], prev[a:b], out=table[a:b])
     return table
 
 

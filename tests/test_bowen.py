@@ -13,6 +13,7 @@ from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance
                                bowen_space, bowen_spaces, doubling_grid, full_shift,
                                identity_system, power_system, product_system,
                                random_space, system_from_step)
+from dynoscale.systems.base import _REFCOUNT_OWNS
 
 
 def test_horizon_one_is_base_metric(doubling64):
@@ -157,9 +158,56 @@ def test_counting_dense_horizons_holds_two_code_tables_and_one_block(depth):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the gather of d_3 holds d_2, d_3 and one block; the graphs are packed.
+    # at most d_2, d_3 and one block are alive (one table where the walk
+    # writes d_3 into d_2's); the graphs are packed.
     # A table-sized gather temporary or boolean graph would pass 3 tables.
     assert peak < 2.5 * size**2, peak / size**2
+
+
+@pytest.mark.skipif(not _REFCOUNT_OWNS,
+                    reason="this interpreter gives every d_n a new table")
+def test_counting_dense_horizons_holds_one_code_table_beside_the_base():
+    # the walk writes d_3 into d_2's table once the sweep has dropped d_2,
+    # so the base codes, one table, one block and the packed graphs are alive
+    system = binary_exp_shift(11, horizon_cap=3)
+    size = system.space.size
+    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1, 2, 3]})
+    tracemalloc.start()
+    try:
+        _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size**2, peak / size**2
+
+
+def _address_and_bytes(dn):
+    return dn.level_codes()[1].ctypes.data, dn.as_matrix().tobytes()
+
+
+def test_a_walk_whose_consumer_drops_each_space_reuses_one_table():
+    system = binary_exp_shift(5, horizon_cap=5)
+    horizons = [2, 3, 4, 5]
+    spaces = bowen_spaces(system, horizons)
+    seen = [_address_and_bytes(next(spaces)) for _ in horizons]
+    if _REFCOUNT_OWNS:
+        assert len({address for address, _ in seen}) == 1
+    for n, (_, table) in zip(horizons, seen):
+        assert table == _max_anew(system, n).tobytes(), n
+
+
+def test_a_kept_view_of_the_codes_keeps_its_values_when_the_walk_resumes():
+    system = binary_exp_shift(5, horizon_cap=5)
+    spaces = bowen_spaces(system, [2, 3, 4])
+    view = next(spaces).level_codes()[1][1:]  # the space itself is dropped
+    kept = view.copy()
+    for n in (3, 4):
+        assert _address_and_bytes(next(spaces))[1] == _max_anew(system, n).tobytes()
+    assert np.array_equal(view, kept)
+    levels = system.space.level_codes()[0]
+    assert levels[view].tobytes() == _max_anew(system, 2)[1:].tobytes()
 
 
 LADDERS = {

@@ -164,6 +164,22 @@ def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
     assert peak < 0.45 * size**2, peak / size**2
 
 
+def test_partition_certificate_holds_no_table_sized_temporary():
+    # the counts of the test above, now that the certificate compares the
+    # packed rows by blocks: what is left is the packed graph and its ints
+    dn = bowen_space(binary_exp_shift(11, horizon_cap=3), 3)
+    size = dn.size
+    tracemalloc.start()
+    try:
+        for eps in ScaleGrid(0.5, 0.6, 6).scales():
+            for op in (max_separated, min_spanning, min_diameter_cover):
+                assert op(dn, eps, horizon=3).mode == "exact"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * size**2, peak / size**2
+
+
 def _pentagon():
     # neighbours on the circle are 1.18 apart, the other pairs 1.90, so the
     # d < 1.5 graph is the 5-cycle, whose greedy bounds 2 and 3 do not meet

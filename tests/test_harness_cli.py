@@ -463,6 +463,19 @@ def test_sweep_writes_its_csvs_and_trace_only(tmp_path):
     assert [p.name for p in written] == ["sweep_kolyada_F1_separated.csv"]
 
 
+def test_cli_sweep_counts_and_writes_a_repeated_quantity_once(tmp_path, capsys):
+    outputs = {}
+    for name, quantities in (("once", ["separated", "spanning"]),
+                             ("repeated", ["separated", "spanning", "separated"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(GOOD, quantities=quantities)))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == len(set(printed)) == 3
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert outputs["repeated"] == outputs["once"]
+
+
 @pytest.mark.parametrize("atoms", [[0, 99], [0, -1]])
 def test_cli_quantize_atom_outside_the_space_exits_2_at_its_index(atoms, tmp_path, capsys):
     path = tmp_path / "q.json"

@@ -78,6 +78,12 @@ def test_induced_sweep_embedding_and_diagnostics(shift4):
         assert c.apart.lower >= c.base_separated.value or c.embedding_holds
 
 
+def test_induced_sweep_reports_the_apart_count_at_its_horizon():
+    cells = induced_sweep(doubling_grid(16, horizon_cap=2), [2], [0.3])
+    assert [(c.horizon, c.apart.horizon, c.base_separated.horizon) for c in cells] == [
+        (2, 2, 2)]
+
+
 def _all_pairs_lattice(dn: FiniteMetricSpace, measures) -> FiniteMetricSpace:
     """The lattice as first built: the four cost arrays over the upper
     triangle of the float table, priced, mirrored, then encoded."""

@@ -332,6 +332,17 @@ def test_partition_rejects_overlapping_class_rows_that_miss_a_point():
     assert _partition(pack_rows(table)) is None
 
 
+@pytest.mark.parametrize("flip", [(5, 9), (2046, 2047), (1500, 3)])
+def test_partition_runs_by_row_blocks_and_fails_in_any_block(flip):
+    # 2048 points in classes of four: 256 packed columns, so the rows are
+    # read in four blocks, and a flipped bit in any of them is caught
+    labels = np.arange(2048) // 4
+    table = labels[:, None] == labels[None, :]
+    assert _partition(pack_rows(table)) == list(range(0, 2048, 4))
+    table[flip] = not table[flip]
+    assert _partition(pack_rows(table)) is None
+
+
 def test_line_sweeps_match_generic_on_random_sets():
     rng = np.random.default_rng(9)
     for _ in range(25):
