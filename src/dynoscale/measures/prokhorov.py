@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..metric_core.space import FiniteMetricSpace
+from ..metric_core.space import FiniteMetricSpace, distinct
 from .atomic import AtomicMeasure
 
 EXACT_SUPPORT_LIMIT = 15
@@ -32,7 +32,7 @@ def levy_prokhorov(space: FiniteMetricSpace, mu: AtomicMeasure,
     dm = space.distances(pts, pts)
     mu_w = np.array([float(mu.weight_of(p)) for p in pts])
     nu_w = np.array([float(nu.weight_of(p)) for p in pts])
-    crit = np.unique(np.concatenate([dm.reshape(-1), [0.0, 1.0]]))
+    crit = distinct(np.concatenate([dm.reshape(-1), [0.0, 1.0]]))
     side1 = _one_side(dm, crit, inner=nu_w, outer=mu_w,
                       support=[i for i, p in enumerate(pts) if p in set(nu.atoms)])
     side2 = _one_side(dm, crit, inner=mu_w, outer=nu_w,

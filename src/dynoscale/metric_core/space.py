@@ -269,14 +269,28 @@ def unpack_rows(packed: np.ndarray, columns: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=columns, bitorder="little").view(bool)
 
 
+def distinct(values) -> np.ndarray:
+    """Sorted distinct entries of ``values``, flattened.
+
+    ``np.unique``'s own sort and neighbour compare, so bitwise its result on
+    NaN-free floats, without its first call's import of ``numpy.ma``.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
     """``(levels, codes)`` of the pairs of points of two spaces, from theirs: pair (i, j)
     is point ``i * nb + j``, at ``op(d_a(i, k), d_b(j, l))`` from (k, l).  The levels
-    are ``op`` of the levels that the factors' codes use, so every one is taken.
+    are the ``distinct`` values of ``op`` over the levels that the factors' codes use,
+    so every one is taken.
     """
     (la, ca), (lb, cb) = a, b
     used = [lv[np.bincount(c.ravel(), minlength=len(lv)) > 0] for lv, c in (a, b)]
-    levels = np.unique(op.outer(*used))
+    levels = distinct(op.outer(*used))
     lut = np.searchsorted(levels, op.outer(la, lb)).astype(code_dtype(len(levels)))
     n = len(ca) * len(cb)
     return levels, lut[ca[:, None, :, None], cb[None, :, None, :]].reshape(n, n)
@@ -286,13 +300,14 @@ def _encode(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct entries of an (n, n) float table and the table of
     their indices; ``rows(a, b)`` gives the table's rows a..b.
 
-    Both passes run over row blocks, so besides the levels and the codes no
+    Both passes run over row blocks (the levels are ``distinct`` over each
+    block's ``distinct`` entries), so besides the levels and the codes no
     temporary outgrows one block (``np.unique(m, return_inverse=True)``
     would make table-sized int64 ones).
     """
     step = max(1, ENCODE_BLOCK // n)
     blocks = range(0, n, step)
-    levels = np.unique(np.concatenate([np.unique(rows(a, a + step)) for a in blocks]))
+    levels = distinct(np.concatenate([distinct(rows(a, a + step)) for a in blocks]))
     codes = np.empty((n, n), dtype=code_dtype(len(levels)))
     for a in blocks:
         codes[a:a + step] = np.searchsorted(levels, rows(a, a + step))

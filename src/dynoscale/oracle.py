@@ -19,6 +19,8 @@ from .errors import ParameterError
 from .metric_core.space import FiniteMetricSpace
 
 ORACLE_POINT_LIMIT = 15
+# subsets whose incidence matrices the coupling oracle tests or inverts at once
+BASIS_BLOCK = 1024
 
 
 def brute_max_separated(space: FiniteMetricSpace, eps) -> int:
@@ -127,17 +129,29 @@ def _bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     matrix, one row per marginal with the last column's row dropped, is
     nonsingular; these sets are exactly the spanning trees of K_{m,n}.
     Returns the cells of each basis and the inverse of its matrix, integral
-    because the matrix is totally unimodular.
+    because the matrix is totally unimodular.  Both passes, the determinant
+    test of every subset and the inverse of every basis, run over blocks of
+    ``BASIS_BLOCK`` subsets, so no temporary outgrows one block.
     """
     size = m + n - 1
-    cells = np.array(list(itertools.combinations(range(m * n), size)), dtype=np.intp)
-    matrix = np.zeros((len(cells), m + n, size))
-    subset, slot = np.arange(len(cells))[:, None], np.arange(size)
-    matrix[subset, cells // n, slot] = 1.0
-    matrix[subset, m + cells % n, slot] = 1.0
-    matrix = matrix[:, :size]
-    nonsingular = np.abs(np.linalg.det(matrix)) > 0.5
-    cells, inverses = cells[nonsingular], np.rint(np.linalg.inv(matrix[nonsingular]))
+
+    def incidence(cells: np.ndarray) -> np.ndarray:
+        matrix = np.zeros((len(cells), m + n, size))
+        subset, slot = np.arange(len(cells))[:, None], np.arange(size)
+        matrix[subset, cells // n, slot] = 1.0
+        matrix[subset, m + cells % n, slot] = 1.0
+        return matrix[:, :size]
+
+    subsets = itertools.combinations(range(m * n), size)
+    kept = []
+    while block := list(itertools.islice(subsets, BASIS_BLOCK)):
+        cells = np.array(block, dtype=np.intp)
+        kept.append(cells[np.abs(np.linalg.det(incidence(cells))) > 0.5])
+    cells = np.concatenate(kept)
+    inverses = np.empty((len(cells), size, size))
+    for a in range(0, len(cells), BASIS_BLOCK):
+        part = slice(a, a + BASIS_BLOCK)
+        inverses[part] = np.rint(np.linalg.inv(incidence(cells[part])))
     cells.flags.writeable = inverses.flags.writeable = False  # shared by every call
     return cells, inverses
 

@@ -36,8 +36,7 @@ def discrete_alphabet(symbols: int) -> FiniteMetricSpace:
     """Alphabet of ``symbols`` letters at pairwise distance 1."""
     if symbols < 2:
         raise ParameterError("need at least two symbols")
-    # built from codes: encoding a table runs np.unique, whose first call
-    # imports numpy.ma and adds about 0.5 MB to a process's peak RSS
+    # built from codes, which skips the encode pass over a float table
     return FiniteMetricSpace.from_codes(np.array([0.0, 1.0]),
                                         1 - np.eye(symbols, dtype=np.uint8),
                                         name=f"discrete({symbols})")

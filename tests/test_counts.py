@@ -1,5 +1,6 @@
 """Counting operations: pinned example values and bracket semantics."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -147,10 +148,13 @@ def test_doubling_256_diameter_covers_are_exact():
     assert all(c.mode == "exact" for c in cells)
 
 
-def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
+@functools.cache
+def _d3_count_peak():
     # d_3 of the 2048-point exp shift is one byte a pair, N**2 bytes, built
-    # before tracing; each count holds one packed graph (N**2 / 8 bytes) and
-    # the partition certificate's packed temporaries
+    # before tracing; the separated, spanning and diameter counts each hold
+    # one packed graph (N**2 / 8 bytes) and its ints, and the partition
+    # certificate compares the packed rows by blocks. Returns the tracemalloc
+    # peak over N**2, measured once for both tests below
     dn = bowen_space(binary_exp_shift(11, horizon_cap=3), 3)
     size = dn.size
     tracemalloc.start()
@@ -161,23 +165,18 @@ def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.45 * size**2, peak / size**2
+    return peak / size**2
+
+
+def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
+    ratio = _d3_count_peak()
+    assert ratio < 0.45, ratio
 
 
 def test_partition_certificate_holds_no_table_sized_temporary():
-    # the counts of the test above, now that the certificate compares the
-    # packed rows by blocks: what is left is the packed graph and its ints
-    dn = bowen_space(binary_exp_shift(11, horizon_cap=3), 3)
-    size = dn.size
-    tracemalloc.start()
-    try:
-        for eps in ScaleGrid(0.5, 0.6, 6).scales():
-            for op in (max_separated, min_spanning, min_diameter_cover):
-                assert op(dn, eps, horizon=3).mode == "exact"
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.3 * size**2, peak / size**2
+    # no temporary sized like the table: what is left is the packed graph
+    ratio = _d3_count_peak()
+    assert ratio < 0.3, ratio
 
 
 def _pentagon():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dynoscale.errors import InvalidMetricError, ParameterError
 from dynoscale.metric_core import FiniteMetricSpace, max_separated, write_cache, read_cache
 from dynoscale.metric_core import space as space_module
-from dynoscale.metric_core.space import code_dtype, pack_rows, unpack_rows
+from dynoscale.metric_core.space import code_dtype, distinct, pack_rows, unpack_rows
 from dynoscale.systems import doubling_grid, random_space
 
 
@@ -183,6 +183,24 @@ def test_code_thresholds_equal_the_float_compare(seed, points, draws, dtype, blo
                                  codes < space.cutoff(eps, strict))
     assert not space.close_mask(np.nan, strict=False).any()
     assert space.cutoff(np.nan, True) == space.cutoff(np.nan, False) == 0
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 0.25, 0.5, 0.25, 0.75, 0.5],
+    [0.0, -0.0, 1.0, -0.0, 0.0],
+    [-0.0, 0.0],
+    [np.inf, 0.5, np.inf, 0.0, 0.5],
+    np.random.default_rng(3).integers(0, 7, (9, 11)) / 4,
+    [0.3],
+    []], ids=["repeats", "signed-zeros", "negative-zero-first", "inf", "table", "single",
+              "empty"])
+def test_distinct_is_bitwise_np_unique(values):
+    values = np.asarray(values, dtype=float)
+    before = values.copy()
+    got, want = distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert values.tobytes() == before.tobytes()  # sorted in a copy
 
 
 @pytest.mark.parametrize("make", [
