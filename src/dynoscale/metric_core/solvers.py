@@ -3,13 +3,13 @@
 Graphs and set tables come in as packed rows (``space.pack_rows``), the
 format ``FiniteMetricSpace.close_mask`` builds.  A square table is a graph
 on its rows, and the graph searches ignore a point's own bit, so a
-threshold graph comes in as built, each point in its own row.  Packed rows
-do not record their column count, so the exact set cover takes it where it
-is not the row count, and partial covers take it from their weights.  All
-solvers are deterministic:
-ties break on the lowest index.  Exact solvers consume a node-expansion
-budget and raise ``BudgetExceededError`` when it runs out; callers fall back
-to certified greedy brackets.
+threshold graph comes in as built, each point in its own row.  The exact
+set cover takes a symmetric ball table, so the rows that hold a point are
+the points of its own row; partial covers take their column count from
+their weights.  All solvers are deterministic: ties break on the lowest
+index.  Exact solvers consume a node-expansion budget and raise
+``BudgetExceededError`` when it runs out; callers fall back to certified
+greedy brackets.
 """
 
 from __future__ import annotations
@@ -421,85 +421,81 @@ def _arc_cover(masks: np.ndarray, columns: int) -> list[int] | None:
     return sorted(chosen)
 
 
-def exact_min_set_cover(masks: np.ndarray, budget: int = DEFAULT_BUDGET,
-                        columns: int | None = None) -> list[int]:
-    """Minimum cover of all ``columns`` columns (the row count if None) by
-    packed rows, exactly.
+def exact_min_set_cover(balls: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Minimum cover of all points by the packed rows of a symmetric ball
+    table, exactly: row i is the ball around point i, so the rows that hold
+    point j are the points of row j.
 
-    A square table whose rows are the classes of an equivalence relation
-    (the ball family of an ultrametric) needs every class, and answers with
-    the first row of each by the partition certificate.  A table whose rows
-    are all arcs of a circle (the ball family of sorted points on a line or
-    a circle) answers by the circle cover, its rows ascending.  Neither
-    spends budget.  The rest goes to ``_cover_search`` on the distinct
-    nonempty rows, one budget node per search node.
+    A table whose rows are the classes of an equivalence relation (the ball
+    family of an ultrametric) needs every class, and answers with the first
+    row of each by the partition certificate.  A table whose rows are all
+    arcs of a circle (the ball family of sorted points on a line or a
+    circle) answers by the circle cover, its rows ascending.  Neither
+    spends budget.  The rest goes to ``_cover_search``, one budget node per
+    search node.
     """
-    n = masks.shape[0] if columns is None else columns
-    if masks.shape[0] == n:
-        classes = _partition(masks)
-        if classes is not None:
-            return classes
-    arcs = _arc_cover(masks, n)
+    classes = _partition(balls)
+    if classes is not None:
+        return classes
+    arcs = _arc_cover(balls, balls.shape[0])
     if arcs is not None:
         return arcs
-    rows = _ints(masks)
-    kept = [i for i in _first_rows(rows) if rows[i]]
-    work = [rows[i] for i in kept]
-    if reduce(or_, work, 0) != _full(n):
+    rows = _ints(balls)
+    if reduce(or_, rows, 0) != _full(len(rows)):
         raise ValueError("universe not coverable by the given sets")
-    # column j's holders: the rows that hold it, one int over the kept rows
-    holders = _ints(np.packbits(unpack_rows(masks[kept], n).T, axis=1, bitorder="little"))
-    return [kept[i] for i in _cover_search(work, holders, _Budget(budget))]
+    return _cover_search(rows, _Budget(budget))
 
 
-def _cover_search(work: list[int], holders: list[int], b: _Budget) -> list[int]:
-    """Minimum cover, rows ascending, of the columns ``work`` holds, column
-    j held by the rows ``holders[j]``.  Each component (columns joined by a
-    common row) has its greedy cover as incumbent and a greedy column
-    packing as bound (fewest holders first, each striking every column its
-    holders cover); when they meet, no budget is spent.  Else, for k from
-    the bound up, a depth-first search for a cover of at most k rows
-    branches on the column with the fewest holders left, tries them by new
-    coverage, bars each tried row from its later siblings and prunes at
-    depth + bound > k."""
-    def fewest(cols: int, allowed: int) -> list[int]:
-        return sorted(_members(cols), key=lambda c: (holders[c] & allowed).bit_count())
+def _cover_search(rows: list[int], b: _Budget) -> list[int]:
+    """Minimum cover, rows ascending, of the points of a symmetric table
+    ``rows``, point j held by the rows ``rows[j]``; only the first of equal
+    rows is tried.  Each component (points joined by a common row) has its
+    greedy cover as incumbent and a greedy point packing as bound (fewest
+    holders first, each striking every point its holders cover); when they
+    meet, no budget is spent.  Else, for k from the bound up, a depth-first
+    search for a cover of at most k rows branches on the point with the
+    fewest holders left, tries them by new coverage, bars each tried row
+    from its later siblings and prunes at depth + bound > k."""
+    distinct = reduce(or_, (1 << i for i in _first_rows(rows)), 0)
 
-    def bound(cols: int, allowed: int) -> int:
+    def bound(cols: int, allowed: int) -> tuple[int, int]:
+        """The packing count, and the point it takes first."""
+        order = sorted(_members(cols), key=lambda c: (rows[c] & allowed).bit_count())
         count = 0
-        for c in fewest(cols, allowed):
+        for c in order:
             if cols >> c & 1:
                 count += 1
-                cols &= ~reduce(or_, (work[r] for r in _members(holders[c] & allowed)), 0)
-        return count
+                cols &= ~reduce(or_, (rows[r] for r in _members(rows[c] & allowed)), 0)
+        return count, order[0]
 
     def search(cols: int, allowed: int, k: int, picked: list[int]) -> list[int] | None:
         b.spend()
         if not cols:
             return picked
-        if len(picked) + bound(cols, allowed) > k:
+        count, first = bound(cols, allowed)
+        if len(picked) + count > k:
             return None
-        tries = _members(holders[fewest(cols, allowed)[0]] & allowed)
-        for r in sorted(tries, key=lambda r: -(work[r] & cols).bit_count()):
-            found = search(cols & ~work[r], allowed, k, picked + [r])
+        tries = _members(rows[first] & allowed)
+        for r in sorted(tries, key=lambda r: -(rows[r] & cols).bit_count()):
+            found = search(cols & ~rows[r], allowed, k, picked + [r])
             if found is not None:
                 return found
             allowed &= ~(1 << r)
         return None
 
-    out, left = [], reduce(or_, work, 0)
+    out, left = [], _full(len(rows))
     while left:
         cols = frontier = left & -left
-        allowed = 0  # the component's rows
+        allowed = 0  # the component's distinct rows
         while frontier:
-            new = reduce(or_, (holders[c] for c in _members(frontier))) & ~allowed
+            new = reduce(or_, (rows[c] for c in _members(frontier))) & distinct & ~allowed
             allowed |= new
-            frontier = reduce(or_, (work[r] for r in _members(new)), 0) & ~cols
+            frontier = reduce(or_, (rows[r] for r in _members(new)), 0) & ~cols
             cols |= frontier
         left &= ~cols
-        rows = list(_members(allowed))
-        best = [rows[i] for i in _greedy_cover([work[r] for r in rows], cols)]
-        for k in range(bound(cols, allowed), len(best)):
+        kept = list(_members(allowed))
+        best = [kept[i] for i in _greedy_cover([rows[r] for r in kept], cols)]
+        for k in range(bound(cols, allowed)[0], len(best)):
             if found := search(cols, allowed, k, []):
                 best = found  # no cover of k - 1 rows was found, so a minimum
                 break

@@ -94,7 +94,10 @@ class FiniteMetricSpace:
         """Dense space whose distances are ``levels[codes]``, unchecked.
 
         ``levels`` must be sorted ascending (ties are harmless), so that the
-        order of the codes is the order of the distances.
+        order of the codes is the order of the distances.  The codes are
+        trusted to be symmetric, with distance 0 on the diagonal: every
+        search reads a point's row as its column, and each point as in its
+        own ball.
         """
         space = cls.__new__(cls)
         space.name, space.coords = name, None
@@ -117,8 +120,7 @@ class FiniteMetricSpace:
         if (m < 0).any():
             raise InvalidMetricError("negative distance")
         if not np.array_equal(m, m.T):
-            if not np.allclose(m, m.T, rtol=0, atol=1e-12):
-                raise InvalidMetricError("asymmetric distance table")
+            raise InvalidMetricError("asymmetric distance table")
         n = self.size
         if n < 3:
             return

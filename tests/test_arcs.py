@@ -59,8 +59,17 @@ def _arc_cover(masks):
     return solvers._arc_cover(pack_rows(masks), masks.shape[1])
 
 
-def _set_cover(masks):
-    return solvers.exact_min_set_cover(pack_rows(masks), columns=masks.shape[1])
+def _set_cover(balls):
+    return solvers.exact_min_set_cover(pack_rows(balls))
+
+
+def _circle_balls(rng, n):
+    """The open balls of n sorted random points on a circle of length 1, at
+    a random scale, under the distance along the circle: every ball is one
+    circular run of the points."""
+    at = np.sort(rng.random(n))
+    gap = np.abs(np.subtract.outer(at, at))
+    return np.minimum(gap, 1 - gap) < rng.uniform(0.05, 0.6)
 
 
 def _spy_search(monkeypatch):
@@ -83,36 +92,46 @@ def test_circle_cover_matches_brute_and_the_stage_off_run(seed, monkeypatch):
         assert got == sorted(set(got))
         assert masks[got].any(axis=0).all()
         assert len(got) == _brute_cover(masks)
-        assert _set_cover(masks) == got
-        assert len(_stage_off(monkeypatch, _set_cover, masks)) == len(got)
+    balls = _circle_balls(rng, n)
+    got = _arc_cover(balls)
+    assert got is not None
+    assert balls[got].any(axis=0).all()
+    if n <= 12:
+        assert len(got) == _brute_cover(balls)
+    assert _set_cover(balls) == got
+    assert len(_stage_off(monkeypatch, _set_cover, balls)) == len(got)
 
 
 def test_full_row_answers_alone():
     masks = np.array([_arc(6, 4, 3), _arc(6, 0, 6), _arc(6, 1, 2), _arc(6, 0, 6)])
-    assert _set_cover(masks) == [1]
+    assert _arc_cover(masks) == [1]
 
 
 def test_wrapping_arcs_are_counted_once():
     # three arcs of a 12-point circle, two of them wrapping past point 0
     masks = np.array([_arc(12, 10, 5), _arc(12, 3, 4), _arc(12, 2, 2),
                       _arc(12, 6, 6), _arc(12, 7, 2)])
-    assert _set_cover(masks) == [0, 1, 3]
+    assert _arc_cover(masks) == [0, 1, 3]
     assert _brute_cover(masks) == 3
 
 
 def test_a_table_with_a_split_row_falls_through(monkeypatch):
-    masks = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 0]], dtype=bool)
-    assert _arc_cover(masks) is None
+    # the balls of the line points 0, 2, 1, 3 at scale 1.5: the ball of the
+    # first holds the first and the third, two runs of the index order
+    at = np.array([0, 2, 1, 3])
+    balls = np.abs(np.subtract.outer(at, at)) < 1.5
+    assert _arc_cover(balls) is None
     calls = _spy_search(monkeypatch)
-    assert len(_set_cover(masks)) == 2
+    assert len(_set_cover(balls)) == 2
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("rows", [[_arc(8, 6, 5), _arc(8, 2, 2)],
-                                  [_arc(8, 0, 3), np.zeros(8, dtype=bool)],
-                                  [_arc(1, 0, 0)]])
+# symmetric tables with a point in no row, so neither stage can cover it
+@pytest.mark.parametrize("rows", [[[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+                                  [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 1]],
+                                  [[0]]])
 def test_a_point_no_arc_covers_still_raises(rows):
-    masks = np.array(rows)
+    masks = np.array(rows, dtype=bool)
     assert _arc_cover(masks) is None
     with pytest.raises(ValueError):
         _set_cover(masks)

@@ -1,6 +1,7 @@
 """Combinatorial solvers against exhaustive oracles on random smalls."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from dynoscale.metric_core.solvers import (
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
 from dynoscale.metric_core.space import FiniteMetricSpace, pack_rows
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
-from dynoscale.systems import bowen_space, full_shift, lattice_alphabet
+from dynoscale.systems import (bowen_space, doubling_grid, full_shift, lattice_alphabet,
+                               product_system)
 
 
 def _random_graph(rng, n, p):
@@ -120,38 +122,38 @@ def _brute_cover(masks):
     raise AssertionError
 
 
-# disjoint once the empty row is dropped; kept, it would count as a third set
-EMPTY_ROW_COVER = [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
-# duplicates of rows 0 and 1; the first occurrences cover, the copies add nothing
-DUPLICATE_ROWS_COVER = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1],
-                        [0, 1, 1, 0], [1, 0, 0, 1]]
-FIXED_COVERS = {"empty-row": EMPTY_ROW_COVER, "duplicate-rows": DUPLICATE_ROWS_COVER,
-                **FIXED_TABLES}
+# points 2 and 4 have the balls of points 0 and 1: only the first of equal
+# rows is tried, so the cover takes neither copy; the ball of point 3 is two
+# runs, so only the search answers
+DUPLICATE_ROWS_COVER = [[1, 1, 1, 1, 1, 0], [1, 1, 1, 0, 1, 1], [1, 1, 1, 1, 1, 0],
+                        [1, 0, 1, 1, 0, 1], [1, 1, 1, 0, 1, 1], [0, 1, 0, 1, 1, 1]]
+# the equivalence tables and their cut copies, all symmetric ball tables
+FIXED_COVERS = {"duplicate-rows": DUPLICATE_ROWS_COVER,
+                **{k: v for k, v in FIXED_TABLES.items() if k.startswith("equivalence")}}
 
 
 @pytest.mark.parametrize("seed", [*range(30), *FIXED_COVERS])
 def test_set_cover_matches_brute(seed):
     if seed in FIXED_COVERS:
-        masks = np.array(FIXED_COVERS[seed], dtype=bool)
-        n = masks.shape[1]
+        balls = np.array(FIXED_COVERS[seed], dtype=bool)
     else:
+        # the balls of a metric at distances 1 (the edges) and 2, at scale 1.5
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(4, 10))
-        m = int(rng.integers(3, 9))
-        masks = rng.random((m, n)) < 0.45
-        masks[rng.integers(m), :] |= ~masks.any(axis=0)  # make coverable
-    got = exact_min_set_cover(pack_rows(masks), columns=n)
-    union = np.zeros(n, dtype=bool)
-    for s in got:
-        union |= masks[s]
-    assert union.all()
-    assert len(got) == _brute_cover(masks)
+        balls = _random_graph(rng, n, rng.uniform(0.2, 0.6)) | np.eye(n, dtype=bool)
+    got = exact_min_set_cover(pack_rows(balls))
+    assert got == sorted(set(got))
+    assert balls[got].any(axis=0).all()
+    assert len(got) == _brute_cover(balls)
+    if seed == "duplicate-rows":
+        assert not {2, 4} & set(got)
 
 
 def test_set_cover_uncoverable_raises():
-    masks = np.array([[True, False, False]])
+    # symmetric, and point 2 is in no ball
+    balls = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
     with pytest.raises(ValueError):
-        exact_min_set_cover(pack_rows(masks), columns=3)
+        exact_min_set_cover(pack_rows(balls))
 
 
 def test_the_budget_bounds_the_set_cover_search(monkeypatch):
@@ -168,6 +170,26 @@ def test_the_budget_bounds_the_set_cover_search(monkeypatch):
     assert min_spanning(space, 0.3387, 1, 3).method == "greedy"
     bracket = min_spanning(space, 0.3387, horizon=3)
     assert (bracket.mode, bracket.lower, bracket.upper) == ("exact", 8, 8)
+
+
+def test_the_set_cover_search_reads_its_ball_table_without_a_copy(monkeypatch):
+    # the 4096-point product of two doubling(64) grids at scale 0.3: neither a
+    # partition nor arcs, so it reaches the search.  Its packed ball table
+    # is 2 MiB, and the search keeps one int per row and no other table
+    grid = doubling_grid(64, 1)
+    table = product_system(grid, grid).space.close_mask(0.3, True)
+    calls = []
+    search = solvers._cover_search
+    monkeypatch.setattr(solvers, "_cover_search",
+                        lambda *args: calls.append(args) or search(*args))
+    tracemalloc.start()
+    try:
+        got = exact_min_set_cover(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1 and len(got) == 4
+    assert peak < 6 * 2**20, peak
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -249,13 +271,23 @@ def test_clique_cover_matches_brute_where_the_root_does_not_close():
     assert searched >= 20
 
 
+def _milp_cover(masks):
+    """Fewest rows covering every column, by scipy's MILP."""
+    from scipy.optimize import LinearConstraint, milp
+
+    m = masks.shape[0]
+    found = milp(np.ones(m), integrality=np.ones(m), bounds=(0, 1),
+                 constraints=LinearConstraint(masks.T.astype(float), lb=1))
+    assert found.success
+    return round(found.fun)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_clique_cover_matches_set_cover_over_maximal_cliques(seed):
     dist = _planar(1000 + seed, 30, 30)
     for eps in (0.2, 0.35, 0.5):
         near = _near(dist, eps)
-        cliques = pack_rows(np.stack(maximal_cliques(near)))
-        want = len(exact_min_set_cover(cliques, columns=near.shape[0]))
+        want = _milp_cover(np.stack(maximal_cliques(near)))
         assert exact_min_clique_cover(pack_rows(near)) == want, eps
 
 

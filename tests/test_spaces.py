@@ -1,10 +1,13 @@
 """Metric-space container: axioms, tie layer, cache file, reindexing."""
 
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from dynoscale.cli import main
 from dynoscale.errors import InvalidMetricError, ParameterError
 from dynoscale.metric_core import FiniteMetricSpace, max_separated, write_cache, read_cache
 from dynoscale.metric_core import space as space_module
@@ -34,6 +37,23 @@ def test_asymmetry_detected():
     m = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(InvalidMetricError):
         FiniteMetricSpace(matrix=m)
+
+
+# asymmetric by 1e-13 across the diagonal: between the two, the codes of
+# (0, 1) and (1, 0) would sit on either side of a scale, and the searches,
+# which read a point's row as its column, would count a set the oracle
+# does not (exact 2 against brute force 3 at eps 0.5 + 5e-14)
+NEARLY_SYMMETRIC = [[0, .5, 1], [.5 + 1e-13, 0, .6], [1, .6, 0]]
+
+
+def test_a_table_asymmetric_by_any_amount_is_refused(tmp_path, capsys):
+    with pytest.raises(InvalidMetricError, match="asymmetric"):
+        FiniteMetricSpace(matrix=np.array(NEARLY_SYMMETRIC))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "separated", "eps": 0.5 + 5e-14,
+                                "matrix": NEARLY_SYMMETRIC}))
+    assert main(["oracle", "--instance", str(inst)]) == 2
+    assert "asymmetric" in capsys.readouterr().err
 
 
 def test_line_space_basics():
