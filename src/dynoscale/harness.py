@@ -2,9 +2,12 @@
 
 A config JSON names a system descriptor, the quantities to count, a scale
 grid, a horizon range and a budget.  ``run_sweep`` is deterministic:
-same config, byte-identical CSV outputs and trace.  Within one horizon a
-threshold graph is counted once: scales with the same level cutoff share
-their exact bracket.  ``run_estimates`` takes the exact cells of a matching
+same config, byte-identical CSV outputs and trace.  A sweep holds no d_n
+table: it lists the level cutoffs its cells need and carries those
+threshold graphs from one horizon to the next (``bowen_graphs``), each
+built once per horizon and shared by every quantity.  Within one horizon
+a graph is counted once: scales with the same level cutoff share their
+exact bracket.  ``run_estimates`` takes the exact cells of a matching
 trace in its output directory and counts the rest.
 """
 
@@ -18,14 +21,15 @@ from . import __version__
 from .errors import ConfigError, ParameterError
 from .schema import (boolean, build, check, choice, integer, list_of, load_json,
                      number)
-from .metric_core.counts import (QUANTITY_OPS, CountBracket, ScaleGrid, SEPARATED,
-                                 SPANNING, BALL_COVER, graph_cutoff)
+from .metric_core.counts import (QUANTITY_OPS, STRICT, CountBracket, ScaleGrid,
+                                 SEPARATED, SPANNING, BALL_COVER, graph_cutoff,
+                                 passes_diameter)
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
 from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
                                     metric_order_estimate, mdim_estimate,
                                     mdim_mo_estimate)
-from .systems.base import DynamicalSystem, bowen_spaces
+from .systems.base import DynamicalSystem, bowen_graphs, bowen_spaces
 from .systems.descriptor import resolve_system
 from .systems.kolyada import KolyadaSnohaMap
 from .systems.probe import entropy_scale_table, ladder_grid
@@ -77,38 +81,52 @@ Cells = dict[tuple[str, int, float], CountBracket]
 
 def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentConfig,
            horizons: list[int], known: Cells | None = None) -> dict[str, ScaleSweep]:
-    """One sweep per quantity, horizon-major so each d_n is built once.
+    """One sweep per quantity, counted on d_n's threshold graphs, with no
+    d_n table.
 
-    A (quantity, horizon, eps) cell in ``known`` is taken as it is, and d_n
-    is built only for the horizons that still miss a cell.  Within one
-    horizon, a scale whose threshold graph has the cutoff of an already
+    A (quantity, horizon, eps) cell in ``known`` is taken as it is.  The
+    level cutoffs of every other cell that reaches a solver are listed
+    before the walk: not a horizon-1 cell of a coordinate base (the line
+    sweep), nor one that one set answers (every d_n has d_1's diameter).
+    ``bowen_graphs`` then carries each listed graph from horizon to horizon,
+    for the horizons that still miss a cell, and the quantities share it.
+    Within one horizon, a scale whose graph has the cutoff of an already
     counted exact cell takes that bracket at its own scale: the graph and
     the one-set verdict are the same, and the solvers are deterministic.
     Heuristic brackets are counted at every scale, since the spanning
-    fallback also reads the graph at twice the scale.
+    fallback also reads the graph at twice the scale.  A cell is counted in
+    the walk that carries its graph, and the rows are written in horizon,
+    then scale order, as if counted one by one.
     """
     known = known or {}
-    sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     scales = config.grid.scales()
-    missing = [n for n in horizons
-               if any((q, n, eps) not in known for q in quantities for eps in scales)]
-    spaces = bowen_spaces(system, missing)
+    todo = [(q, n, eps) for n in horizons for q in quantities for eps in scales
+            if (q, n, eps) not in known]
+    base = system.space
+    cutoffs = {base.cutoff(eps, STRICT[q]) for q, n, eps in todo
+               if not ((n == 1 and base.coords is not None)
+                       or passes_diameter(q, eps, base.diameter))}
+    cells, exact = dict(known), {}
+    missing = sorted({n for _, n, _ in todo})
+    for dn in bowen_graphs(system, missing, sorted(cutoffs)):
+        for quantity, n, eps in todo:
+            if n != dn.horizon or (quantity, n, eps) in cells:
+                continue
+            cutoff = graph_cutoff(quantity, dn, eps)
+            if (quantity, n, cutoff) in exact:
+                cell = replace(exact[(quantity, n, cutoff)], scale=float(eps))
+            elif cutoff in cutoffs and cutoff not in dn.graphs:
+                continue  # another walk carries its graph
+            else:
+                cell = QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n)
+                if cutoff is not None and cell.mode == "exact":
+                    exact[(quantity, n, cutoff)] = cell
+            cells[(quantity, n, eps)] = cell
+    sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     for n in horizons:
-        dn = next(spaces) if n in missing else None
         for quantity, sweep in sweeps.items():
-            exact: dict[int, CountBracket] = {}  # by graph cutoff, this horizon only
             for eps in scales:
-                cell = known.get((quantity, n, eps))
-                if cell is None:
-                    cutoff = graph_cutoff(quantity, dn, eps)
-                    if cutoff in exact:
-                        cell = replace(exact[cutoff], scale=float(eps))
-                    else:
-                        cell = QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n)
-                        if cutoff is not None and cell.mode == "exact":
-                            exact[cutoff] = cell
-                sweep.add(cell)
-        del dn  # so the walk may extend this table into the next d_n in place
+                sweep.add(cells[(quantity, n, eps)])
     return sweeps
 
 
@@ -298,7 +316,7 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
                                      budget=q["budget"], horizon=n)
             lines.append(f"{format_float(br.scale)},{br.horizon},{br.quantity},"
                          f"{br.upper},{br.mode}")
-        del dn  # as in _count
+        del dn  # so the walk may extend this table into the next d_n in place
     path = out / "quantization.csv"
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -134,13 +134,18 @@ def graph_cutoff(quantity: str, space: FiniteMetricSpace, eps) -> int | None:
     return None if space.coords is not None else space.cutoff(eps, STRICT[quantity])
 
 
+def passes_diameter(quantity: str, eps, diameter: float) -> bool:
+    """Whether one set answers ``quantity`` at ``eps`` (stage 1)."""
+    eps_f = float(eps)
+    # no pair lies more than the diameter apart, while one open ball or one
+    # diameter-<eps set takes the whole space only past the diameter
+    return (eps_f > diameter) if STRICT[quantity] else (eps_f >= diameter)
+
+
 def _closed_form(quantity: str, space: FiniteMetricSpace, eps, horizon: int,
                  line_solver) -> CountBracket | None:
     """Stages 1 and 2: the one-set answer, then the line sweep; else None."""
-    eps_f, diameter = float(eps), space.diameter
-    # no pair lies more than the diameter apart, while one open ball or one
-    # diameter-<eps set takes the whole space only past the diameter
-    if (eps_f > diameter) if STRICT[quantity] else (eps_f >= diameter):
+    if passes_diameter(quantity, eps, space.diameter):
         return _exact(quantity, eps, horizon, 1 if quantity == DIAMETER_COVER else [0],
                       "diameter")
     if space.coords is None:

@@ -14,6 +14,7 @@ greedy brackets.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate
@@ -76,6 +77,7 @@ def _full(n: int) -> int:
 # before any row is read into Python.
 
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.intp)
+_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 def _partition(packed: np.ndarray) -> list[int] | None:
@@ -89,9 +91,10 @@ def _partition(packed: np.ndarray) -> list[int] | None:
     takes each of them; a symmetric table passes only when it is a
     reflexive equivalence relation.
 
-    ``first`` is found and the rows compared one ``block_rows`` block at a
-    time, so the test holds no temporary larger than a block, and a table
-    that fails stops at its first failing block.
+    ``first`` is found, the rows compared and the class rows' bits counted
+    one ``block_rows`` block at a time, so the test holds no temporary
+    larger than a block, and a table that fails stops at its first failing
+    block.
     """
     n = packed.shape[0]
     if n == 0:
@@ -105,9 +108,12 @@ def _partition(packed: np.ndarray) -> list[int] | None:
         if not np.array_equal(block, packed[first[a:a + rows]]):
             return None
     minima = np.flatnonzero(first == np.arange(n))
-    classes = packed[minima]
-    if (np.count_nonzero(np.unpackbits(classes)) != n
-            or np.count_nonzero(np.unpackbits(np.bitwise_or.reduce(classes, axis=0))) != n):
+    held, union = 0, np.zeros(packed.shape[1], dtype=np.uint8)
+    for a in range(0, len(minima), rows):
+        classes = packed[minima[a:a + rows]]
+        held += int(_BITS[classes].sum())
+        union |= np.bitwise_or.reduce(classes, axis=0)
+    if held != n or int(_BITS[union].sum()) != n:
         return None
     return minima.tolist()
 
@@ -346,12 +352,25 @@ def greedy_set_cover(masks: np.ndarray) -> list[int]:
 
 
 def _greedy_cover(rows: list[int], universe: int) -> list[int]:
+    """Row with the most uncovered points, the lowest index on ties, until
+    ``universe`` is covered.
+
+    A lazy max-heap keyed (-gain, row) holds each row's gain as last
+    counted.  Gains only fall, so a popped row whose recount still equals
+    its key beats every other row, ties going to the lower index: the picks
+    of a full recount at each step, recounting only the rows popped.
+    """
+    heap = [(-row.bit_count(), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
     covered, picked = 0, []
     while covered != universe:
-        gains = [(row & ~covered).bit_count() for row in rows]
-        best = max(range(len(rows)), key=gains.__getitem__)
-        if gains[best] == 0:
+        if not heap or heap[0][0] == 0:
             raise ValueError("universe not coverable by the given sets")
+        key, best = heapq.heappop(heap)
+        gain = (rows[best] & ~covered).bit_count()
+        if gain != -key:
+            heapq.heappush(heap, (-gain, best))
+            continue
         picked.append(best)
         covered |= rows[best]
     return picked

@@ -2,7 +2,9 @@
 
 A system is a ``FiniteMetricSpace`` closed under one map f, carried by
 ``step``, the index of f(x) for every point x.  Iterating the step
-certifies d_k for every horizon k <= ``horizon_cap``.
+certifies d_k for every horizon k <= ``horizon_cap``: ``bowen_spaces``
+builds each d_k as a code table, and ``bowen_graphs`` carries only its
+threshold graphs, which is all a count reads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ..errors import ParameterError, RepresentationError
-from ..metric_core.space import FiniteMetricSpace, block_rows
+from ..metric_core.space import FiniteMetricSpace, block_rows, pack_rows
 
 
 @dataclass
@@ -80,6 +82,13 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
 _REFCOUNT_OWNS = sys.implementation.name == "cpython" and sys.version_info < (3, 14)
 
 
+def _check_horizon(system: DynamicalSystem, n: int) -> None:
+    if n < 1:
+        raise ParameterError("horizon must be >= 1")
+    if n > system.horizon_cap:
+        raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
+
+
 def bowen_spaces(system: DynamicalSystem,
                  horizons: Iterable[int]) -> Iterator[FiniteMetricSpace]:
     """The space under each horizon-n dynamical metric, in the order given.
@@ -98,13 +107,11 @@ def bowen_spaces(system: DynamicalSystem,
     of two codes is the code of the max, at one to four bytes per pair.
     Max is exact, so every table is bitwise the one built anew.  A horizon
     below the last one starts again from ``d_1``, which is the space itself.
+    A consumer that only counts needs no table: see ``bowen_graphs``.
     """
     done, table = 1, None
     for n in horizons:
-        if n < 1:
-            raise ParameterError("horizon must be >= 1")
-        if n > system.horizon_cap:
-            raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
+        _check_horizon(system, n)
         if n < done:
             done, table = 1, None
         if n == 1:
@@ -122,23 +129,126 @@ def bowen_spaces(system: DynamicalSystem,
                                            name=f"{system.name}|d_{n}")
 
 
-def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
-                table: np.ndarray) -> np.ndarray:
-    """``max(prev, codes[idx][:, idx])`` written into ``table``, by row blocks.
+def _orbit_blocks(codes: np.ndarray, idx: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
+    """``(a, block)`` for each row block of ``codes[idx][:, idx]`` (of
+    ``codes`` itself when ``idx`` is None), block starting at row a.
 
-    Each row block is gathered into one block-sized buffer before the max
-    writes it, and a block of ``prev`` is read only for the rows it writes,
-    so ``table`` may be ``prev`` itself.
+    Every block is gathered into the same block-sized buffer, so a block is
+    read before the next one is asked for and never kept.
     """
-    n = len(idx)
+    n = len(codes)
     rows = block_rows(n)
+    if idx is None:
+        for a in range(0, n, rows):
+            yield a, codes[a:a + rows]
+        return
     buf = np.empty((min(rows, n), n), dtype=codes.dtype)
     for a in range(0, n, rows):
         b = min(a + rows, n)
         # the indices are in range, so "clip" only skips the buffered bounds check
         np.take(codes.take(idx[a:b], 0, mode="clip"), idx, 1, out=buf[:b - a], mode="clip")
-        np.maximum(buf[:b - a], prev[a:b], out=table[a:b])
+        yield a, buf[:b - a]
+
+
+def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
+                table: np.ndarray) -> np.ndarray:
+    """``max(prev, codes[idx][:, idx])`` written into ``table``, by row blocks.
+
+    A block of ``prev`` is read only for the rows it writes, so ``table``
+    may be ``prev`` itself.
+    """
+    for a, block in _orbit_blocks(codes, idx):
+        b = a + len(block)
+        np.maximum(block, prev[a:b], out=table[a:b])
     return table
+
+
+class BowenGraphs:
+    """d_n as the counts read it: its diameter and its packed threshold
+    graphs at the level cutoffs of one walk, without its code table.
+
+    ``graphs`` maps each carried cutoff c to G_n(c), the rows of
+    ``d_n codes < c`` as ``pack_rows`` packs them.  The walk ANDs the next
+    horizon into these same arrays, so a reader is done with them before
+    the walk resumes and never writes them; ``close_mask`` at a cutoff the
+    walk does not carry (the spanning fallback's graph at twice the scale)
+    walks that one graph anew.  A coordinate base keeps its coordinates at
+    horizon 1, so the counts take the line sweep there and never ask for a
+    graph.  Every d_n has d_1's diameter, since d_1 <= d_n <= max d_1
+    pointwise.
+    """
+
+    def __init__(self, system: DynamicalSystem, horizon: int, graphs: dict[int, np.ndarray]):
+        self.system, self.horizon, self.graphs = system, horizon, graphs
+        space = system.space
+        self.size, self.diameter = space.size, space.diameter
+        self.coords = space.coords if horizon == 1 else None
+
+    def cutoff(self, eps: float, strict: bool) -> int:
+        """The level cutoff of ``eps``: the levels are d_1's, shared by every d_n."""
+        return self.system.space.cutoff(eps, strict)
+
+    def close_mask(self, eps: float, strict: bool) -> np.ndarray:
+        """The packed graph of d_n < eps (strict) or d_n <= eps."""
+        cutoff = self.cutoff(eps, strict)
+        if cutoff in self.graphs:
+            return self.graphs[cutoff]
+        return next(_walk(self.system, [self.horizon], [cutoff])).graphs[cutoff]
+
+
+def bowen_graphs(system: DynamicalSystem, horizons: Iterable[int],
+                 cutoffs: Iterable[int]) -> Iterator[BowenGraphs]:
+    """The threshold graphs of d_n at every level cutoff in ``cutoffs``, for
+    each horizon n in ``horizons`` (ascending), with no d_n table.
+
+    A walk carries G_n(c) = ``pack_rows(d_n codes < c)`` for its cutoffs
+    from one horizon to the next: G_1(c) packs the base codes, and since
+    ``d_n = max(d_{n-1}, d o f^{n-1})``, G_n(c) is G_{n-1}(c) AND the packed
+    ``codes[f^(n-1) rows][:, f^(n-1)] < c``, one row block of that gather
+    (``bowen_spaces``' own) shared by all the walk's graphs.  AND is exact,
+    so every graph is bitwise ``bowen_space(system, n).close_mask``.
+
+    A walk carries at most ``8 * codes.itemsize`` graphs, which together
+    take no more bytes than one d_n table; more cutoffs are walked again
+    per group of that size, so the views come group by group, each group
+    through every horizon.  A walk that ends at horizon 1 carries nothing
+    and takes one graph a group.  Without cutoffs, each horizon's view
+    comes once and nothing is read, so a coordinate base is never encoded.
+    """
+    horizons = list(horizons)
+    for n in horizons:
+        _check_horizon(system, n)
+    if horizons != sorted(horizons):
+        raise ParameterError("the walk takes its horizons in ascending order")
+    if not horizons:
+        return
+    cutoffs = [int(c) for c in cutoffs]
+    per_walk = 1
+    if cutoffs and horizons[-1] > 1:
+        per_walk = 8 * system.space.level_codes()[1].itemsize
+    for a in range(0, max(len(cutoffs), 1), per_walk):
+        yield from _walk(system, horizons, cutoffs[a:a + per_walk])
+
+
+def _walk(system: DynamicalSystem, horizons: list[int],
+          cutoffs: list[int]) -> Iterator[BowenGraphs]:
+    """One walk of ``bowen_graphs`` over all of ``cutoffs``."""
+    n_pts = system.space.size
+    graphs = {c: np.full((n_pts, (n_pts + 7) // 8), 0xFF, dtype=np.uint8)
+              for c in cutoffs}
+    codes = system.space.level_codes()[1] if graphs else None
+    done = 0
+    for n in horizons:
+        while graphs and done < n:
+            # step 0 reads the base codes, step t the gather of f^t
+            idx = None if done == 0 else system.step if done == 1 else system.step[idx]
+            for a, block in _orbit_blocks(codes, idx):
+                b = a + len(block)
+                for c, graph in graphs.items():
+                    # a Python int keeps the compare on the codes' dtype
+                    graph[a:b] &= pack_rows(block < c)
+            done += 1
+        yield BowenGraphs(system, n, graphs)
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

@@ -48,10 +48,17 @@ def lattice_alphabet(points: int) -> FiniteMetricSpace:
     return FiniteMetricSpace(coords=coords, name=f"lattice({points})")
 
 
-def _prefixes(symbols: int, depth: int) -> np.ndarray:
+def _net_size(symbols: int, depth: int) -> int:
     count = symbols**depth
     if count > MAX_POINTS:
         raise ParameterError(f"shift net of {count} points exceeds cap {MAX_POINTS}")
+    return count
+
+
+def _prefixes(symbols: int, depth: int) -> np.ndarray:
+    """Row i is the word of point i: the nets list their words in
+    lexicographic order, and label their points by index."""
+    _net_size(symbols, depth)
     return np.array(list(itertools.product(range(symbols), repeat=depth)),
                     dtype=np.int16)
 
@@ -95,9 +102,7 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         raise ParameterError("an alphabet applies to the product metric only")
     if not (0 <= tail < symbols):
         raise ParameterError("tail symbol outside the alphabet")
-    words = _prefixes(symbols, depth)
-    n = words.shape[0]
-    label = [tuple(w) for w in words.tolist()]
+    n = _net_size(symbols, depth)
     name = name or f"shift{symbols}x{depth}-{metric}"
 
     if metric == "exp":
@@ -107,8 +112,7 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         powers = np.exp(-math.log(base) * np.arange(depth + 1))
         # level depth + 1 - k is powers[k], and level 0 the diagonal's 0
         levels = np.concatenate(([0.0], powers[::-1]))
-        space = FiniteMetricSpace.from_codes(levels, _exp_codes(symbols, depth),
-                                             labels=label, name=name)
+        space = FiniteMetricSpace.from_codes(levels, _exp_codes(symbols, depth), name=name)
         trunc = base ** (-float(depth))
         alph_diam = 1.0
     else:
@@ -118,7 +122,7 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         alevels, acodes = alphabet.level_codes()
         for t in range(depth):
             prefix = product_codes(prefix, (2.0 ** -(t + 1) * alevels, acodes), np.add)
-        space = FiniteMetricSpace.from_codes(*prefix, labels=label, name=name)
+        space = FiniteMetricSpace.from_codes(*prefix, name=name)
         alph_diam = alphabet.diameter
         trunc = 2.0 ** (-depth) * alph_diam
 

@@ -9,11 +9,12 @@ import pytest
 from dynoscale.errors import ParameterError, RepresentationError
 from dynoscale.harness import _count, parse_config
 from dynoscale.metric_core import max_separated
+from dynoscale.metric_core.counts import QUANTITY_OPS
 from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance,
                                bowen_space, bowen_spaces, doubling_grid, full_shift,
-                               identity_system, power_system, product_system,
-                               random_space, system_from_step)
-from dynoscale.systems.base import _REFCOUNT_OWNS
+                               identity_system, lattice_alphabet, power_system,
+                               product_system, random_space, system_from_step)
+from dynoscale.systems.base import _REFCOUNT_OWNS, bowen_graphs
 
 
 def test_horizon_one_is_base_metric(doubling64):
@@ -208,6 +209,93 @@ def test_a_kept_view_of_the_codes_keeps_its_values_when_the_walk_resumes():
     assert np.array_equal(view, kept)
     levels = system.space.level_codes()[0]
     assert levels[view].tobytes() == _max_anew(system, 2)[1:].tobytes()
+
+
+GRAPH_SYSTEMS = {
+    "exp-shift": lambda: binary_exp_shift(6, horizon_cap=5),
+    "unit-lattice-product-shift": lambda: full_shift(
+        2, 4, metric="product", alphabet=lattice_alphabet(3), horizon_cap=5),
+    "doubling": lambda: doubling_grid(64, horizon_cap=5),
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_SYSTEMS)
+def test_bowen_graphs_are_the_threshold_graphs_of_bowen_spaces_bitwise(name):
+    system = GRAPH_SYSTEMS[name]()
+    levels, codes = system.space.level_codes()
+    # scale levels[c] holds c levels strictly below it, and inf all of them
+    scales = [*levels.tolist(), np.inf]
+    horizons = [1, 2, 3, 4, 5]
+    want = {n: [dn.close_mask(eps, True) for eps in scales]
+            for n, dn in zip(horizons, bowen_spaces(system, horizons))}
+    seen = []
+    for dn in bowen_graphs(system, horizons, range(len(scales))):
+        assert len(dn.graphs) <= 8 * codes.itemsize
+        for c, graph in dn.graphs.items():
+            assert dn.cutoff(scales[c], True) == c
+            assert dn.close_mask(scales[c], True) is graph
+            assert graph.tobytes() == want[dn.horizon][c].tobytes(), (dn.horizon, c)
+            seen.append((dn.horizon, c))
+    assert sorted(seen) == [(n, c) for n in horizons for c in range(len(scales))]
+
+
+def test_a_graph_the_walk_does_not_carry_is_walked_anew():
+    system = binary_exp_shift(6, horizon_cap=5)
+    dn = next(bowen_graphs(system, [4], [3]))
+    assert list(dn.graphs) == [3]
+    for eps in (0.1, 0.3, 0.9):
+        got = dn.close_mask(eps, False)
+        assert got.tobytes() == bowen_space(system, 4).close_mask(eps, False).tobytes()
+
+
+def test_a_horizon_one_walk_leaves_a_coordinate_base_unencoded():
+    system = doubling_grid(64, horizon_cap=5)
+    (dn,) = bowen_graphs(system, [1], [])
+    assert dn.coords == system.space.coords and dn.diameter == system.space.diameter
+    assert system.space._codes is None
+
+
+def test_bowen_graphs_reject_descending_or_capped_horizons(doubling64):
+    with pytest.raises(ParameterError):
+        list(bowen_graphs(doubling64, [2, 1], [3]))
+    with pytest.raises(ParameterError):
+        list(bowen_graphs(doubling64, [doubling64.horizon_cap + 1], [3]))
+
+
+@pytest.mark.parametrize("budget", [1, 50, 10**6])
+def test_counts_and_their_fallbacks_leave_the_carried_graphs_as_they_were(budget):
+    # the walk ANDs the next horizon into the graphs it carries, so a count
+    # must not write them; at budget 1 most cells end in a fallback
+    system = full_shift(2, 4, metric="product", alphabet=lattice_alphabet(3), horizon_cap=3)
+    levels = system.space.level_codes()[0]
+    scales = levels[1::7].tolist()
+    cutoffs = sorted({system.space.cutoff(eps, strict) for eps in scales
+                      for strict in (True, False)})
+    methods = set()
+    for dn in bowen_graphs(system, [1, 2, 3], cutoffs):
+        before = {c: graph.tobytes() for c, graph in dn.graphs.items()}
+        for count in QUANTITY_OPS.values():
+            for eps in scales:
+                methods.add(count(dn, eps, budget, horizon=dn.horizon).method)
+        assert {c: graph.tobytes() for c, graph in dn.graphs.items()} == before
+    assert "greedy" in methods or budget > 1
+
+
+def test_counting_dense_horizons_holds_less_than_one_code_table_beside_the_base():
+    # the threshold graphs are carried from horizon to horizon instead of
+    # d_n: four packed graphs are half a one-byte table
+    system = binary_exp_shift(11, horizon_cap=3)
+    size = system.space.size
+    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1, 2, 3]})
+    tracemalloc.start()
+    try:
+        _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * size**2, peak / size**2
 
 
 LADDERS = {

@@ -49,7 +49,7 @@ def test_subadditive_cover_equality_on_full_shift(shift6):
 
 def test_shift_map_drops_first_symbol():
     s = full_shift(2, 4, metric="exp")
-    lab = s.space.labels
+    lab = [tuple(w) for w in _prefixes(2, 4).tolist()]
     i = lab.index((1, 0, 1, 1))
     assert lab[int(s.step[i])] == (0, 1, 1, 0)  # tail symbol appended
 
@@ -86,7 +86,8 @@ def test_product_metric_matches_rho_and_stores_truncation():
     s = full_shift(2, 5, metric="product")
     alph = s.meta["alphabet"]
     i, j = 3, 19
-    value, _ = rho_distance(s.space.labels[i], s.space.labels[j], alph)
+    words = _prefixes(2, 5).tolist()
+    value, _ = rho_distance(words[i], words[j], alph)
     assert s.space.dist(i, j) == pytest.approx(value)
     assert s.meta["truncation_bound"] == pytest.approx(2.0**-5 * alph.diameter)
 
@@ -97,7 +98,7 @@ def test_prefix_iteration_commutes_with_shift():
     s = full_shift(2, 6, metric="product", horizon_cap=6)
     alph = s.meta["alphabet"]
     bound = s.meta["truncation_bound"]
-    lab = s.space.labels
+    lab = _prefixes(2, 6).tolist()
     for i, j in ((3, 44), (10, 57)):
         for t in (1, 2, 3):
             it, jt = int(s.orbit_index[t, i]), int(s.orbit_index[t, j])
@@ -149,8 +150,8 @@ def test_shift_step_and_labels_match_the_label_based_construction(symbols, depth
     index_of = {lab: i for i, lab in enumerate(labels)}
     step = [index_of[lab[1:] + (tail,)] for lab in labels]
     s = full_shift(symbols, depth, tail=tail, horizon_cap=2)
-    assert s.space.labels == labels
-    assert all(type(x) is int for x in s.space.labels[-1])
+    # points are labelled by index; their words are the rows of _prefixes
+    assert s.space.labels == list(range(len(labels)))
     assert s.step.tolist() == step
 
 

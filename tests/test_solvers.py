@@ -437,3 +437,87 @@ def test_partial_cover_overlapping_rows_short_of_the_target_raise():
     masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot reach the target"):
         exact_min_partial_cover(pack_rows(masks), [Fraction(1, 4)] * 4, Fraction(9, 10))
+
+
+def test_partition_counts_the_class_bits_one_block_at_a_time():
+    # every point is its own class, so the class rows are the whole table,
+    # and its unpacked bits would take eight times the table
+    packed = pack_rows(np.eye(2048, dtype=bool))
+    tracemalloc.start()
+    try:
+        got = _partition(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == list(range(2048))
+    assert peak < packed.nbytes, peak / packed.nbytes
+
+
+def _greedy_cover_every_row(rows, universe):
+    """The greedy set cover, recounting every row's gain at each pick."""
+    covered, picked = 0, []
+    while covered != universe:
+        gains = [(row & ~covered).bit_count() for row in rows]
+        best = max(range(len(rows)), key=gains.__getitem__)
+        if gains[best] == 0:
+            raise ValueError("universe not coverable by the given sets")
+        picked.append(best)
+        covered |= rows[best]
+    return picked
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_cover_matches_an_every_row_recount(seed):
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(1, 40))
+    # rows drawn from a few patterns, some repeated, so gains tie often
+    patterns = rng.random((int(rng.integers(1, 6)), n)) < rng.uniform(0.1, 0.5)
+    table = patterns[rng.integers(0, len(patterns), int(rng.integers(1, 30)))]
+    table = table | (rng.random(table.shape) < 0.05)
+    rows = solvers._ints(pack_rows(table))
+    coverable = sum(1 << int(j) for j in np.flatnonzero(table.any(axis=0)))
+    assert (solvers._greedy_cover(rows, coverable)
+            == _greedy_cover_every_row(rows, coverable))
+    full = (1 << n) - 1
+    if coverable != full:
+        with pytest.raises(ValueError):
+            solvers._greedy_cover(rows, full)
+
+
+def test_greedy_cover_breaks_ties_on_the_lowest_row():
+    rows = solvers._ints(pack_rows(np.eye(6, dtype=bool)[[3, 1, 3, 0, 5, 4, 2]]))
+    assert solvers._greedy_cover(rows, (1 << 6) - 1) == [0, 1, 3, 4, 5, 6]
+
+
+def _guarded_tables():
+    """Packed graphs as ``close_mask`` builds them, one for every stage:
+    partitions, circle arcs, the searches and their fallbacks."""
+    for k in range(5):
+        yield pack_rows(_equivalence(k)), pack_rows(_equivalence(k, cut=True))
+    grid = doubling_grid(32, 1).space
+    yield grid.close_mask(0.1, True), grid.close_mask(0.2, False)
+    for seed in range(8):
+        dist = _planar(seed, 12, 20)
+        yield pack_rows(dist < 0.3), pack_rows(dist <= 0.45)
+
+
+GUARDED = [exact_max_independent_set, exact_min_clique_cover, exact_min_set_cover]
+
+
+def test_every_solver_leaves_its_packed_graph_as_it_was():
+    # the sweep's walk ANDs the next horizon into the same graphs, so no
+    # solver or fallback may write into the table it is given
+    for tables in _guarded_tables():
+        for table in tables:
+            before = table.tobytes()
+            for solve in GUARDED:
+                for budget in (1, 10**6):
+                    try:
+                        solve(table, budget)
+                    except BudgetExceededError:
+                        pass
+            greedy_independent_set(table)
+            greedy_clique_cover(table)
+            solvers.greedy_set_cover(table)
+            dedupe_masks(table)
+            assert table.tobytes() == before

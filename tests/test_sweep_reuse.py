@@ -6,6 +6,8 @@ bracket of the first at the others.  Each test compares against cells
 counted one by one.
 """
 
+import pytest
+
 from dynoscale import harness
 from dynoscale.estimators.sweep import ScaleSweep
 from dynoscale.harness import parse_config, run_sweep
@@ -44,11 +46,7 @@ def _cutoffs(system, config):
     return cells
 
 
-def test_sweep_writes_what_per_cell_counts_write(tmp_path):
-    config = parse_config(EXP)
-    system = resolve_system(config.system)
-    cells = _cutoffs(system, config)
-    assert len(set(cells)) < len(cells)  # some scales share a graph
+def _assert_sweep_writes_what_per_cell_counts_write(system, config, tmp_path):
     got = run_sweep(config, tmp_path / "got")
     want = tmp_path / "want"
     want.mkdir()
@@ -62,6 +60,40 @@ def test_sweep_writes_what_per_cell_counts_write(tmp_path):
     assert sorted(p.name for p in got) == sorted(p.name for p in want.iterdir())
     for path in got:
         assert path.read_bytes() == (want / path.name).read_bytes(), path.name
+
+
+def test_sweep_writes_what_per_cell_counts_write(tmp_path):
+    config = parse_config(EXP)
+    system = resolve_system(config.system)
+    cells = _cutoffs(system, config)
+    assert len(set(cells)) < len(cells)  # some scales share a graph
+    _assert_sweep_writes_what_per_cell_counts_write(system, config, tmp_path)
+
+
+@pytest.mark.parametrize("budget", [3, 300])
+def test_a_grid_with_more_graphs_than_one_walk_carries_is_walked_per_group(
+        tmp_path, monkeypatch, budget):
+    # one-byte codes, so a walk carries eight graphs beside the base codes
+    config = parse_config({"system": LATTICE_SHIFT, "quantities": ALL,
+                           "grid": {"start": 0.9, "ratio": 0.9, "count": 30},
+                           "horizons": [1, 2, 3], "budget": budget})
+    system = resolve_system(config.system)
+    assert system.space.level_codes()[1].itemsize == 1
+    cutoffs = {c for _, _, c in _cutoffs(system, config)}
+    assert len(cutoffs) > 2 * 8
+    walked = []
+    real = harness.bowen_graphs
+
+    def spy(system, horizons, cutoffs):
+        for dn in real(system, horizons, cutoffs):
+            walked.append((dn.horizon, sorted(dn.graphs)))
+            yield dn
+
+    monkeypatch.setattr(harness, "bowen_graphs", spy)
+    _assert_sweep_writes_what_per_cell_counts_write(system, config, tmp_path)
+    groups = [graphs for n, graphs in walked if n == 1]
+    assert len(groups) > 2 and all(len(graphs) <= 8 for graphs in groups)
+    assert sorted(c for graphs in groups for c in graphs) == sorted(cutoffs)
 
 
 def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):

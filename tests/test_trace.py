@@ -57,15 +57,15 @@ def _shifted(cells):
 
 
 def _spy_horizons(monkeypatch):
-    """The horizon lists every d_n build in ``harness`` is asked for."""
+    """The horizon lists every d_n walk in ``harness`` is asked for."""
     asked = []
-    real = harness.bowen_spaces
+    real = harness.bowen_graphs
 
-    def spy(system, horizons):
+    def spy(system, horizons, cutoffs):
         asked.append(list(horizons))
-        return real(system, horizons)
+        return real(system, horizons, cutoffs)
 
-    monkeypatch.setattr(harness, "bowen_spaces", spy)
+    monkeypatch.setattr(harness, "bowen_graphs", spy)
     return asked
 
 
