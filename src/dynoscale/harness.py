@@ -5,9 +5,10 @@ grid, a horizon range and a budget.  ``run_sweep`` is deterministic:
 same config, byte-identical CSV outputs and trace.  A sweep holds no d_n
 table: it lists the level cutoffs its cells need and carries those
 threshold graphs from one horizon to the next (``bowen_graphs``), each
-built once per horizon and shared by every quantity.  Within one horizon
-a graph is counted once: scales with the same level cutoff share their
-exact bracket.  ``run_estimates`` takes the exact cells of a matching
+built once per horizon and shared by every quantity; on a chain-backed
+base (the exp shift) they are class labels, not packed graphs, and no
+N x N array is built.  Within one horizon a graph is counted once:
+scales with the same level cutoff share their exact bracket.  ``run_estimates`` takes the exact cells of a matching
 trace in its output directory and counts the rest.
 """
 
@@ -88,8 +89,9 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     level cutoffs of every other cell that reaches a solver are listed
     before the walk: not a horizon-1 cell of a coordinate base (the line
     sweep), nor one that one set answers (every d_n has d_1's diameter).
-    ``bowen_graphs`` then carries each listed graph from horizon to horizon,
-    for the horizons that still miss a cell, and the quantities share it.
+    ``bowen_graphs`` then carries each listed graph (or, on a chain-backed
+    base, its class labels) from horizon to horizon, for the horizons that
+    still miss a cell, and the quantities share it.
     Within one horizon, a scale whose graph has the cutoff of an already
     counted exact cell takes that bracket at its own scale: the graph and
     the one-set verdict are the same, and the solvers are deterministic.
@@ -115,7 +117,7 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
             cutoff = graph_cutoff(quantity, dn, eps)
             if (quantity, n, cutoff) in exact:
                 cell = replace(exact[(quantity, n, cutoff)], scale=float(eps))
-            elif cutoff in cutoffs and cutoff not in dn.graphs:
+            elif cutoff in cutoffs and not dn.carries(cutoff):
                 continue  # another walk carries its graph
             else:
                 cell = QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import BudgetExceededError, ParameterError
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, class_minima
 from . import solvers
 from .solvers import DEFAULT_BUDGET
 
@@ -32,6 +32,9 @@ DIAMETER_COVER = "diameter_cover"
 
 # whether each quantity's threshold graph is d < eps (strict) or d <= eps
 STRICT = {SEPARATED: False, SPANNING: True, BALL_COVER: True, DIAMETER_COVER: True}
+# the method each quantity's exact graph solver, or a partition, reports
+METHOD = {SEPARATED: "mis-bnb", SPANNING: "cover-bnb", BALL_COVER: "cover-bnb",
+          DIAMETER_COVER: "clique-cover-bnb"}
 
 # Slightly-off-one multiplier used to keep default grids away from the
 # exact distances of rational systems (counts can jump at aligned scales).
@@ -98,7 +101,9 @@ class ScaleGrid:
 #
 # Every graph count runs the same four stages, and the first that answers
 # returns: (1) one set answers past the diameter; (2) coordinate spaces take
-# the exact line sweep; (3) the budgeted exact solver runs on the threshold
+# the exact line sweep, and a threshold graph that a chain-backed space
+# knows as a partition answers with its classes, under the method its
+# solver would report; (3) the budgeted exact solver runs on the threshold
 # graph, as the packed rows ``close_mask`` builds; (4) when its budget runs
 # out, a heuristic fallback brackets the count.  Solvers are passed in as
 # looked up on ``solvers`` at call time, so wrappers bound there see every
@@ -144,12 +149,23 @@ def passes_diameter(quantity: str, eps, diameter: float) -> bool:
 
 def _closed_form(quantity: str, space: FiniteMetricSpace, eps, horizon: int,
                  line_solver) -> CountBracket | None:
-    """Stages 1 and 2: the one-set answer, then the line sweep; else None."""
+    """Stages 1 and 2: the one-set answer, then the line sweep or the
+    partition; else None.
+
+    Every cover takes one set per class of a partition, and a separated
+    set at most one point of each, so the class minima (ascending) are
+    what the partition certificate of the graph solvers returns.
+    """
     if passes_diameter(quantity, eps, space.diameter):
         return _exact(quantity, eps, horizon, 1 if quantity == DIAMETER_COVER else [0],
                       "diameter")
     if space.coords is None:
-        return None
+        labels = space.classes(space.cutoff(eps, STRICT[quantity]))
+        if labels is None:
+            return None
+        minima = class_minima(labels)
+        return _exact(quantity, eps, horizon,
+                      len(minima) if quantity == DIAMETER_COVER else minima, METHOD[quantity])
     order = sorted(range(space.size), key=lambda i: space.coords[i])
     found = line_solver([space.coords[i] for i in order], _as_cmp_scale(eps))
     return _exact(quantity, eps, horizon, found, "line-sweep", order)
@@ -185,7 +201,7 @@ def max_separated(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
             # d <= eps violates separation
             or graph_bracket(SEPARATED, eps, horizon,
                              space.close_mask(eps, STRICT[SEPARATED]),
-                             solvers.exact_max_independent_set, "mis-bnb", budget))
+                             solvers.exact_max_independent_set, METHOD[SEPARATED], budget))
 
 
 def min_spanning(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
@@ -203,7 +219,8 @@ def min_spanning(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
             # row i: the open ball around i
             or graph_bracket(SPANNING, eps, horizon,
                              space.close_mask(eps, STRICT[SPANNING]),
-                             solvers.exact_min_set_cover, "cover-bnb", budget, fallback))
+                             solvers.exact_min_set_cover, METHOD[SPANNING], budget,
+                             fallback))
 
 
 def min_ball_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDGET,
@@ -230,7 +247,8 @@ def min_diameter_cover(space: FiniteMetricSpace, eps, budget: int = DEFAULT_BUDG
                          solvers.line_min_diameter_cover)
             or graph_bracket(DIAMETER_COVER, eps, horizon,
                              space.close_mask(eps, STRICT[DIAMETER_COVER]),
-                             solvers.exact_min_clique_cover, "clique-cover-bnb", budget))
+                             solvers.exact_min_clique_cover, METHOD[DIAMETER_COVER],
+                             budget))
 
 
 QUANTITY_OPS = {

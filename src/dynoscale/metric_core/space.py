@@ -1,19 +1,25 @@
 """Finite metric spaces with a certified distance oracle.
 
-Two storage backends are supported. A 1-d coordinate list (ideally
+Three storage backends are supported. A 1-d coordinate list (ideally
 `Fraction`s) covers spaces embedded in the real line, where the counting
 layer can run exact sweep algorithms without ever materialising a matrix.
 A dense space stores ``levels``, the sorted distinct float64 distances, and
 ``codes``, an (n, n) table of indices into ``levels`` in the narrowest
 unsigned dtype, so that ``levels[codes]`` is the distance table bit for bit.
+An ultrametric space may store its ``levels`` and a partition ``chain``
+instead of codes: one label row per positive level c, where two points
+share a label exactly when their code is below c.  Its threshold graphs
+are partitions (``classes``), and its codes, a pair's count of levels at
+which its labels differ, are derived on first use.
 Every threshold graph depends only on which distances fall below a scale,
 so it is one compare of the codes with the scale's level cutoff, packed at
 one bit per pair; float values are read by ``distances(rows, cols)``, which
-gathers only the block asked for.  A float matrix passed in is encoded at
-construction and not kept; a coordinate space is encoded from its
-coordinates by row blocks at its first threshold or ``d_n`` gather.  Products
-(under the max or the sum of the factors' distances) combine the factors'
-codes (``product_codes``).  No space keeps a float table.
+gathers only the block asked for, and every float read goes through
+``level_codes()``.  A float matrix passed in is encoded at construction and
+not kept; a coordinate space is encoded from its coordinates by row blocks
+at its first threshold or ``d_n`` gather.  Products (under the max or the
+sum of the factors' distances) combine the factors' codes
+(``product_codes``).  No space keeps a float table.
 
 Packed rows are the one format of threshold graphs and solver tables: bit
 j of row i is bit ``j & 7`` of byte ``j >> 3`` (``pack_rows``), and the
@@ -68,7 +74,7 @@ class FiniteMetricSpace:
             raise ParameterError("exactly one of matrix/coords must be given")
         self.name = name
         self.coords = None
-        self._levels = self._codes = None
+        self._levels = self._codes = self._chain = None
         if coords is not None:
             if len(coords) == 0:
                 raise ParameterError("empty spaces are rejected")
@@ -101,8 +107,28 @@ class FiniteMetricSpace:
         """
         space = cls.__new__(cls)
         space.name, space.coords = name, None
-        space._levels, space._codes = levels, codes
+        space._levels, space._codes, space._chain = levels, codes, None
         space.size = codes.shape[0]
+        space._set_labels(labels)
+        return space
+
+    @classmethod
+    def from_chain(cls, levels: np.ndarray, chain: np.ndarray,
+                   labels: Sequence | None = None, name: str = "space") -> "FiniteMetricSpace":
+        """Ultrametric space whose points share row ``c - 1`` of ``chain``
+        exactly when they lie closer than ``levels[c]``, unchecked.
+
+        ``levels`` is sorted ascending with ``levels[0] == 0``, and ``chain``
+        has one integer label row per positive level.  The rows are trusted
+        to be nested, each a refinement of the next, and row 0 to give every
+        point a label of its own; then a pair's code, the number of rows in
+        which its labels differ, indexes its distance, and the space is an
+        ultrametric.  No code is built until ``level_codes`` is asked for.
+        """
+        space = cls.__new__(cls)
+        space.name, space.coords = name, None
+        space._levels, space._codes, space._chain = levels, None, chain
+        space.size = chain.shape[1]
         space._set_labels(labels)
         return space
 
@@ -144,7 +170,8 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> float:
         if self.coords is not None:
             return abs(float(self._coords_float[i] - self._coords_float[j]))
-        return float(self._levels[self._codes[i, j]])
+        levels, codes = self.level_codes()
+        return float(levels[codes[i, j]])
 
     def distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Float block ``d(rows[a], cols[b])``, bitwise that of ``as_matrix()``."""
@@ -152,7 +179,8 @@ class FiniteMetricSpace:
         if self.coords is not None:
             x = self._coords_float
             return np.abs(x[r] - x[c])
-        return self._levels[self._codes[r, c]]
+        levels, codes = self.level_codes()
+        return levels[codes[r, c]]
 
     def dist_exact(self, i: int, j: int):
         """Exact distance when available (Fractions), else the float value."""
@@ -168,6 +196,12 @@ class FiniteMetricSpace:
         if self._diameter is None:
             if self.coords is not None:
                 self._diameter = float(self._coords_float.max() - self._coords_float.min())
+            elif self._chain is not None:
+                # nested rows: a pair differs in rows 1..k, so the largest
+                # code is the number of rows of more than one class
+                chain = self._chain
+                self._diameter = float(self._levels[np.count_nonzero(
+                    chain.min(axis=1) != chain.max(axis=1))])
             else:
                 levels, codes = self.level_codes()
                 self._diameter = float(levels[codes.max()])
@@ -176,7 +210,8 @@ class FiniteMetricSpace:
     def as_matrix(self) -> np.ndarray:
         """Dense float distance table, built anew on each call and not kept."""
         if self.coords is None:
-            return self._levels[self._codes]
+            levels, codes = self.level_codes()
+            return levels[codes]
         return self._coord_rows(0, self.size)
 
     def _coord_rows(self, a: int, b: int) -> np.ndarray:
@@ -190,11 +225,34 @@ class FiniteMetricSpace:
         """``(levels, codes)``: the sorted distances and the table of their indices.
 
         A coordinate space encodes its distances one row block at a time,
-        on first use.
+        and a chain-backed space counts each pair's differing labels, on
+        first use.
         """
-        if self._codes is None:
+        if self._codes is None and self._chain is not None:
+            self._codes = _chain_codes(self._chain, len(self._levels))
+        elif self._codes is None:
             self._levels, self._codes = _encode(self._coord_rows, self.size)
         return self._levels, self._codes
+
+    @property
+    def chain(self) -> np.ndarray | None:
+        """The partition chain of a chain-backed space, else None."""
+        return self._chain
+
+    def classes(self, cutoff: int) -> np.ndarray | None:
+        """Class labels of the threshold graph ``codes < cutoff`` of a
+        chain-backed space: points i and j are joined exactly when
+        ``labels[i] == labels[j]``.
+
+        None for a space without a chain, and at cutoff 0, whose graph
+        joins no point even to itself.  Past the last row every point
+        shares label 0.
+        """
+        if self._chain is None or cutoff < 1:
+            return None
+        if cutoff > len(self._chain):
+            return np.zeros(self.size, dtype=self._chain.dtype)
+        return self._chain[cutoff - 1]
 
     def cutoff(self, eps: float, strict: bool) -> int:
         """Number of levels < eps (strict) or <= eps, and 0 for NaN.
@@ -205,7 +263,8 @@ class FiniteMetricSpace:
         eps_f = float(eps)
         if eps_f != eps_f:  # no distance compares true with NaN
             return 0
-        levels = self.level_codes()[0]
+        # a chain-backed space knows its levels without its codes
+        levels = self._levels if self._levels is not None else self.level_codes()[0]
         return int(np.searchsorted(levels, eps_f, "left" if strict else "right"))
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
@@ -284,6 +343,24 @@ def distinct(values) -> np.ndarray:
     return ordered[keep]
 
 
+def class_minima(labels: np.ndarray) -> list[int]:
+    """The lowest point of each class of ``labels``, ascending."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    return np.sort(order[starts]).tolist()
+
+
+def refine(labels: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Dense labels of the pairs ``(labels[i], more[i])``: i and j share
+    one exactly when they share both.  Both rows are labels in
+    ``[0, len)``; ranks come from ``distinct`` and ``searchsorted``."""
+    keys = labels.astype(np.int64) * len(more) + more
+    return np.searchsorted(distinct(keys), keys)
+
+
 def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
     """``(levels, codes)`` of the pairs of points of two spaces, from theirs: pair (i, j)
     is point ``i * nb + j``, at ``op(d_a(i, k), d_b(j, l))`` from (k, l).  The levels
@@ -296,6 +373,22 @@ def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndar
     lut = np.searchsorted(levels, op.outer(la, lb)).astype(code_dtype(len(levels)))
     n = len(ca) * len(cb)
     return levels, lut[ca[:, None, :, None], cb[None, :, None, :]].reshape(n, n)
+
+
+def _chain_codes(chain: np.ndarray, count: int) -> np.ndarray:
+    """(n, n) codes of a partition chain: each pair's number of rows in
+    which its labels differ, in the dtype that indexes ``count`` levels,
+    one row block at a time."""
+    n = chain.shape[1]
+    if n > MATRIX_CAP:
+        raise ParameterError(f"refusing to materialise {n}x{n} matrix")
+    codes = np.zeros((n, n), dtype=code_dtype(count))
+    rows = block_rows(n)
+    for a in range(0, n, rows):
+        block = codes[a:a + rows]
+        for row in chain:
+            block += row[a:a + rows, None] != row
+    return codes
 
 
 def _encode(rows, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,10 @@ A system is a ``FiniteMetricSpace`` closed under one map f, carried by
 ``step``, the index of f(x) for every point x.  Iterating the step
 certifies d_k for every horizon k <= ``horizon_cap``: ``bowen_spaces``
 builds each d_k as a code table, and ``bowen_graphs`` carries only its
-threshold graphs, which is all a count reads.
+threshold graphs, which is all a count reads.  On an ultrametric base
+stored as a partition chain, every d_k is an ultrametric too, and
+``bowen_graphs`` carries one class label row per threshold instead of a
+packed graph.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ..errors import ParameterError, RepresentationError
-from ..metric_core.space import FiniteMetricSpace, block_rows, pack_rows
+from ..metric_core.space import FiniteMetricSpace, block_rows, pack_rows, refine
 
 
 @dataclass
@@ -106,18 +109,22 @@ def bowen_spaces(system: DynamicalSystem,
     shares the base levels: codes are monotone in the distance, so the max
     of two codes is the code of the max, at one to four bytes per pair.
     Max is exact, so every table is bitwise the one built anew.  A horizon
-    below the last one starts again from ``d_1``, which is the space itself.
-    A consumer that only counts needs no table: see ``bowen_graphs``.
+    below the last one starts again from ``d_1``, which is the space itself,
+    or a coded space over the same codes when the base is chain-backed, so
+    that every space the walk yields reads its table.  A consumer that only
+    counts needs no table: see ``bowen_graphs``.
     """
     done, table = 1, None
     for n in horizons:
         _check_horizon(system, n)
         if n < done:
             done, table = 1, None
+        space = system.space
         if n == 1:
-            yield system.space
+            yield space if space.chain is None else FiniteMetricSpace.from_codes(
+                *space.level_codes(), labels=space.labels, name=space.name)
             continue
-        levels, codes = system.space.level_codes()
+        levels, codes = space.level_codes()
         while done < n:
             # idx holds the indices of f^done
             idx = system.step if done == 1 else system.step[idx]
@@ -125,7 +132,7 @@ def bowen_spaces(system: DynamicalSystem,
             table = _max_gather(codes, codes if done == 1 else table, idx,
                                 table if own else np.empty_like(codes))
             done += 1
-        yield FiniteMetricSpace.from_codes(levels, table, labels=system.space.labels,
+        yield FiniteMetricSpace.from_codes(levels, table, labels=space.labels,
                                            name=f"{system.name}|d_{n}")
 
 
@@ -164,22 +171,29 @@ def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
 
 
 class BowenGraphs:
-    """d_n as the counts read it: its diameter and its packed threshold
-    graphs at the level cutoffs of one walk, without its code table.
+    """d_n as the counts read it: its diameter and its threshold graphs at
+    the level cutoffs of one walk, without its code table.
 
-    ``graphs`` maps each carried cutoff c to G_n(c), the rows of
-    ``d_n codes < c`` as ``pack_rows`` packs them.  The walk ANDs the next
-    horizon into these same arrays, so a reader is done with them before
-    the walk resumes and never writes them; ``close_mask`` at a cutoff the
-    walk does not carry (the spanning fallback's graph at twice the scale)
-    walks that one graph anew.  A coordinate base keeps its coordinates at
-    horizon 1, so the counts take the line sweep there and never ask for a
-    graph.  Every d_n has d_1's diameter, since d_1 <= d_n <= max d_1
-    pointwise.
+    On a coded base, ``graphs`` maps each carried cutoff c to G_n(c), the
+    rows of ``d_n codes < c`` as ``pack_rows`` packs them, and
+    ``partitions`` is None.  On a chain-backed base, ``partitions`` maps
+    each carried cutoff to the class labels of G_n(c) (``classes``), and
+    ``graphs`` is empty.  The packed walk ANDs the next horizon into these
+    same arrays, so a reader is done with them before the walk resumes and
+    never writes them; ``close_mask`` or ``classes`` at a cutoff the walk
+    does not carry (the spanning fallback's graph at twice the scale) walks
+    that one cutoff anew.  The counts close every cell of a chain-backed
+    base on its classes, so there ``close_mask`` (which walks the base's
+    codes) serves only a caller that asks for the graph itself.  A
+    coordinate base keeps its coordinates at horizon 1, so the counts take
+    the line sweep there and never ask for a graph.  Every d_n has d_1's
+    diameter, since d_1 <= d_n <= max d_1 pointwise.
     """
 
-    def __init__(self, system: DynamicalSystem, horizon: int, graphs: dict[int, np.ndarray]):
-        self.system, self.horizon, self.graphs = system, horizon, graphs
+    def __init__(self, system: DynamicalSystem, horizon: int, graphs: dict[int, np.ndarray],
+                 partitions: dict[int, np.ndarray] | None = None):
+        self.system, self.horizon = system, horizon
+        self.graphs, self.partitions = graphs, partitions
         space = system.space
         self.size, self.diameter = space.size, space.diameter
         self.coords = space.coords if horizon == 1 else None
@@ -187,6 +201,20 @@ class BowenGraphs:
     def cutoff(self, eps: float, strict: bool) -> int:
         """The level cutoff of ``eps``: the levels are d_1's, shared by every d_n."""
         return self.system.space.cutoff(eps, strict)
+
+    def carries(self, cutoff: int) -> bool:
+        """Whether this view holds the graph at ``cutoff``: a label walk
+        carries every cutoff, a packed walk one group of them."""
+        return self.partitions is not None or cutoff in self.graphs
+
+    def classes(self, cutoff: int) -> np.ndarray | None:
+        """Class labels of d_n < the level ``cutoff`` on a chain-backed base,
+        else None (``FiniteMetricSpace.classes``)."""
+        if self.partitions is None or cutoff < 1:
+            return None
+        if cutoff not in self.partitions:
+            return next(_label_walk(self.system, [self.horizon], [cutoff])).partitions[cutoff]
+        return self.partitions[cutoff]
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
         """The packed graph of d_n < eps (strict) or d_n <= eps."""
@@ -214,6 +242,9 @@ def bowen_graphs(system: DynamicalSystem, horizons: Iterable[int],
     through every horizon.  A walk that ends at horizon 1 carries nothing
     and takes one graph a group.  Without cutoffs, each horizon's view
     comes once and nothing is read, so a coordinate base is never encoded.
+
+    A chain-backed base is walked once for all cutoffs, on class labels
+    (``_label_walk``), and its codes are never built.
     """
     horizons = list(horizons)
     for n in horizons:
@@ -223,6 +254,9 @@ def bowen_graphs(system: DynamicalSystem, horizons: Iterable[int],
     if not horizons:
         return
     cutoffs = [int(c) for c in cutoffs]
+    if system.space.chain is not None:
+        yield from _label_walk(system, horizons, cutoffs)
+        return
     per_walk = 1
     if cutoffs and horizons[-1] > 1:
         per_walk = 8 * system.space.level_codes()[1].itemsize
@@ -249,6 +283,28 @@ def _walk(system: DynamicalSystem, horizons: list[int],
                     graph[a:b] &= pack_rows(block < c)
             done += 1
         yield BowenGraphs(system, n, graphs)
+
+
+def _label_walk(system: DynamicalSystem, horizons: list[int],
+                cutoffs: list[int]) -> Iterator[BowenGraphs]:
+    """``bowen_graphs`` on a chain-backed base, one label row per cutoff.
+
+    d_n < c joins x and y exactly when f^t x and f^t y share their d_1
+    class at c for every t < n, so the labels at horizon n are those at
+    n - 1 refined by the d_1 labels of f^(n-1): L_n(c) =
+    ``refine(L_{n-1}(c), L_1(c)[f^(n-1)])``.  Each horizon holds N labels
+    per cutoff and builds no N x N array.  Cutoff 0 joins no point, so it
+    has no labels (``classes``).
+    """
+    base = {c: system.space.classes(c) for c in cutoffs if c >= 1}
+    partitions, done = dict(base), 1
+    for n in horizons:
+        while done < n:
+            # idx holds the indices of f^done
+            idx = system.step if done == 1 else system.step[idx]
+            partitions = {c: refine(labels, base[c][idx]) for c, labels in partitions.items()}
+            done += 1
+        yield BowenGraphs(system, n, {}, partitions)
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

@@ -6,7 +6,10 @@ Two compatible metrics are provided:
   coordinates (so a first-coordinate disagreement has distance 1); this is
   the max-weighted discrete metric and makes every cell combinatorially
   exact.  With base e and a binary alphabet the strictly-separated count
-  at scale e**-m is exactly 2**m.
+  at scale e**-m is exactly 2**m.  It is an ultrametric, so the space is
+  stored as a partition chain read off the word indices
+  (``FiniteMetricSpace.from_chain``), and its codes are built only for a
+  caller that reads distances.
 * ``product``: rho(x, y) = sum_k 2**-(k+1) d_A(x_k, y_k) over the stored
   depth, with the truncation remainder 2**-L * diam(A) certified in the
   system metadata.
@@ -24,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import ParameterError, ShapeError
-from ..metric_core.space import FiniteMetricSpace, code_dtype, product_codes
+from ..metric_core.space import FiniteMetricSpace, product_codes
 from .base import DynamicalSystem, system_from_step
 
 # bounds a net's N x N tables: its level codes and one per d_n, one or two
@@ -63,34 +66,13 @@ def _prefixes(symbols: int, depth: int) -> np.ndarray:
                     dtype=np.int16)
 
 
-def _exp_codes(symbols: int, depth: int) -> np.ndarray:
-    """(n, n) level codes of the exp metric: ``depth + 1 - k`` for words that
-    agree on k leading coordinates, and 0 on the diagonal.
-
-    Rows follow the lexicographic order of ``_prefixes``, so the words that
-    share all but their last j letters form diagonal blocks of symbols**j
-    rows, and two of them in distinct sub-blocks agree on depth - j letters.
-    Each block is built in place from the one before: copies of it on the
-    diagonal and code j + 1 elsewhere.
-    """
-    n = symbols**depth
-    codes = np.empty((n, n), dtype=code_dtype(depth + 2))
-    codes[0, 0] = 0
-    for j in range(1, depth + 1):
-        s = symbols ** (j - 1)
-        for a in range(s, s * symbols, s):
-            codes[a:a + s, :s * symbols] = j + 1
-            codes[a:a + s, a:a + s] = codes[:s, :s]
-        codes[:s, s:s * symbols] = j + 1
-    return codes
-
-
 def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
                alphabet: FiniteMetricSpace | None = None,
                base: float = math.e, tail: int = 0,
                horizon_cap: int | None = None, name: str | None = None) -> DynamicalSystem:
     """Full shift on ``symbols`` letters truncated at ``depth`` coordinates; under
-    ``product`` its codes add the alphabet's one coordinate at a time (``product_codes``)."""
+    ``exp`` its space is a partition chain of word indices, and under ``product``
+    its codes add the alphabet's one coordinate at a time (``product_codes``)."""
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     if metric not in ("exp", "product"):
@@ -112,7 +94,15 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         powers = np.exp(-math.log(base) * np.arange(depth + 1))
         # level depth + 1 - k is powers[k], and level 0 the diagonal's 0
         levels = np.concatenate(([0.0], powers[::-1]))
-        space = FiniteMetricSpace.from_codes(levels, _exp_codes(symbols, depth), name=name)
+        # words closer than level c agree on their first depth + 2 - c
+        # letters, so they share their index // symbols**(c - 2); only a
+        # word itself is closer than level 1; the narrowest signed labels
+        # halve the compares that derive the codes
+        chain = np.empty((depth + 1, n), dtype=np.min_scalar_type(-n))
+        chain[0] = np.arange(n)
+        for c in range(2, depth + 2):
+            np.floor_divide(chain[0], symbols ** (c - 2), out=chain[c - 1])
+        space = FiniteMetricSpace.from_chain(levels, chain, name=name)
         trunc = base ** (-float(depth))
         alph_diam = 1.0
     else:

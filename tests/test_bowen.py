@@ -1,5 +1,6 @@
 """Dynamical metrics: iteration examples, monotonicity, validity."""
 
+import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance
                                bowen_space, bowen_spaces, doubling_grid, full_shift,
                                identity_system, lattice_alphabet, power_system,
                                product_system, random_space, system_from_step)
+from dynoscale.metric_core.space import pack_rows
 from dynoscale.systems.base import _REFCOUNT_OWNS, bowen_graphs
 
 
@@ -211,6 +213,13 @@ def test_a_kept_view_of_the_codes_keeps_its_values_when_the_walk_resumes():
     assert levels[view].tobytes() == _max_anew(system, 2)[1:].tobytes()
 
 
+def _class_graph(labels, n):
+    """The packed graph joining the points that share a label; None joins none."""
+    if labels is None:
+        return np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    return pack_rows(labels[:, None] == labels)
+
+
 GRAPH_SYSTEMS = {
     "exp-shift": lambda: binary_exp_shift(6, horizon_cap=5),
     "unit-lattice-product-shift": lambda: full_shift(
@@ -231,21 +240,41 @@ def test_bowen_graphs_are_the_threshold_graphs_of_bowen_spaces_bitwise(name):
     seen = []
     for dn in bowen_graphs(system, horizons, range(len(scales))):
         assert len(dn.graphs) <= 8 * codes.itemsize
-        for c, graph in dn.graphs.items():
-            assert dn.cutoff(scales[c], True) == c
-            assert dn.close_mask(scales[c], True) is graph
+        # a chain-backed base is walked once, on labels, for every cutoff
+        carried = dn.graphs if dn.partitions is None else range(len(scales))
+        for c in carried:
+            assert dn.cutoff(scales[c], True) == c and dn.carries(c)
+            if dn.partitions is None:
+                graph = dn.graphs[c]
+                assert dn.close_mask(scales[c], True) is graph
+            else:
+                graph = _class_graph(dn.classes(c), system.space.size)
             assert graph.tobytes() == want[dn.horizon][c].tobytes(), (dn.horizon, c)
             seen.append((dn.horizon, c))
     assert sorted(seen) == [(n, c) for n in horizons for c in range(len(scales))]
+    assert (system.space.chain is None) == all(dn.partitions is None for dn in
+                                                bowen_graphs(system, horizons, [1]))
+
+
+def _assert_uncarried_graphs_are_walked_anew(system, carried):
+    dn = next(bowen_graphs(system, [4], [3]))
+    assert list(carried(dn)) == [3]
+    for eps in (0.1, 0.3, 0.9):
+        want = bowen_space(system, 4).close_mask(eps, False).tobytes()
+        assert dn.close_mask(eps, False).tobytes() == want
+        if dn.partitions is not None:
+            assert _class_graph(dn.classes(dn.cutoff(eps, False)), dn.size).tobytes() == want
 
 
 def test_a_graph_the_walk_does_not_carry_is_walked_anew():
-    system = binary_exp_shift(6, horizon_cap=5)
-    dn = next(bowen_graphs(system, [4], [3]))
-    assert list(dn.graphs) == [3]
-    for eps in (0.1, 0.3, 0.9):
-        got = dn.close_mask(eps, False)
-        assert got.tobytes() == bowen_space(system, 4).close_mask(eps, False).tobytes()
+    # the exp shift is chain-backed: its walk carries labels, not graphs
+    _assert_uncarried_graphs_are_walked_anew(binary_exp_shift(6, horizon_cap=5),
+                                             lambda dn: dn.partitions)
+
+
+def test_a_graph_a_packed_walk_does_not_carry_is_walked_anew():
+    _assert_uncarried_graphs_are_walked_anew(GRAPH_SYSTEMS["unit-lattice-product-shift"](),
+                                             lambda dn: dn.graphs)
 
 
 def test_a_horizon_one_walk_leaves_a_coordinate_base_unencoded():
@@ -296,6 +325,73 @@ def test_counting_dense_horizons_holds_less_than_one_code_table_beside_the_base(
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * size**2, peak / size**2
+
+
+# The exp shift is chain-backed, so the walks above count on labels.  These
+# copies run the packed graph walk (``_walk``, ``_orbit_blocks``) on a coded
+# shift whose graphs are not partitions: under the product metric the
+# distance of two binary words sums 2**-(k+1) over the letters where they
+# differ, which is no ultrametric, over 2**depth levels, so its codes are
+# two bytes a pair and a code table is 2 * size**2 bytes.  Budget 1 keeps
+# the counts quick; every spanning fallback walks its 2 eps graph anew.
+
+
+@functools.lru_cache(maxsize=None)
+def _coded_count(depth):
+    """(size, code itemsize, _count's tracemalloc peak, methods) on the coded shift."""
+    system = full_shift(2, depth, metric="product", alphabet=lattice_alphabet(2),
+                        horizon_cap=3)
+    assert system.space.chain is None
+    codes = system.space.level_codes()[1]
+    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
+                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
+                           "horizons": [1, 2, 3], "budget": 1})
+    tracemalloc.start()
+    try:
+        sweeps = _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(sweep.rows) == 18 for sweep in sweeps.values())
+    methods = {br.method for sweep in sweeps.values() for br in sweep.rows}
+    return system.space.size, codes.itemsize, peak, methods
+
+
+def test_counting_coded_horizons_allocates_less_than_one_float_table():
+    size, itemsize, peak, methods = _coded_count(10)
+    assert itemsize == 2 and {"mis-bnb", "greedy"} <= methods
+    assert peak < 8 * size**2, peak
+
+
+@pytest.mark.parametrize("depth", [10, 11])
+def test_counting_coded_horizons_holds_two_code_tables_and_one_block(depth):
+    # besides the graphs and one block, the solvers hold their rows as ints
+    size, itemsize, peak, _ = _coded_count(depth)
+    assert peak < 2.5 * itemsize * size**2, peak / (itemsize * size**2)
+
+
+def test_counting_coded_horizons_holds_one_code_table_beside_the_base():
+    # six cutoffs: six packed graphs are 3/8 of a two-byte table, and a d_n
+    # table or a table-sized boolean temporary would pass the bound
+    size, itemsize, peak, _ = _coded_count(11)
+    assert peak < 1.5 * itemsize * size**2, peak / (itemsize * size**2)
+
+
+def test_walking_coded_horizons_holds_less_than_one_code_table_beside_the_base():
+    # the walk alone: six packed graphs and the gather blocks, no d_n table
+    system = full_shift(2, 11, metric="product", alphabet=lattice_alphabet(2), horizon_cap=3)
+    size, itemsize = system.space.size, system.space.level_codes()[1].itemsize
+    scales = [0.5 * 0.6**i for i in range(6)]
+    cutoffs = sorted({system.space.cutoff(eps, strict) for eps in scales
+                      for strict in (True, False)})
+    tracemalloc.start()
+    try:
+        horizons = [dn.horizon for dn in bowen_graphs(system, [1, 2, 3], cutoffs)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert horizons == [1, 2, 3]
+    assert peak < 0.75 * itemsize * size**2, peak / (itemsize * size**2)
 
 
 LADDERS = {

@@ -1,0 +1,144 @@
+"""Chain-backed spaces: the exp shift stored as a partition chain.
+
+Its codes are derived on demand, every float read goes through them, and
+the counts on its label walk equal the counts on the coded ``d_n`` tables.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dynoscale import harness
+from dynoscale.errors import BudgetExceededError
+from dynoscale.harness import _count, parse_config, run_estimates, run_sweep
+from dynoscale.metric_core import solvers
+from dynoscale.metric_core.counts import QUANTITY_OPS
+from dynoscale.systems import bowen_spaces, full_shift, power_system
+from dynoscale.systems.base import bowen_graphs
+from dynoscale.systems.descriptor import resolve_system
+from dynoscale.systems.shifts import _prefixes
+
+# the sweep-dense benchmark's system, at a grid start in its band
+DENSE = {"system": {"kind": "shift", "symbols": 2, "depth": 12, "metric": "exp"},
+         "quantities": ["separated", "spanning"],
+         "grid": {"start": 0.5, "ratio": 0.6, "count": 6}, "horizons": [1, 2, 3]}
+
+
+def _scan(symbols, depth, base):
+    """The exp distances of a shift net, one pair of words at a time."""
+    words = _prefixes(symbols, depth)
+    n = len(words)
+    agree = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            k = 0
+            while k < depth and words[i, k] == words[j, k]:
+                k += 1
+            agree[i, j] = k
+    want = np.exp(-math.log(base) * agree)
+    np.fill_diagonal(want, 0.0)
+    return want
+
+
+@pytest.mark.parametrize("base", [math.e, 2.0])
+@pytest.mark.parametrize("symbols, depth", [(2, 5), (3, 3)])
+def test_each_float_read_of_a_fresh_chain_space_is_the_per_pair_scan(symbols, depth, base):
+    want = _scan(symbols, depth, base)
+    n = len(want)
+
+    def fresh():
+        space = full_shift(symbols, depth, base=base).space
+        assert space.chain is not None and space._codes is None
+        return space
+
+    assert fresh().as_matrix().tobytes() == want.tobytes()
+    space = fresh()
+    got = np.array([[space.dist(i, j) for j in range(n)] for i in range(n)])
+    assert got.tobytes() == want.tobytes()
+    rows, cols = [n - 1, 0, 3], [2, n - 1, 1, 0]
+    assert fresh().distances(rows, cols).tobytes() == want[np.ix_(rows, cols)].tobytes()
+    # the diameter and the level cutoffs read the levels and the chain alone
+    space = fresh()
+    assert space.diameter == want.max()
+    assert space.cutoff(want.max(), False) == len(space.chain) + 1
+    assert space._codes is None
+
+
+def _out_of_budget(*args, **kwargs):
+    raise BudgetExceededError("forced")
+
+
+CHAIN_SYSTEMS = {
+    "2x5-tail0": lambda: full_shift(2, 5),
+    "2x5-tail1": lambda: full_shift(2, 5, tail=1),
+    "3x3-tail0": lambda: full_shift(3, 3),
+    "3x3-tail1": lambda: full_shift(3, 3, tail=1),
+    "2x6-squared": lambda: power_system(full_shift(2, 6), 2),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_SYSTEMS)
+def test_counts_on_labels_equal_counts_on_codes(name, monkeypatch):
+    coded = CHAIN_SYSTEMS[name]()
+    horizons = list(range(1, coded.horizon_cap + 1))
+    levels = coded.space.level_codes()[0]
+    diameter = coded.space.diameter
+    # every positive level (where strict and non-strict graphs differ), the
+    # gaps between them, a scale below the smallest positive level, the
+    # diameter and a scale past it
+    scales = [*levels[1:], *((levels[1:-1] + levels[2:]) / 2), levels[1] / 2,
+              diameter, 2 * diameter]
+    want = {(n, q, eps): count(dn, eps, horizon=n)
+            for n, dn in zip(horizons, bowen_spaces(coded, horizons))
+            for q, count in QUANTITY_OPS.items() for eps in scales}
+    # the label walk answers every cell: a solver reached would end heuristic
+    for solver in ("exact_max_independent_set", "exact_min_set_cover",
+                   "exact_min_clique_cover"):
+        monkeypatch.setattr(solvers, solver, _out_of_budget)
+    system = CHAIN_SYSTEMS[name]()
+    cutoffs = sorted({system.space.cutoff(eps, strict) for eps in scales
+                      for strict in (True, False)})
+    got = {}
+    for dn in bowen_graphs(system, horizons, cutoffs):
+        for q, count in QUANTITY_OPS.items():
+            for eps in scales:
+                got[(dn.horizon, q, eps)] = count(dn, eps, horizon=dn.horizon)
+    for q, count in QUANTITY_OPS.items():
+        for eps in scales:
+            assert count(system.space, eps, horizon=1) == want[(1, q, eps)], (q, eps)
+    assert got == want
+    assert system.space._codes is None
+
+
+def test_counting_the_dense_sweep_builds_no_square_table():
+    # resolving the sweep-dense system and counting its cells at horizons
+    # 1-3 stay below half of one packed graph of the net
+    config = parse_config(DENSE)
+    tracemalloc.start()
+    try:
+        system = resolve_system(config.system)
+        sweeps = _count(system, config.quantities, config, config.horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = system.space.size
+    assert size == 4096 and all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
+    assert system.space._codes is None
+    assert peak < size**2 / 16, peak / size**2
+
+
+def test_sweep_and_estimate_of_the_dense_shift_build_no_codes(tmp_path, monkeypatch):
+    resolved = []
+
+    def spy(descriptor, real=harness.resolve_system):
+        resolved.append(real(descriptor))
+        return resolved[-1]
+
+    monkeypatch.setattr(harness, "resolve_system", spy)
+    config = parse_config(DENSE)
+    run_sweep(config, tmp_path)
+    run_estimates(config, tmp_path)  # reads every cell from the sweep's trace
+    assert len(resolved) == 2
+    assert all(system.space._codes is None for system in resolved)

@@ -11,7 +11,7 @@ from dynoscale.metric_core import (max_separated, min_diameter_cover,
 from dynoscale.systems import (bowen_space, discrete_alphabet, full_shift,
                                lattice_alphabet, rho_distance)
 from dynoscale.metric_core.space import code_dtype
-from dynoscale.systems.shifts import _exp_codes, _prefixes
+from dynoscale.systems.shifts import _prefixes
 
 
 def test_exp_shift_separated_counts(shift12):
@@ -134,10 +134,11 @@ def test_exp_shift_table_matches_a_per_pair_scan(symbols, depth):
             scan[i, j] = k
     want_codes = (depth + 1 - scan).astype(code_dtype(depth + 2))
     np.fill_diagonal(want_codes, 0)
-    codes = _exp_codes(symbols, depth)
-    assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
-    # the distances are exp(-k ln base) entry by entry, bit for bit
     for base in (math.e, 2.0):
+        # the codes are derived from the partition chain on demand
+        codes = full_shift(symbols, depth, base=base).space.level_codes()[1]
+        assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
+        # the distances are exp(-k ln base) entry by entry, bit for bit
         want = np.exp(-math.log(base) * scan.astype(float))
         np.fill_diagonal(want, 0.0)
         got = full_shift(symbols, depth, base=base).space.as_matrix()

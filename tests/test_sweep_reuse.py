@@ -11,8 +11,9 @@ import pytest
 from dynoscale import harness
 from dynoscale.estimators.sweep import ScaleSweep
 from dynoscale.harness import parse_config, run_sweep
-from dynoscale.metric_core import solvers
+from dynoscale.metric_core import counts, solvers
 from dynoscale.metric_core.counts import QUANTITY_OPS, SPANNING, graph_cutoff
+from dynoscale.metric_core.space import class_minima
 from dynoscale.systems.base import bowen_spaces
 from dynoscale.systems.descriptor import resolve_system
 
@@ -23,6 +24,8 @@ EXP = {"system": {"kind": "shift", "symbols": 2, "depth": 6, "metric": "exp"},
        "horizons": [1, 2, 3]}
 LATTICE_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product",
                  "alphabet": {"type": "unit_lattice", "points": 3}}
+# levels k/16: scales 0.50 to 0.45 lie in one gap and 0.36 to 0.33 in another
+PRODUCT_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product"}
 
 
 def _per_cell(system, config):
@@ -96,7 +99,7 @@ def test_a_grid_with_more_graphs_than_one_walk_carries_is_walked_per_group(
     assert sorted(c for graphs in groups for c in graphs) == sorted(cutoffs)
 
 
-def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):
+def _spy_solvers(monkeypatch):
     calls = []
     for name in ("exact_max_independent_set", "exact_min_set_cover",
                  "exact_min_clique_cover"):
@@ -104,12 +107,37 @@ def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):
             calls.append(graph.shape)
             return real(graph, budget)
         monkeypatch.setattr(solvers, name, spy)
-    config = parse_config(EXP)
+    return calls
+
+
+def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):
+    # a coded shift whose graphs are not partitions: its cells reach the solvers
+    calls = _spy_solvers(monkeypatch)
+    config = parse_config({**EXP, "system": PRODUCT_SHIFT})
     system = resolve_system(config.system)
     sweeps = harness._count(system, config.quantities, config, config.horizons)
     assert all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
     cells = _cutoffs(system, config)
     assert len(calls) == len(set(cells)) < len(cells)
+
+
+def test_each_distinct_partition_is_counted_once(monkeypatch):
+    # the exp shift is chain-backed: every cell closes on its labels, and
+    # no graph reaches a solver
+    calls = _spy_solvers(monkeypatch)
+    classes = []
+
+    def spy(labels):
+        classes.append(labels.shape)
+        return class_minima(labels)
+
+    monkeypatch.setattr(counts, "class_minima", spy)
+    config = parse_config(EXP)
+    system = resolve_system(config.system)
+    sweeps = harness._count(system, config.quantities, config, config.horizons)
+    assert all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
+    cells = _cutoffs(system, config)
+    assert not calls and len(classes) == len(set(cells)) < len(cells)
 
 
 def test_heuristic_spanning_cells_keep_their_own_chain_bound():
