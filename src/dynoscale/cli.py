@@ -15,10 +15,7 @@ import numpy as np
 from .errors import ConfigError, DynoscaleError
 from .harness import load_config, run_sweep, run_estimates, run_quantize
 from .schema import boolean, build, list_of, load_json, number, tagged
-from .verify import run_suite, SUITES
 from .metric_core.solvers import DEFAULT_BUDGET
-from .metric_core.space import FiniteMetricSpace
-from . import oracle
 
 
 def positive_int(text: str) -> int:
@@ -33,6 +30,15 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
+
+
+def suite_name(text: str) -> str:
+    from .verify import SUITES  # only a verify command parses a suite
+    names = [*SUITES, "all"]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--budget", type=positive_int, help="override the config budget")
 
     ver = sub.add_parser("verify", help="run an inequality suite")
-    ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    ver.add_argument("--suite", type=suite_name, default="all",
+                     help="one inequality suite, or all of them")
     ver.add_argument("--seed", type=non_negative_int, default=0)
     ver.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
 
@@ -86,34 +93,32 @@ def _vector(value, path):
     return np.array(list_of(number)(value, path))
 
 
-def _space(matrix):
-    # the oracles take at most 15 points, so the triangle check is exhaustive
-    return FiniteMetricSpace(matrix=matrix, name="instance")
-
-
 _MATRIX = {"matrix": _table(number), "eps": number}
-
-# each kind's builder looks its oracle up at call time, so wrappers bound on
-# the oracle module see the call
-_ORACLES = {
-    "separated": build(lambda matrix, eps: oracle.brute_max_separated(_space(matrix), eps),
-                       _MATRIX),
-    "spanning": build(lambda matrix, eps: oracle.brute_min_spanning(_space(matrix), eps),
-                      _MATRIX),
-    "diameter_cover": build(
-        lambda matrix, eps: oracle.brute_min_diameter_cover(_space(matrix), eps), _MATRIX),
-    "coupling": build(lambda **kw: oracle.brute_wasserstein(**kw),
-                      {"cost": _table(_cost), "a": _vector, "b": _vector,
-                       "p": (number, 1.0)}),
-    "partial_cover": build(lambda **kw: oracle.brute_partial_cover(**kw),
-                           {"masks": _table(boolean), "weights": list_of(number),
-                            "target": number}),
-}
 
 
 def _run_oracle(path: str) -> int:
+    from . import oracle
+    from .metric_core.space import FiniteMetricSpace
+
+    def on_space(brute):
+        def run(matrix, eps):
+            # the oracles take at most 15 points, so the triangle check is exhaustive
+            return brute(FiniteMetricSpace(matrix=matrix, name="instance"), eps)
+        return build(run, _MATRIX)
+
+    kinds = {
+        "separated": on_space(oracle.brute_max_separated),
+        "spanning": on_space(oracle.brute_min_spanning),
+        "diameter_cover": on_space(oracle.brute_min_diameter_cover),
+        "coupling": build(oracle.brute_wasserstein,
+                          {"cost": _table(_cost), "a": _vector, "b": _vector,
+                           "p": (number, 1.0)}),
+        "partial_cover": build(oracle.brute_partial_cover,
+                               {"masks": _table(boolean), "weights": list_of(number),
+                                "target": number}),
+    }
     data = load_json(path)
-    value = tagged(data, "kind", _ORACLES, "instance")
+    value = tagged(data, "kind", kinds, "instance")
     print(json.dumps({"kind": data["kind"], "value": value}))
     return 0
 
@@ -141,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _run_oracle(args.instance)
         if args.command == "verify":
+            from .verify import run_suite
             report = run_suite(args.suite, seed=args.seed, budget=args.budget)
             tallies = report.counts()
             print(f"suite {report.suite}: {tallies['pass']} pass, "

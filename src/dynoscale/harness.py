@@ -27,15 +27,8 @@ from .metric_core.counts import (QUANTITY_OPS, STRICT, CountBracket, ScaleGrid,
                                  passes_diameter)
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
-from .estimators.quantities import (entropy_at_scale, box_dimension_estimate,
-                                    metric_order_estimate, mdim_estimate,
-                                    mdim_mo_estimate)
 from .systems.base import DynamicalSystem, bowen_graphs, bowen_spaces
 from .systems.descriptor import resolve_system
-from .systems.kolyada import KolyadaSnohaMap
-from .systems.probe import entropy_scale_table, ladder_grid
-from .measures.atomic import MEASURE
-from .measures.quantization import quantization_number, LP_KIND, W_KIND
 
 
 @dataclass
@@ -199,7 +192,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = resolve_system(config.system)
-    if isinstance(resolved, KolyadaSnohaMap):
+    if not isinstance(resolved, DynamicalSystem):  # a ladder map
         return _run_kolyada_sweep(config, resolved, out)
     system: DynamicalSystem = resolved
     _check_horizons(system, config.horizons, "config.horizons")
@@ -213,8 +206,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     return written + [out / TRACE]
 
 
-def _run_kolyada_sweep(config: ExperimentConfig, tmap: KolyadaSnohaMap,
-                       out: Path) -> list[Path]:
+def _run_kolyada_sweep(config: ExperimentConfig, tmap, out: Path) -> list[Path]:
     """Ladder maps sweep through per-block symbolic brackets."""
     for i, quantity in enumerate(config.quantities):
         if quantity != SEPARATED:
@@ -236,10 +228,12 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
     Exact cells of a matching sweep trace in ``out_dir`` are taken from it;
     every other cell is counted.
     """
+    from .estimators.quantities import mdim_estimate, mdim_mo_estimate
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     resolved = resolve_system(config.system)
-    if isinstance(resolved, KolyadaSnohaMap):
+    if not isinstance(resolved, DynamicalSystem):  # a ladder map
+        from .systems.probe import entropy_scale_table, ladder_grid
         name, rows, corrected = resolved.family, [], True
         h_rows = entropy_scale_table(resolved, ladder_grid(resolved))
     else:
@@ -256,6 +250,8 @@ def run_estimates(config: ExperimentConfig, out_dir: str | Path) -> Path:
 
 def _net_estimates(system: DynamicalSystem, config: ExperimentConfig, known: Cells):
     """Box dimension and metric order rows, and the per-scale entropies."""
+    from .estimators.quantities import (box_dimension_estimate, entropy_at_scale,
+                                        metric_order_estimate)
     _check_horizons(system, config.horizons, "config.horizons")
     rows = []
     # the box dimension is a horizon-1 quantity
@@ -285,17 +281,17 @@ def _row(quantity: str, system: str, x: float, est) -> dict:
             "flag": est.flagged}
 
 
-_QUANTIZE = {
-    "system": resolve_system, "measure": MEASURE, "grid": _GRID,
-    "horizons": (_HORIZONS, [1]), "kind": (choice(LP_KIND, W_KIND), LP_KIND),
-    "p": (number, 1.0), "budget": _BUDGET}
-
-
 def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     """Quantization numbers over a grid for a measure file + system descriptor."""
+    from .measures.atomic import MEASURE
+    from .measures.quantization import quantization_number, LP_KIND, W_KIND
+    fields = {
+        "system": resolve_system, "measure": MEASURE, "grid": _GRID,
+        "horizons": (_HORIZONS, [1]), "kind": (choice(LP_KIND, W_KIND), LP_KIND),
+        "p": (number, 1.0), "budget": _BUDGET}
     data = load_json(config_path)
-    q = check(data, _QUANTIZE, "quantize")
-    if isinstance(q["system"], KolyadaSnohaMap):
+    q = check(data, fields, "quantize")
+    if not isinstance(q["system"], DynamicalSystem):
         raise ConfigError("quantize.system", "ladder maps have no quantization grid")
     size = q["system"].space.size
     # the measure sorts its atoms, so the key path indexes the list as written

@@ -196,32 +196,29 @@ def _mis_on_component(rows: list[int], comp: int, b: _Budget) -> list[int]:
     best = _greedy_independent(rows, comp)
     if len(best) == _greedy_clique_cover(rows, comp):
         return best
-    best_box = [best]
+    return _mis_branch(rows, b, comp, [], best)
 
-    def rec(alive: int, current: list[int]) -> None:
-        b.spend()
-        if not alive:
-            if len(current) > len(best_box[0]):
-                best_box[0] = list(current)
-            return
-        if len(current) + _greedy_clique_cover(rows, alive) <= len(best_box[0]):
-            return
-        # branch on the most neighbours left, the lowest index on ties
-        v, degree = -1, -1
-        for u in _members(alive):
-            d = (rows[u] & alive).bit_count()
-            if d > degree:
-                v, degree = u, d
-        if degree == 0:
-            cand = current + list(_members(alive))
-            if len(cand) > len(best_box[0]):
-                best_box[0] = cand
-            return
-        rec(alive & ~(rows[v] | 1 << v), current + [v])
-        rec(alive & ~(1 << v), current)
 
-    rec(comp, [])
-    return best_box[0]
+def _mis_branch(rows: list[int], b: _Budget, alive: int, current: list[int],
+                best: list[int]) -> list[int]:
+    """The larger of ``best`` and the largest independent set that extends
+    ``current`` by points of ``alive``; ``best`` on a tie."""
+    b.spend()
+    if not alive:
+        return list(current) if len(current) > len(best) else best
+    if len(current) + _greedy_clique_cover(rows, alive) <= len(best):
+        return best
+    # branch on the most neighbours left, the lowest index on ties
+    v, degree = -1, -1
+    for u in _members(alive):
+        d = (rows[u] & alive).bit_count()
+        if d > degree:
+            v, degree = u, d
+    if degree == 0:
+        cand = current + list(_members(alive))
+        return cand if len(cand) > len(best) else best
+    best = _mis_branch(rows, b, alive & ~(rows[v] | 1 << v), current + [v], best)
+    return _mis_branch(rows, b, alive & ~(1 << v), current, best)
 
 
 # -- clique covers ---------------------------------------------------------
@@ -476,32 +473,6 @@ def _cover_search(rows: list[int], b: _Budget) -> list[int]:
     fewest holders left, tries them by new coverage, bars each tried row
     from its later siblings and prunes at depth + bound > k."""
     distinct = reduce(or_, (1 << i for i in _first_rows(rows)), 0)
-
-    def bound(cols: int, allowed: int) -> tuple[int, int]:
-        """The packing count, and the point it takes first."""
-        order = sorted(_members(cols), key=lambda c: (rows[c] & allowed).bit_count())
-        count = 0
-        for c in order:
-            if cols >> c & 1:
-                count += 1
-                cols &= ~reduce(or_, (rows[r] for r in _members(rows[c] & allowed)), 0)
-        return count, order[0]
-
-    def search(cols: int, allowed: int, k: int, picked: list[int]) -> list[int] | None:
-        b.spend()
-        if not cols:
-            return picked
-        count, first = bound(cols, allowed)
-        if len(picked) + count > k:
-            return None
-        tries = _members(rows[first] & allowed)
-        for r in sorted(tries, key=lambda r: -(rows[r] & cols).bit_count()):
-            found = search(cols & ~rows[r], allowed, k, picked + [r])
-            if found is not None:
-                return found
-            allowed &= ~(1 << r)
-        return None
-
     out, left = [], _full(len(rows))
     while left:
         cols = frontier = left & -left
@@ -514,12 +485,43 @@ def _cover_search(rows: list[int], b: _Budget) -> list[int]:
         left &= ~cols
         kept = list(_members(allowed))
         best = [kept[i] for i in _greedy_cover([rows[r] for r in kept], cols)]
-        for k in range(bound(cols, allowed)[0], len(best)):
-            if found := search(cols, allowed, k, []):
+        for k in range(_cover_bound(rows, cols, allowed)[0], len(best)):
+            if found := _cover_branch(rows, b, cols, allowed, k, []):
                 best = found  # no cover of k - 1 rows was found, so a minimum
                 break
         out.extend(best)
     return sorted(out)
+
+
+def _cover_bound(rows: list[int], cols: int, allowed: int) -> tuple[int, int]:
+    """The packing count of the points ``cols`` by the rows ``allowed``, and
+    the point it takes first."""
+    order = sorted(_members(cols), key=lambda c: (rows[c] & allowed).bit_count())
+    count = 0
+    for c in order:
+        if cols >> c & 1:
+            count += 1
+            cols &= ~reduce(or_, (rows[r] for r in _members(rows[c] & allowed)), 0)
+    return count, order[0]
+
+
+def _cover_branch(rows: list[int], b: _Budget, cols: int, allowed: int, k: int,
+                  picked: list[int]) -> list[int] | None:
+    """A cover of the points ``cols`` by at most ``k`` rows in all, ``picked``
+    included, drawn from ``allowed``; None when there is none."""
+    b.spend()
+    if not cols:
+        return picked
+    count, first = _cover_bound(rows, cols, allowed)
+    if len(picked) + count > k:
+        return None
+    tries = _members(rows[first] & allowed)
+    for r in sorted(tries, key=lambda r: -(rows[r] & cols).bit_count()):
+        found = _cover_branch(rows, b, cols & ~rows[r], allowed, k, picked + [r])
+        if found is not None:
+            return found
+        allowed &= ~(1 << r)
+    return None
 
 
 def _mass(weights, bits: int, zero):
@@ -575,29 +577,29 @@ def exact_min_partial_cover(masks: np.ndarray, weights, target,
     b = _Budget(budget)
     set_masses = [_mass(w, row, zero) for row in rows]
     order = sorted(range(len(rows)), key=lambda i: (-set_masses[i], i))
-    best = [greedy_partial_cover(work, w, target)]
+    best = greedy_partial_cover(work, w, target)
     # optimistic completion: k more sets add at most the k largest set masses,
     # and all of them together reach the target
     prefix = list(accumulate((set_masses[s] for s in order), initial=zero))
-
-    def solve(pos: int, covered: int, chosen: list[int], have) -> None:
+    # depth first, the branch that takes set order[pos] before the one that skips it
+    stack = [(0, 0, [], zero)]
+    while stack:
+        pos, covered, chosen, have = stack.pop()
         b.spend()
         if have >= target:
             # the pruning below lets only a smaller cover get here
-            best[0] = chosen
-            return
+            best = chosen
+            continue
         if pos >= len(order):
-            return
-        if len(chosen) + bisect_left(prefix, target - have) >= len(best[0]):
-            return
+            continue
+        if len(chosen) + bisect_left(prefix, target - have) >= len(best):
+            continue
         s = order[pos]
+        stack.append((pos + 1, covered, chosen, have))
         gain = _mass(w, rows[s] & ~covered, zero)
         if gain > 0:
-            solve(pos + 1, covered | rows[s], chosen + [s], have + gain)
-        solve(pos + 1, covered, chosen, have)
-
-    solve(0, 0, [], zero)
-    return [int(kept[i]) for i in best[0]]
+            stack.append((pos + 1, covered | rows[s], chosen + [s], have + gain))
+    return [int(kept[i]) for i in best]
 
 
 # -- maximal cliques ------------------------------------------------------

@@ -11,9 +11,8 @@ from typing import Any
 
 from ..errors import ConfigError, ParameterError
 from ..schema import build, choice, integer, rational, tagged
-from .base import identity_system
+from .base import DynamicalSystem, identity_system
 from .intervals import doubling_grid, null_sequence_space, unit_lattice, random_space
-from .kolyada import KolyadaSnohaMap
 from .shifts import discrete_alphabet, full_shift, lattice_alphabet
 from .combine import power_system, product_system
 
@@ -27,7 +26,7 @@ def _system(value, path):
     """Field type: a system a product or power can combine (no ladder map)."""
     # by global name, so a wrapper rebound on resolve_system sees nested calls
     system = resolve_system(value, path)
-    if isinstance(system, KolyadaSnohaMap):
+    if not isinstance(system, DynamicalSystem):
         raise ConfigError(path, "a ladder map cannot be combined")
     return system
 
@@ -43,6 +42,7 @@ def _identity(make_space, **fields):
 
 
 def _kolyada(family, k_max, beta):
+    from .kolyada import KolyadaSnohaMap
     if family == "F1":
         return KolyadaSnohaMap.family_f1(k_max)
     if family == "F3":

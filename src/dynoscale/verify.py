@@ -20,9 +20,10 @@ from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_ch
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
 from .metric_core.solvers import DEFAULT_BUDGET
 from .metric_core.space import FiniteMetricSpace
-from .systems import (DynamicalSystem, binary_exp_shift, bowen_spaces,
-                      doubling_grid, full_shift, power_system, product_system,
-                      random_space, static_system)
+from .systems.base import DynamicalSystem, bowen_spaces
+from .systems.combine import power_system, product_system
+from .systems.intervals import doubling_grid, random_space, static_system
+from .systems.shifts import binary_exp_shift, full_shift
 from .measures.atomic import AtomicMeasure
 from .measures.quantization import (quantization_number, partial_cover_bracket, LP_KIND,
                                     W_KIND)

@@ -1,6 +1,7 @@
 import pytest
 
-from dynoscale.systems import binary_exp_shift, doubling_grid
+from dynoscale.systems.intervals import doubling_grid
+from dynoscale.systems.shifts import binary_exp_shift
 
 
 @pytest.fixture(scope="session")

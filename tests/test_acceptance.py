@@ -12,23 +12,26 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from dynoscale.estimators import (box_dimension_estimate, entropy_at_scale,
-                                  mdim_estimate, mdim_mo_estimate)
-from dynoscale.measures import (AtomicMeasure, LP_KIND,
-                                dynamical_quantization_order,
-                                dynamical_quantization_rate, induced_sweep,
-                                levy_prokhorov, lp_condition_holds,
-                                quantization_number, ladder_construction,
-                                wasserstein)
-from dynoscale.metric_core import (ScaleGrid, max_separated, min_ball_cover,
-                                   min_diameter_cover)
+from dynoscale.estimators.quantities import (box_dimension_estimate, entropy_at_scale,
+                                             mdim_estimate, mdim_mo_estimate)
+from dynoscale.measures.atomic import AtomicMeasure
+from dynoscale.measures.constructions import ladder_construction
+from dynoscale.measures.induced import induced_sweep
+from dynoscale.measures.prokhorov import levy_prokhorov, lp_condition_holds
+from dynoscale.measures.quantization import (LP_KIND, dynamical_quantization_order,
+                                             dynamical_quantization_rate,
+                                             quantization_number)
+from dynoscale.measures.wasserstein import wasserstein
+from dynoscale.metric_core.counts import (ScaleGrid, max_separated, min_ball_cover,
+                                          min_diameter_cover)
 from dynoscale.oracle import brute_wasserstein
-from dynoscale.systems import (KolyadaSnohaMap, audit_spanning,
-                               banach_spanning_set, binary_exp_shift,
-                               bowen_space, doubling_grid, entropy_scale_table,
-                               full_shift, horseshoe_entropy_probe,
-                               ladder_grid, min_separation, null_sequence_space,
-                               unit_lattice)
+from dynoscale.systems.banach import audit_spanning, banach_spanning_set, min_separation
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import doubling_grid, null_sequence_space, unit_lattice
+from dynoscale.systems.kolyada import KolyadaSnohaMap
+from dynoscale.systems.probe import (entropy_scale_table, horseshoe_entropy_probe,
+                                     ladder_grid)
+from dynoscale.systems.shifts import binary_exp_shift, full_shift
 from dynoscale.verify import run_suite
 from dynoscale.harness import parse_config, run_sweep
 

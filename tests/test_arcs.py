@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from dynoscale import harness, oracle, verify
-from dynoscale.metric_core import ScaleGrid, min_spanning, solvers
+from dynoscale.metric_core.counts import ScaleGrid, min_spanning
+from dynoscale.metric_core import solvers
 from dynoscale.metric_core import space
 from dynoscale.metric_core.space import pack_rows, unpack_rows
-from dynoscale.systems import bowen_spaces, doubling_grid
+from dynoscale.systems.base import bowen_spaces
+from dynoscale.systems.intervals import doubling_grid
 
 
 def _brute_cover(masks):

@@ -4,8 +4,8 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import ParameterError
-from dynoscale.systems import (banach_spanning_set, min_separation,
-                               verify_separated, audit_spanning)
+from dynoscale.systems.banach import (banach_spanning_set, min_separation,
+                                      verify_separated, audit_spanning)
 
 
 def test_parameter_domain():

@@ -9,12 +9,14 @@ import pytest
 
 from dynoscale.errors import ParameterError, RepresentationError
 from dynoscale.harness import _count, parse_config
-from dynoscale.metric_core import max_separated
+from dynoscale.metric_core.counts import max_separated
 from dynoscale.metric_core.counts import QUANTITY_OPS
-from dynoscale.systems import (KolyadaSnohaMap, binary_exp_shift, bowen_distance,
-                               bowen_space, bowen_spaces, doubling_grid, full_shift,
-                               identity_system, lattice_alphabet, power_system,
-                               product_system, random_space, system_from_step)
+from dynoscale.systems.base import (bowen_distance, bowen_space, bowen_spaces,
+                                    identity_system, system_from_step)
+from dynoscale.systems.combine import power_system, product_system
+from dynoscale.systems.intervals import doubling_grid, random_space
+from dynoscale.systems.kolyada import KolyadaSnohaMap
+from dynoscale.systems.shifts import binary_exp_shift, full_shift, lattice_alphabet
 from dynoscale.metric_core.space import pack_rows
 from dynoscale.systems.base import _REFCOUNT_OWNS, bowen_graphs
 

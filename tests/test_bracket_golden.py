@@ -20,7 +20,8 @@ from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import max_separated, min_diameter_cover, min_spanning
 from dynoscale.metric_core.solvers import DEFAULT_BUDGET
 from dynoscale.metric_core.space import FiniteMetricSpace
-from dynoscale.systems import binary_exp_shift, bowen_space
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.shifts import binary_exp_shift
 
 QUANTITIES = {"separated": max_separated, "spanning": min_spanning,
               "diameter_cover": min_diameter_cover}

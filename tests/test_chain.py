@@ -15,7 +15,9 @@ from dynoscale.errors import BudgetExceededError
 from dynoscale.harness import _count, parse_config, run_estimates, run_sweep
 from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import QUANTITY_OPS
-from dynoscale.systems import bowen_spaces, full_shift, power_system
+from dynoscale.systems.base import bowen_spaces
+from dynoscale.systems.combine import power_system
+from dynoscale.systems.shifts import full_shift
 from dynoscale.systems.base import bowen_graphs
 from dynoscale.systems.descriptor import resolve_system
 from dynoscale.systems.shifts import _prefixes

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.metric_core import FiniteMetricSpace, max_separated, min_spanning
-from dynoscale.systems import (bowen_space, doubling_grid, full_shift, power_system,
-                               product_system, random_space, static_system)
+from dynoscale.metric_core.counts import max_separated, min_spanning
+from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.combine import power_system, product_system
+from dynoscale.systems.intervals import doubling_grid, random_space, static_system
+from dynoscale.systems.shifts import full_shift
 
 
 def test_product_metric_is_coordinate_max():

@@ -5,13 +5,15 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError, ParameterError
-from dynoscale.measures import (AtomicMeasure, apart_count,
-                                check_transport_lower_bound, dominated_layer,
-                                ladder_scale, ladder_construction,
-                                transport_lower_bound)
+from dynoscale.measures.atomic import AtomicMeasure
+from dynoscale.measures.constructions import (apart_count, check_transport_lower_bound,
+                                              dominated_layer, ladder_scale,
+                                              ladder_construction, transport_lower_bound)
 from dynoscale.measures.constructions import support_cross_min
-from dynoscale.metric_core import max_separated, solvers
-from dynoscale.systems import bowen_space, random_space
+from dynoscale.metric_core.counts import max_separated
+from dynoscale.metric_core import solvers
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import random_space
 
 
 def test_ladder_scales_square_exponent():

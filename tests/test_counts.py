@@ -8,16 +8,18 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError, ParameterError
-from dynoscale.metric_core import (CountBracket, ScaleGrid, max_separated,
-                                   min_ball_cover, min_diameter_cover,
-                                   min_spanning, verify_chain)
+from dynoscale.metric_core.checks import verify_chain
+from dynoscale.metric_core.counts import (CountBracket, ScaleGrid, max_separated,
+                                          min_ball_cover, min_diameter_cover,
+                                          min_spanning)
 from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import IRRATIONAL_OFFSET
 from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import (brute_max_separated, brute_min_diameter_cover,
                               brute_min_spanning)
-from dynoscale.systems import (binary_exp_shift, bowen_space, doubling_grid,
-                               null_sequence_space, random_space)
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import doubling_grid, null_sequence_space, random_space
+from dynoscale.systems.shifts import binary_exp_shift
 
 
 def _one_point():

@@ -10,12 +10,14 @@ import re
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.estimators import (SlopeEstimate, box_dimension_estimate,
-                                  entropy_at_scale, mdim_estimate, mdim_mo_estimate,
-                                  metric_order_estimate)
-from dynoscale.measures import (dynamical_quantization_order,
-                                dynamical_quantization_rate, quantization_order)
-from dynoscale.metric_core import CountBracket
+from dynoscale.estimators.quantities import (box_dimension_estimate, entropy_at_scale,
+                                             mdim_estimate, mdim_mo_estimate,
+                                             metric_order_estimate)
+from dynoscale.estimators.slopes import SlopeEstimate
+from dynoscale.measures.quantization import (dynamical_quantization_order,
+                                             dynamical_quantization_rate,
+                                             quantization_order)
+from dynoscale.metric_core.counts import CountBracket
 
 SCALES = [0.5 * 0.6**i for i in range(7)]
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.estimators import (box_dimension_estimate,
-                                  entropy_at_scale, log_plus,
-                                  mdim_estimate, mdim_mo_estimate,
-                                  mean_box_dimension_estimate,
-                                  metric_order_estimate, rank_corrected_fit,
-                                  staircase_envelope, tail_regression)
-from dynoscale.metric_core import CountBracket, ScaleGrid
+from dynoscale.estimators.quantities import (box_dimension_estimate, entropy_at_scale,
+                                             log_plus, mdim_estimate, mdim_mo_estimate,
+                                             mean_box_dimension_estimate,
+                                             metric_order_estimate)
+from dynoscale.estimators.slopes import (rank_corrected_fit, staircase_envelope,
+                                         tail_regression)
+from dynoscale.metric_core.counts import CountBracket, ScaleGrid
 
 
 def _exact(quantity, scale, horizon, value):
@@ -110,8 +110,8 @@ def test_mean_box_dimension_contraction_trend():
 
 def test_separated_and_cover_based_box_estimates_agree():
     # the chain squeezes both count families, so the slopes must match
-    from dynoscale.metric_core import max_separated, min_ball_cover
-    from dynoscale.systems import binary_exp_shift
+    from dynoscale.metric_core.counts import max_separated, min_ball_cover
+    from dynoscale.systems.shifts import binary_exp_shift
     system = binary_exp_shift(depth=10)
     scales = [math.exp(-m) * 0.97 for m in range(1, 8)]
     via_cover = box_dimension_estimate(
@@ -122,8 +122,9 @@ def test_separated_and_cover_based_box_estimates_agree():
 
 
 def test_mean_box_sequence_dominates_mean_dimension_proxy():
-    from dynoscale.metric_core import min_spanning
-    from dynoscale.systems import binary_exp_shift, bowen_space
+    from dynoscale.metric_core.counts import min_spanning
+    from dynoscale.systems.base import bowen_space
+    from dynoscale.systems.shifts import binary_exp_shift
     system = binary_exp_shift(depth=8, horizon_cap=4)
     scales = [math.exp(-m) * 0.97 for m in range(1, 5)]
     per_n = []
@@ -146,7 +147,7 @@ def test_mean_box_sequence_dominates_mean_dimension_proxy():
 def test_cube_lattice_metric_order_window():
     # certified lattice counts put the cube's metric order between 1/2 and 1
     from fractions import Fraction
-    from dynoscale.systems import banach_spanning_set
+    from dynoscale.systems.banach import banach_spanning_set
     upper_pts = []
     lower_pts = []
     for t in range(1, 10):

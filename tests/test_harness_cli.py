@@ -1,5 +1,6 @@
 """Descriptors, configs, CLI exit codes, determinism contract."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -102,10 +103,11 @@ def test_ball_cover_sweep_writes_each_horizon(tmp_path):
     assert [r["horizon"] for r in rows] == ["1"] * 3 + ["2"] * 3
 
 
-def test_cli_unknown_suite_exits_2():
+def test_cli_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+    assert "'oracle-equivalence'" in capsys.readouterr().err
 
 
 def test_cli_quantize_and_estimate(tmp_path):
@@ -551,13 +553,28 @@ def test_dense_sweep_and_estimate_leave_scipy_unloaded_and_rerun_identically(tmp
             "    for command in ('sweep', 'estimate'):\n"
             f"        assert main([command, '--config', {str(config)!r}, '--out', out]) == 0\n"
             "print('numpy.ma' in sys.modules)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('dynoscale')))\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True)
     assert run.returncode == 0, run.stderr
     # after the paths the CLI prints; np.unique's first call imports numpy.ma,
     # which the exp shift's codes and the discrete alphabet avoid
-    assert run.stdout.splitlines()[-2:] == ["False", "[]"]
+    assert run.stdout.splitlines()[-3:-1] == ["False", "[]"]
+    # a sweep and an estimate load neither the verify, quantize and ladder-map
+    # modules nor the cache and check helpers
+    loaded = ast.literal_eval(run.stdout.splitlines()[-1])
+    unused = {"dynoscale.verify", "dynoscale.oracle", "dynoscale.systems.kolyada",
+              "dynoscale.systems.banach", "dynoscale.systems.probe",
+              "dynoscale.metric_core.checks", "dynoscale.metric_core.cache"}
+    assert "dynoscale.harness" in loaded
+    assert not unused & set(loaded)
+    assert not [m for m in loaded if m.startswith("dynoscale.measures")]
+    bare = subprocess.run([sys.executable, "-c", "import sys, dynoscale\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('dynoscale')))"],
+                          env=env, capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    assert bare.stdout.strip() == "['dynoscale']"
     first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
     assert "estimates.csv" in first and "trace.jsonl" in first
     assert first == second

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError
-from dynoscale.measures import (AtomicMeasure, induced_step, induced_sweep,
-                                lattice_transport_space, measure_lattice,
-                                pushforward, wasserstein)
+from dynoscale.measures.atomic import AtomicMeasure, pushforward
+from dynoscale.measures.induced import (induced_step, induced_sweep,
+                                        lattice_transport_space, measure_lattice)
+from dynoscale.measures.wasserstein import wasserstein
 from dynoscale.measures.constructions import apart_count, support_cross_min
 from dynoscale.measures.induced import DIAGNOSTIC_BUDGET
 from dynoscale.measures.wasserstein import w1_pairs_two_atom
-from dynoscale.metric_core import FiniteMetricSpace
-from dynoscale.systems import (binary_exp_shift, bowen_space, doubling_grid,
-                               identity_system, random_space)
+from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.systems.base import bowen_space, identity_system
+from dynoscale.systems.intervals import doubling_grid, random_space
+from dynoscale.systems.shifts import binary_exp_shift
 
 
 @pytest.fixture(scope="module")

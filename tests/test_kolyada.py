@@ -6,12 +6,13 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import OutOfRealizationError, ParameterError
-from dynoscale.systems import (KolyadaSnohaMap, bowen_space,
-                               horseshoe_entropy_probe, entropy_scale_table,
-                               ladder_grid, nonadjacent_lower_count,
-                               symbolic_separated_count)
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.kolyada import (KolyadaSnohaMap, nonadjacent_lower_count,
+                                       symbolic_separated_count)
+from dynoscale.systems.probe import (horseshoe_entropy_probe, entropy_scale_table,
+                                     ladder_grid)
 from dynoscale.systems.kolyada import HorseshoeBlock
-from dynoscale.metric_core import max_separated
+from dynoscale.metric_core.counts import max_separated
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,7 @@ def test_symbolic_counts_match_generic_search_on_word_model():
     import numpy as np
 
     from dynoscale.metric_core.space import FiniteMetricSpace
-    from dynoscale.metric_core import max_separated as generic_max_separated
+    from dynoscale.metric_core.counts import max_separated as generic_max_separated
 
     length, b, depth = Fraction(1, 2), 3, 3
     words = list(itertools.product(range(b), repeat=depth))

@@ -5,8 +5,8 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import ParameterError, RepresentationError
-from dynoscale.measures import (AtomicMeasure, measure_from_json,
-                                measure_to_json, pushforward)
+from dynoscale.measures.atomic import (AtomicMeasure, measure_from_json, measure_to_json,
+                                       pushforward)
 
 
 def test_weights_must_be_positive_and_sum_to_one():

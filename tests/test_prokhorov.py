@@ -5,9 +5,11 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import ParameterError
-from dynoscale.measures import (AtomicMeasure, levy_prokhorov,
-                                lp_condition_holds, w1_upper_report)
-from dynoscale.systems import bowen_space, doubling_grid
+from dynoscale.measures.atomic import AtomicMeasure
+from dynoscale.measures.prokhorov import (levy_prokhorov, lp_condition_holds,
+                                          w1_upper_report)
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import doubling_grid
 
 
 @pytest.fixture(scope="module")

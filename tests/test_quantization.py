@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from dynoscale.measures import (AtomicMeasure, LP_KIND, W_KIND,
-                                dynamical_quantization_order,
-                                dynamical_quantization_rate,
-                                quantization_number, quantization_order)
+from dynoscale.measures.atomic import AtomicMeasure
+from dynoscale.measures.quantization import (LP_KIND, W_KIND,
+                                             dynamical_quantization_order,
+                                             dynamical_quantization_rate,
+                                             quantization_number, quantization_order)
 from dynoscale.errors import BudgetExceededError
 from dynoscale.measures import quantization
-from dynoscale.metric_core import min_diameter_cover, max_separated, solvers
+from dynoscale.metric_core.counts import min_diameter_cover, max_separated
+from dynoscale.metric_core import solvers
 from dynoscale.metric_core.space import pack_rows
 from dynoscale.oracle import brute_k_median_cost, brute_partial_cover
 from dynoscale.measures.wasserstein import wasserstein
-from dynoscale.systems import binary_exp_shift, bowen_space, doubling_grid
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import doubling_grid
+from dynoscale.systems.shifts import binary_exp_shift
 
 
 @pytest.fixture(scope="module")

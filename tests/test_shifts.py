@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dynoscale.errors import ParameterError, ShapeError
-from dynoscale.metric_core import (max_separated, min_diameter_cover,
-                                   min_spanning)
-from dynoscale.systems import (bowen_space, discrete_alphabet, full_shift,
-                               lattice_alphabet, rho_distance)
+from dynoscale.metric_core.counts import max_separated, min_diameter_cover, min_spanning
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.shifts import (discrete_alphabet, full_shift, lattice_alphabet,
+                                      rho_distance)
 from dynoscale.metric_core.space import code_dtype
 from dynoscale.systems.shifts import _prefixes
 

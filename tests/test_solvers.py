@@ -1,5 +1,6 @@
 """Combinatorial solvers against exhaustive oracles on random smalls."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -8,7 +9,8 @@ import pytest
 from fractions import Fraction
 
 from dynoscale.errors import BudgetExceededError
-from dynoscale.metric_core import min_spanning, solvers
+from dynoscale.metric_core.counts import min_spanning
+from dynoscale.metric_core import solvers
 from dynoscale.metric_core.solvers import (
     _partition, dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
@@ -16,8 +18,10 @@ from dynoscale.metric_core.solvers import (
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
 from dynoscale.metric_core.space import FiniteMetricSpace, pack_rows
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
-from dynoscale.systems import (bowen_space, doubling_grid, full_shift, lattice_alphabet,
-                               product_system)
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.combine import product_system
+from dynoscale.systems.intervals import doubling_grid
+from dynoscale.systems.shifts import full_shift, lattice_alphabet
 
 
 def _random_graph(rng, n, p):
@@ -521,3 +525,36 @@ def test_every_solver_leaves_its_packed_graph_as_it_was():
             solvers.greedy_set_cover(table)
             dedupe_masks(table)
             assert table.tobytes() == before
+
+
+def _search_inputs():
+    """A 40-point random graph and a 6 x 8 partial cover, each beyond its root."""
+    rng = np.random.default_rng(0)
+    graph = pack_rows(_random_graph(rng, 40, 0.15) | np.eye(40, dtype=bool))
+    masks = pack_rows(np.random.default_rng(0).random((6, 8)) < 0.4)
+    weights = [Fraction(1, 8)] * 8
+    return [lambda budget: exact_max_independent_set(graph, budget),
+            lambda budget: exact_min_set_cover(graph, budget),
+            lambda budget: exact_min_partial_cover(masks, weights, 1, budget)]
+
+
+def test_each_search_frees_its_state_when_it_returns():
+    # a search whose state sat in a reference cycle would hold its rows until
+    # the cyclic collector ran; reference counting alone must free them
+    searches = _search_inputs()
+    for search in searches:
+        with pytest.raises(BudgetExceededError):
+            search(1)  # the search goes past its root
+    gc.collect()
+    gc.disable()
+    try:
+        for search in searches:
+            search(10**6)
+            assert gc.collect() == 0
+            try:
+                search(1)
+            except BudgetExceededError:
+                pass
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

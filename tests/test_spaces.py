@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dynoscale.cli import main
 from dynoscale.errors import InvalidMetricError, ParameterError
-from dynoscale.metric_core import FiniteMetricSpace, max_separated, write_cache, read_cache
+from dynoscale.metric_core.cache import write_cache, read_cache
+from dynoscale.metric_core.counts import max_separated
+from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.metric_core import space as space_module
 from dynoscale.metric_core.space import code_dtype, distinct, pack_rows, unpack_rows
-from dynoscale.systems import doubling_grid, random_space
+from dynoscale.systems.intervals import doubling_grid, random_space
 
 
 def test_requires_exactly_one_backend():

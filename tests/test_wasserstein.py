@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from dynoscale import oracle
 from dynoscale.errors import ParameterError
-from dynoscale.measures import AtomicMeasure, wasserstein, w1_pairs_two_atom
+from dynoscale.measures.atomic import AtomicMeasure
+from dynoscale.measures.wasserstein import wasserstein, w1_pairs_two_atom
 from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.oracle import brute_wasserstein
-from dynoscale.systems import bowen_space, doubling_grid
+from dynoscale.systems.base import bowen_space
+from dynoscale.systems.intervals import doubling_grid
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +278,9 @@ def test_transport_leaves_scipy_unloaded():
     import dynoscale
     env = dict(os.environ, PYTHONPATH=str(Path(dynoscale.__file__).parents[1]))
     code = ("import sys\n"
-            "from dynoscale.measures import AtomicMeasure, wasserstein\n"
-            "from dynoscale.systems import doubling_grid\n"
+            "from dynoscale.measures.atomic import AtomicMeasure\n"
+            "from dynoscale.measures.wasserstein import wasserstein\n"
+            "from dynoscale.systems.intervals import doubling_grid\n"
             "space = doubling_grid(8, horizon_cap=1).space\n"
             "mu = AtomicMeasure.from_weights([0, 2, 5], [0.5, 0.25, 0.25])\n"
             "nu = AtomicMeasure.uniform([1, 4, 7])\n"
