@@ -27,7 +27,7 @@ from .metric_core.counts import (QUANTITY_OPS, STRICT, CountBracket, ScaleGrid,
                                  passes_diameter)
 from .metric_core.solvers import DEFAULT_BUDGET
 from .estimators.sweep import ScaleSweep, format_float, write_estimates_csv
-from .systems.base import DynamicalSystem, bowen_graphs, bowen_spaces
+from .systems.base import DynamicalSystem, bowen_graphs
 from .systems.descriptor import resolve_system
 
 
@@ -306,15 +306,13 @@ def run_quantize(config_path: str | Path, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,n,kind,Q,mode"]
-    spaces = bowen_spaces(q["system"], horizons)
-    for n in horizons:
-        dn = next(spaces)
+    # each number reads only d_n(sites, atoms), so no d_n table is built
+    for dn in bowen_graphs(q["system"], horizons, []):
         for eps in q["grid"].scales():
             br = quantization_number(dn, q["measure"], eps, kind=q["kind"], p=q["p"],
-                                     budget=q["budget"], horizon=n)
+                                     budget=q["budget"], horizon=dn.horizon)
             lines.append(f"{format_float(br.scale)},{br.horizon},{br.quantity},"
                          f"{br.upper},{br.mode}")
-        del dn  # so the walk may extend this table into the next d_n in place
     path = out / "quantization.csv"
     path.write_text("\n".join(lines) + "\n")
     return path

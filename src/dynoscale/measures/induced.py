@@ -134,7 +134,6 @@ def induced_sweep(system: DynamicalSystem, horizons: list[int], grid: list[float
                 n, float(eps), sep, apart, cover, holds,
                 _covering_diagnostic(base, cover, eps,
                                      min(budget, DIAGNOSTIC_BUDGET), n)))
-        del base, lattice  # so the walk may extend this table into the next d_n in place
     return cells
 
 

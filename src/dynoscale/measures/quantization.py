@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import BudgetExceededError, ParameterError
 from ..metric_core import solvers
 from ..metric_core.counts import CountBracket, graph_bracket
-from ..metric_core.space import FiniteMetricSpace, pack_rows
+from ..metric_core.space import pack_rows
 from ..metric_core.solvers import DEFAULT_BUDGET, _Budget
 from ..estimators.slopes import SlopeEstimate, fit
 from ..estimators.quantities import abs_log, log_plus
@@ -50,12 +50,17 @@ LP_KIND = "lp"
 W_KIND = "wasserstein"
 
 
-def quantization_number(space: FiniteMetricSpace, mu: AtomicMeasure, eps,
+def quantization_number(space, mu: AtomicMeasure, eps,
                         kind: str = LP_KIND, p: float = 1.0,
                         sites: list[int] | None = None,
                         budget: int = DEFAULT_BUDGET,
                         horizon: int = 1) -> CountBracket:
-    """Bracket on the smallest admissible support size at scale eps over the site set."""
+    """Bracket on the smallest admissible support size at scale eps over the site set.
+
+    ``space`` is read only through ``size`` and ``distances(rows, cols)``,
+    and only for the sites x atoms block: a ``FiniteMetricSpace``, or d_n
+    as a ``systems.base.BowenGraphs`` view, which builds no d_n table.
+    """
     if float(eps) <= 0:
         raise ParameterError("scale must be positive")
     sites = list(range(space.size)) if sites is None else sorted(set(sites))

@@ -613,29 +613,32 @@ def maximal_cliques(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[np.nd
     ``exact_min_clique_cover``.
     """
     n = adj.shape[0]
-    b = _Budget(budget)
     cliques: list[np.ndarray] = []
-
-    def expand(r: list[int], p: np.ndarray, x: np.ndarray) -> None:
-        b.spend()
-        if not p.any() and not x.any():
-            mask = np.zeros(n, dtype=bool)
-            mask[r] = True
-            cliques.append(mask)
-            return
-        pool = np.flatnonzero(p | x)
-        pivot, best = int(pool[0]), -1
-        for u in pool:
-            deg = int((adj[u] & p).sum())
-            if deg > best:
-                best, pivot = deg, int(u)
-        for v in np.flatnonzero(p & ~adj[pivot]):
-            expand(r + [int(v)], p & adj[v], x & adj[v])
-            p[v] = False
-            x[v] = True
-
-    expand([], np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    _expand(adj, _Budget(budget), [], np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
+            cliques)
     return cliques
+
+
+def _expand(adj: np.ndarray, b: _Budget, r: list[int], p: np.ndarray, x: np.ndarray,
+            cliques: list[np.ndarray]) -> None:
+    """Appends to ``cliques`` every maximal clique that extends ``r`` by
+    points of ``p``, none of ``x``; one budget node per call."""
+    b.spend()
+    if not p.any() and not x.any():
+        mask = np.zeros(adj.shape[0], dtype=bool)
+        mask[r] = True
+        cliques.append(mask)
+        return
+    pool = np.flatnonzero(p | x)
+    pivot, best = int(pool[0]), -1
+    for u in pool:
+        deg = int((adj[u] & p).sum())
+        if deg > best:
+            best, pivot = deg, int(u)
+    for v in np.flatnonzero(p & ~adj[pivot]):
+        _expand(adj, b, r + [int(v)], p & adj[v], x & adj[v], cliques)
+        p[v] = False
+        x[v] = True
 
 
 # -- exact sweeps on the line ---------------------------------------------

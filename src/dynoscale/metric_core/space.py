@@ -10,11 +10,12 @@ An ultrametric space may store its ``levels`` and a partition ``chain``
 instead of codes: one label row per positive level c, where two points
 share a label exactly when their code is below c.  Its threshold graphs
 are partitions (``classes``), and its codes, a pair's count of levels at
-which its labels differ, are derived on first use.
+which its labels differ, are derived on the first ``level_codes()``.
 Every threshold graph depends only on which distances fall below a scale,
 so it is one compare of the codes with the scale's level cutoff, packed at
 one bit per pair; float values are read by ``distances(rows, cols)``, which
-gathers only the block asked for, and every float read goes through
+gathers only the block asked for (on a chain-backed space, counts that
+block's codes from the labels), and every other float read goes through
 ``level_codes()``.  A float matrix passed in is encoded at construction and
 not kept; a coordinate space is encoded from its coordinates by row blocks
 at its first threshold or ``d_n`` gather.  Products (under the max or the
@@ -174,11 +175,18 @@ class FiniteMetricSpace:
         return float(levels[codes[i, j]])
 
     def distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Float block ``d(rows[a], cols[b])``, bitwise that of ``as_matrix()``."""
+        """Float block ``d(rows[a], cols[b])``, bitwise that of ``as_matrix()``.
+
+        A chain-backed space whose codes are not derived counts the block's
+        codes from its labels and leaves them underived.
+        """
         r, c = np.ix_(rows, cols)
         if self.coords is not None:
             x = self._coords_float
             return np.abs(x[r] - x[c])
+        if self._codes is None and self._chain is not None:
+            block = np.zeros((r.size, c.size), dtype=code_dtype(len(self._levels)))
+            return self._levels[_count_differing(self._chain, r, c, block)]
         levels, codes = self.level_codes()
         return levels[codes[r, c]]
 
@@ -375,19 +383,25 @@ def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndar
     return levels, lut[ca[:, None, :, None], cb[None, :, None, :]].reshape(n, n)
 
 
+def _count_differing(chain: np.ndarray, r, c, out: np.ndarray) -> np.ndarray:
+    """``out`` plus, for each pair of a label at ``r`` and one at ``c``
+    (indices that broadcast to ``out``'s shape), the number of rows of
+    ``chain`` in which the two differ: the pairs' codes when ``out`` is zero."""
+    for row in chain:
+        out += row[r] != row[c]
+    return out
+
+
 def _chain_codes(chain: np.ndarray, count: int) -> np.ndarray:
-    """(n, n) codes of a partition chain: each pair's number of rows in
-    which its labels differ, in the dtype that indexes ``count`` levels,
-    one row block at a time."""
+    """(n, n) codes of a partition chain, in the dtype that indexes
+    ``count`` levels, one row block at a time (``_count_differing``)."""
     n = chain.shape[1]
     if n > MATRIX_CAP:
         raise ParameterError(f"refusing to materialise {n}x{n} matrix")
     codes = np.zeros((n, n), dtype=code_dtype(count))
     rows = block_rows(n)
     for a in range(0, n, rows):
-        block = codes[a:a + rows]
-        for row in chain:
-            block += row[a:a + rows, None] != row
+        _count_differing(chain, np.s_[a:a + rows, None], np.s_[:], codes[a:a + rows])
     return codes
 
 

@@ -4,15 +4,15 @@ A system is a ``FiniteMetricSpace`` closed under one map f, carried by
 ``step``, the index of f(x) for every point x.  Iterating the step
 certifies d_k for every horizon k <= ``horizon_cap``: ``bowen_spaces``
 builds each d_k as a code table, and ``bowen_graphs`` carries only its
-threshold graphs, which is all a count reads.  On an ultrametric base
-stored as a partition chain, every d_k is an ultrametric too, and
-``bowen_graphs`` carries one class label row per threshold instead of a
-packed graph.
+threshold graphs, which is all a count reads, and reads its values block
+by block (``BowenGraphs.distances``), which is all a quantization number
+reads.  On an ultrametric base stored as a partition chain, every d_k is
+an ultrametric too, and ``bowen_graphs`` carries one class label row per
+threshold instead of a packed graph.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -77,14 +77,6 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
     return best
 
 
-# Before 3.14, CPython passes a local to a call as a new reference, so a
-# count of two there is this name and the call's argument: nothing else
-# holds the table.  3.14 may lend the local without a reference, so the
-# count can read two while someone else holds it; there, and on other
-# interpreters, the walk never writes into a table it has yielded.
-_REFCOUNT_OWNS = sys.implementation.name == "cpython" and sys.version_info < (3, 14)
-
-
 def _check_horizon(system: DynamicalSystem, n: int) -> None:
     if n < 1:
         raise ParameterError("horizon must be >= 1")
@@ -96,23 +88,17 @@ def bowen_spaces(system: DynamicalSystem,
                  horizons: Iterable[int]) -> Iterator[FiniteMetricSpace]:
     """The space under each horizon-n dynamical metric, in the order given.
 
-    ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table by one
-    gather of the base space's level codes per horizon, one row block at a
-    time (``block_rows``).  When nothing but this walk holds the d_{n-1}
-    table (no yielded space, caller or numpy view: the reference count test
-    of ``ndarray.resize``), d_n is written into it in place; otherwise into
-    a new table.  So a consumer that drops each space before asking for the
-    next holds the base codes, one table and one block, and one that keeps
-    a space or its codes keeps them intact.  The count is read only where
-    it is known to mean this (``_REFCOUNT_OWNS``); elsewhere every d_n gets
-    a new table, which is correct but holds d_{n-1} beside it.  Every d_n
-    shares the base levels: codes are monotone in the distance, so the max
-    of two codes is the code of the max, at one to four bytes per pair.
-    Max is exact, so every table is bitwise the one built anew.  A horizon
-    below the last one starts again from ``d_1``, which is the space itself,
-    or a coded space over the same codes when the base is chain-backed, so
-    that every space the walk yields reads its table.  A consumer that only
-    counts needs no table: see ``bowen_graphs``.
+    ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table into a
+    new one by one gather of the base space's level codes per horizon, one
+    row block at a time (``block_rows``), so a consumer that keeps a space
+    or its codes keeps them intact.  Every d_n shares the base levels:
+    codes are monotone in the distance, so the max of two codes is the code
+    of the max, at one to four bytes per pair.  Max is exact, so every
+    table is bitwise the one built anew.  A horizon below the last one
+    starts again from ``d_1``, which is the space itself, or a coded space
+    over the same codes when the base is chain-backed, so that every space
+    the walk yields reads its table.  A consumer that only counts, or reads
+    only some values, needs no table: see ``bowen_graphs``.
     """
     done, table = 1, None
     for n in horizons:
@@ -128,9 +114,7 @@ def bowen_spaces(system: DynamicalSystem,
         while done < n:
             # idx holds the indices of f^done
             idx = system.step if done == 1 else system.step[idx]
-            own = _REFCOUNT_OWNS and done > 1 and sys.getrefcount(table) == 2
-            table = _max_gather(codes, codes if done == 1 else table, idx,
-                                table if own else np.empty_like(codes))
+            table = _max_gather(codes, codes if done == 1 else table, idx)
             done += 1
         yield FiniteMetricSpace.from_codes(levels, table, labels=space.labels,
                                            name=f"{system.name}|d_{n}")
@@ -157,13 +141,9 @@ def _orbit_blocks(codes: np.ndarray, idx: np.ndarray | None) -> Iterator[tuple[i
         yield a, buf[:b - a]
 
 
-def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
-                table: np.ndarray) -> np.ndarray:
-    """``max(prev, codes[idx][:, idx])`` written into ``table``, by row blocks.
-
-    A block of ``prev`` is read only for the rows it writes, so ``table``
-    may be ``prev`` itself.
-    """
+def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``max(prev, codes[idx][:, idx])`` as a new table, by row blocks."""
+    table = np.empty_like(codes)
     for a, block in _orbit_blocks(codes, idx):
         b = a + len(block)
         np.maximum(block, prev[a:b], out=table[a:b])
@@ -171,8 +151,9 @@ def _max_gather(codes: np.ndarray, prev: np.ndarray, idx: np.ndarray,
 
 
 class BowenGraphs:
-    """d_n as the counts read it: its diameter and its threshold graphs at
-    the level cutoffs of one walk, without its code table.
+    """d_n as the counts and the quantization numbers read it: its
+    diameter, its threshold graphs at the level cutoffs of one walk, and
+    float blocks (``distances``), without its code table.
 
     On a coded base, ``graphs`` maps each carried cutoff c to G_n(c), the
     rows of ``d_n codes < c`` as ``pack_rows`` packs them, and
@@ -197,6 +178,19 @@ class BowenGraphs:
         space = system.space
         self.size, self.diameter = space.size, space.diameter
         self.coords = space.coords if horizon == 1 else None
+
+    def distances(self, rows, cols) -> np.ndarray:
+        """Float block ``d_n(rows[a], cols[b])``: the max over t < n of the
+        base block at ``f^t rows`` and ``f^t cols``.  The levels ascend, so
+        this max of floats is ``levels`` at the max of the codes: bitwise
+        the block of ``bowen_space(system, n).distances``."""
+        step, space = self.system.step, self.system.space
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        block = space.distances(rows, cols)
+        for _ in range(self.horizon - 1):
+            rows, cols = step[rows], step[cols]
+            np.maximum(block, space.distances(rows, cols), out=block)
+        return block
 
     def cutoff(self, eps: float, strict: bool) -> int:
         """The level cutoff of ``eps``: the levels are d_1's, shared by every d_n."""

@@ -18,7 +18,7 @@ from dynoscale.systems.intervals import doubling_grid, random_space
 from dynoscale.systems.kolyada import KolyadaSnohaMap
 from dynoscale.systems.shifts import binary_exp_shift, full_shift, lattice_alphabet
 from dynoscale.metric_core.space import pack_rows
-from dynoscale.systems.base import _REFCOUNT_OWNS, bowen_graphs
+from dynoscale.systems.base import bowen_graphs
 
 
 def test_horizon_one_is_base_metric(doubling64):
@@ -126,6 +126,29 @@ def test_bowen_spaces_match_a_max_built_anew_bitwise(name, horizons):
         assert dn.name == (system.space.name if n == 1 else f"{system.name}|d_{n}")
 
 
+DISTANCE_SYSTEMS = {
+    "doubling": lambda: doubling_grid(32, horizon_cap=5),
+    "product-shift": lambda: full_shift(2, 4, metric="product", horizon_cap=4),
+    "exp-shift": lambda: binary_exp_shift(5, horizon_cap=5),
+}
+
+
+@pytest.mark.parametrize("name", DISTANCE_SYSTEMS)
+def test_bowen_graphs_distances_are_the_blocks_of_bowen_space_bitwise(name):
+    system, reference = DISTANCE_SYSTEMS[name](), DISTANCE_SYSTEMS[name]()
+    size = system.space.size
+    blocks = [([5, 0, 5, size - 1, 2, 2], [size - 1, 3, 0, 3, 7, 7]),
+              (np.arange(size)[::-1], [1, 1]), (range(size), range(size))]
+    horizons = list(range(1, system.horizon_cap + 1))
+    want = dict(zip(horizons, bowen_spaces(reference, horizons)))
+    for dn in bowen_graphs(system, horizons, []):
+        for rows, cols in blocks:
+            got = dn.distances(rows, cols)
+            assert got.tobytes() == want[dn.horizon].distances(rows, cols).tobytes()
+    # only the coded base has codes: the others built no table
+    assert (system.space._codes is None) == (name != "product-shift")
+
+
 def test_bowen_spaces_reject_a_horizon_beyond_the_cap(doubling64):
     with pytest.raises(ParameterError):
         list(bowen_spaces(doubling64, [1, doubling64.horizon_cap + 1]))
@@ -163,17 +186,15 @@ def test_counting_dense_horizons_holds_two_code_tables_and_one_block(depth):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # at most d_2, d_3 and one block are alive (one table where the walk
-    # writes d_3 into d_2's); the graphs are packed.
-    # A table-sized gather temporary or boolean graph would pass 3 tables.
+    # the exp shift is walked on class labels, so no d_n table, gather
+    # block or packed graph is built; two d_n tables beside a table-sized
+    # temporary would pass the bound.
     assert peak < 2.5 * size**2, peak / size**2
 
 
-@pytest.mark.skipif(not _REFCOUNT_OWNS,
-                    reason="this interpreter gives every d_n a new table")
 def test_counting_dense_horizons_holds_one_code_table_beside_the_base():
-    # the walk writes d_3 into d_2's table once the sweep has dropped d_2,
-    # so the base codes, one table, one block and the packed graphs are alive
+    # the label walk holds N labels per cutoff and the solvers' rows; the
+    # base codes and one d_n table would pass the bound
     system = binary_exp_shift(11, horizon_cap=3)
     size = system.space.size
     config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
@@ -188,28 +209,13 @@ def test_counting_dense_horizons_holds_one_code_table_beside_the_base():
     assert peak < 1.5 * size**2, peak / size**2
 
 
-def _address_and_bytes(dn):
-    return dn.level_codes()[1].ctypes.data, dn.as_matrix().tobytes()
-
-
-def test_a_walk_whose_consumer_drops_each_space_reuses_one_table():
-    system = binary_exp_shift(5, horizon_cap=5)
-    horizons = [2, 3, 4, 5]
-    spaces = bowen_spaces(system, horizons)
-    seen = [_address_and_bytes(next(spaces)) for _ in horizons]
-    if _REFCOUNT_OWNS:
-        assert len({address for address, _ in seen}) == 1
-    for n, (_, table) in zip(horizons, seen):
-        assert table == _max_anew(system, n).tobytes(), n
-
-
 def test_a_kept_view_of_the_codes_keeps_its_values_when_the_walk_resumes():
     system = binary_exp_shift(5, horizon_cap=5)
     spaces = bowen_spaces(system, [2, 3, 4])
     view = next(spaces).level_codes()[1][1:]  # the space itself is dropped
     kept = view.copy()
     for n in (3, 4):
-        assert _address_and_bytes(next(spaces))[1] == _max_anew(system, n).tobytes()
+        assert next(spaces).as_matrix().tobytes() == _max_anew(system, n).tobytes()
     assert np.array_equal(view, kept)
     levels = system.space.level_codes()[0]
     assert levels[view].tobytes() == _max_anew(system, 2)[1:].tobytes()

@@ -1,5 +1,6 @@
 """Quantization numbers and their orders."""
 
+import json
 import math
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from dynoscale.measures.quantization import (LP_KIND, W_KIND,
                                              dynamical_quantization_rate,
                                              quantization_number, quantization_order)
 from dynoscale.errors import BudgetExceededError
+from dynoscale.harness import run_quantize
 from dynoscale.measures import quantization
 from dynoscale.metric_core.counts import min_diameter_cover, max_separated
 from dynoscale.metric_core import solvers
@@ -317,3 +319,119 @@ def test_partial_cover_bracket_contains_the_count_at_every_budget():
         for budget in (1, 2, 3, 5):
             got = quantization.partial_cover_bracket(masks, weights, target, budget)
             assert got.lower <= count <= got.upper, (masks, raw, target, budget)
+
+
+def _quantize(tmp_path, system, kind, atoms, weights, count, horizons) -> str:
+    """The text of ``quantization.csv`` for one config."""
+    config = tmp_path / "q.json"
+    config.write_text(json.dumps({
+        "system": system, "kind": kind,
+        "measure": {"atoms": atoms, "weights": weights},
+        "grid": {"start": 0.45, "ratio": 0.5, "count": count}, "horizons": horizons}))
+    return run_quantize(config, tmp_path).read_text()
+
+
+@pytest.mark.parametrize("kind", [LP_KIND, W_KIND])
+def test_quantize_holds_no_d_n_table(kind, tmp_path):
+    # the 2048-point exp shift: a one-byte d_n table would be size**2 bytes,
+    # and a walk over d_2 and d_3 tables peaks at about two of them
+    size = 2048
+    system = {"kind": "shift", "symbols": 2, "depth": 11, "horizon_cap": 3}
+    tracemalloc.start()
+    try:
+        _quantize(tmp_path, system, kind, [0, 300, 700, 1500, 2047], ["1/5"] * 5, 4,
+                  [1, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * size**2, peak / size**2
+
+
+QUANTIZE_SYSTEMS = {
+    "doubling": {"kind": "doubling", "grid": 16},
+    "product-shift": {"kind": "shift", "metric": "product", "symbols": 3, "depth": 3},
+    "exp-shift": {"kind": "shift", "symbols": 3, "depth": 3},
+}
+
+PINNED_CSV = {
+    ("doubling", LP_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,lp,1,exact
+0.224126214693,1,lp,2,exact
+0.112063107346,1,lp,4,exact
+0.448252429385,2,lp,1,exact
+0.224126214693,2,lp,3,exact
+0.112063107346,2,lp,4,exact
+0.448252429385,3,lp,2,exact
+0.224126214693,3,lp,3,exact
+0.112063107346,3,lp,4,exact
+""",
+    ("doubling", W_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,wasserstein,1,exact
+0.224126214693,1,wasserstein,2,exact
+0.112063107346,1,wasserstein,2,exact
+0.448252429385,2,wasserstein,1,exact
+0.224126214693,2,wasserstein,2,exact
+0.112063107346,2,wasserstein,3,exact
+0.448252429385,3,wasserstein,1,exact
+0.224126214693,3,wasserstein,2,exact
+0.112063107346,3,wasserstein,3,exact
+""",
+    ("product-shift", LP_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,lp,1,exact
+0.224126214693,1,lp,3,exact
+0.112063107346,1,lp,4,exact
+0.448252429385,2,lp,2,exact
+0.224126214693,2,lp,3,exact
+0.112063107346,2,lp,4,exact
+0.448252429385,3,lp,2,exact
+0.224126214693,3,lp,3,exact
+0.112063107346,3,lp,4,exact
+""",
+    ("product-shift", W_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,wasserstein,1,exact
+0.224126214693,1,wasserstein,2,exact
+0.112063107346,1,wasserstein,2,exact
+0.448252429385,2,wasserstein,1,exact
+0.224126214693,2,wasserstein,2,exact
+0.112063107346,2,wasserstein,3,exact
+0.448252429385,3,wasserstein,1,exact
+0.224126214693,3,wasserstein,2,exact
+0.112063107346,3,wasserstein,3,exact
+""",
+    ("exp-shift", LP_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,lp,1,exact
+0.224126214693,1,lp,3,exact
+0.112063107346,1,lp,4,exact
+0.448252429385,2,lp,2,exact
+0.224126214693,2,lp,3,exact
+0.112063107346,2,lp,4,exact
+0.448252429385,3,lp,2,exact
+0.224126214693,3,lp,3,exact
+0.112063107346,3,lp,4,exact
+""",
+    ("exp-shift", W_KIND): """\
+eps,n,kind,Q,mode
+0.448252429385,1,wasserstein,1,exact
+0.224126214693,1,wasserstein,2,exact
+0.112063107346,1,wasserstein,3,exact
+0.448252429385,2,wasserstein,2,exact
+0.224126214693,2,wasserstein,3,exact
+0.112063107346,2,wasserstein,4,exact
+0.448252429385,3,wasserstein,2,exact
+0.224126214693,3,wasserstein,3,exact
+0.112063107346,3,wasserstein,4,exact
+""",
+}
+
+
+def test_quantize_csv_bytes_are_pinned(tmp_path):
+    # a coordinate, a coded and a chain-backed base; horizons out of order
+    for (name, kind), want in PINNED_CSV.items():
+        got = _quantize(tmp_path, QUANTIZE_SYSTEMS[name], kind, [0, 3, 9, 14],
+                        ["1/2", "1/4", "1/8", "1/8"], 3, [3, 1, 2])
+        assert got == want, (name, kind)

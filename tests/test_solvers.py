@@ -558,3 +558,14 @@ def test_each_search_frees_its_state_when_it_returns():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_maximal_cliques_frees_its_state_when_it_returns():
+    adj = _random_graph(np.random.default_rng(0), 40, 0.15)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(maximal_cliques(adj)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -15,6 +15,7 @@ from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.metric_core import space as space_module
 from dynoscale.metric_core.space import code_dtype, distinct, pack_rows, unpack_rows
 from dynoscale.systems.intervals import doubling_grid, random_space
+from dynoscale.systems.shifts import full_shift
 
 
 def test_requires_exactly_one_backend():
@@ -153,6 +154,18 @@ def _assert_blocks(space, m):
                        (np.arange(n)[::-1], [1]), (range(n), range(n))]:
         got = space.distances(rows, cols)
         assert got.tobytes() == m[np.ix_(rows, cols)].tobytes()
+
+
+def test_chain_distances_count_their_block_and_leave_the_codes_underived():
+    space = full_shift(3, 4).space
+    m = full_shift(3, 4).space.as_matrix()
+    _assert_blocks(space, m)
+    assert space._codes is None
+    blocks = [(rows, cols, space.distances(rows, cols))
+              for rows, cols in [([7, 0, 7, 80], [80, 2, 2]), (range(81), range(81))]]
+    levels, codes = space.level_codes()
+    for rows, cols, got in blocks:
+        assert got.tobytes() == levels[codes[np.ix_(rows, cols)]].tobytes()
 
 
 def _float_graph(m, eps, strict):
