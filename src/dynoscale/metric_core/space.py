@@ -169,8 +169,13 @@ class FiniteMetricSpace:
     # -- basic queries -----------------------------------------------------
 
     def dist(self, i: int, j: int) -> float:
+        """One distance; a chain-backed space without codes counts the pair's
+        code from its labels and leaves the codes underived."""
         if self.coords is not None:
             return abs(float(self._coords_float[i] - self._coords_float[j]))
+        if self._codes is None and self._chain is not None:
+            code = _count_differing(self._chain, i, j, np.zeros((), dtype=np.intp))
+            return float(self._levels[code])
         levels, codes = self.level_codes()
         return float(levels[codes[i, j]])
 

@@ -19,7 +19,7 @@ from .errors import ParameterError
 from .metric_core.space import FiniteMetricSpace
 
 ORACLE_POINT_LIMIT = 15
-# subsets whose incidence matrices the coupling oracle tests or inverts at once
+# subsets the coupling oracle tests for spanning trees at once
 BASIS_BLOCK = 1024
 
 
@@ -121,39 +121,50 @@ def brute_k_median_cost(dist_pow: np.ndarray, weights: np.ndarray, k: int) -> fl
 # -- transport ------------------------------------------------------------
 
 
+def _reach(ends: np.ndarray, start: np.ndarray, skip: int = -1) -> np.ndarray:
+    """For each edge set, a row of ``ends`` holding one node mask per edge,
+    the mask of the nodes its edges join to those in ``start``, edge
+    ``skip`` left out."""
+    reach = start
+    while True:
+        grown = reach.copy()
+        for e in range(ends.shape[1]):
+            if e != skip:
+                grown |= ends[:, e] * (ends[:, e] & grown != 0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
 @functools.lru_cache(maxsize=None)
 def _bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every basis of the m x n transportation problem, built once per shape.
 
-    A basis is a set of m+n-1 cells (flat, row-major) whose incidence
-    matrix, one row per marginal with the last column's row dropped, is
-    nonsingular; these sets are exactly the spanning trees of K_{m,n}.
-    Returns the cells of each basis and the inverse of its matrix, integral
-    because the matrix is totally unimodular.  Both passes, the determinant
-    test of every subset and the inverse of every basis, run over blocks of
-    ``BASIS_BLOCK`` subsets, so no temporary outgrows one block.
+    A basis is a set of m+n-1 cells (flat, row-major) that connects all
+    m+n nodes of K_{m,n}, row i as node i and column j as node m+j: the
+    spanning trees, in ``itertools.combinations`` order.  Returns the cells
+    of each tree and, per tree edge, the uint8 mask of the nodes left on
+    the edge's row side when it is removed.  The flow a tree solution puts
+    on an edge is the net supply of that side.  Subsets are tested by
+    reachability in blocks of ``BASIS_BLOCK``, so no temporary outgrows
+    one block.
     """
-    size = m + n - 1
-
-    def incidence(cells: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((len(cells), m + n, size))
-        subset, slot = np.arange(len(cells))[:, None], np.arange(size)
-        matrix[subset, cells // n, slot] = 1.0
-        matrix[subset, m + cells % n, slot] = 1.0
-        return matrix[:, :size]
-
+    size, full = m + n - 1, (1 << (m + n)) - 1
     subsets = itertools.combinations(range(m * n), size)
-    kept = []
+    kept_cells, kept_cuts = [], []
     while block := list(itertools.islice(subsets, BASIS_BLOCK)):
         cells = np.array(block, dtype=np.intp)
-        kept.append(cells[np.abs(np.linalg.det(incidence(cells))) > 0.5])
-    cells = np.concatenate(kept)
-    inverses = np.empty((len(cells), size, size))
-    for a in range(0, len(cells), BASIS_BLOCK):
-        part = slice(a, a + BASIS_BLOCK)
-        inverses[part] = np.rint(np.linalg.inv(incidence(cells[part])))
-    cells.flags.writeable = inverses.flags.writeable = False  # shared by every call
-    return cells, inverses
+        row_ends = (1 << (cells // n)).astype(np.uint8)
+        ends = row_ends | (1 << (m + cells % n)).astype(np.uint8)
+        trees = _reach(ends, np.ones(len(cells), dtype=np.uint8)) == full
+        row_ends, ends = row_ends[trees], ends[trees]
+        kept_cells.append(cells[trees].astype(np.uint8))  # m * n <= 16 cells
+        kept_cuts.append(np.stack([_reach(ends, row_ends[:, e], e) for e in range(size)],
+                                  axis=1))
+    cells = np.concatenate(kept_cells).astype(np.intp)
+    cuts = np.concatenate(kept_cuts)
+    cells.flags.writeable = cuts.flags.writeable = False  # shared by every call
+    return cells, cuts
 
 
 def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -161,7 +172,10 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Minimum transport cost over all basic feasible couplings.
 
     Every vertex of the transportation polytope is the unique flow on some
-    basis; flows that are negative or miss a marginal are skipped.
+    spanning tree: an edge carries the mass of the rows on its row side
+    less that of the columns there, read from one table of subset sums.
+    Trees with a negative flow, or whose flows miss a marginal, are skipped;
+    a tree costs the sum of flow times cost over its own cells.
     """
     if a.size > 4 or b.size > 4:
         raise ParameterError("coupling oracle limited to 4 atoms per side")
@@ -172,14 +186,14 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
     if p == math.inf:
         raise ParameterError("order p must be finite")
     m, n = cost.shape
-    cells, inverses = _bases(m, n)
-    flows = inverses @ np.concatenate([a, b]).astype(float)[:m + n - 1]
+    cells, cuts = _bases(m, n)
+    # entry rows | cols << m: the mass of those rows less that of those columns
+    sums = (_subset_sums(a)[None, :] - _subset_sums(b)[:, None]).ravel()
+    flows = sums[cuts]
     basic = (flows >= -1e-12).all(axis=1)
-    plans = np.zeros((np.count_nonzero(basic), m * n))
-    np.put_along_axis(plans, cells[basic], np.maximum(flows[basic], 0.0), axis=1)
-    grid = plans.reshape(-1, m, n)
-    feasible = ((np.abs(grid.sum(axis=2) - a).max(axis=1) <= 1e-9)
-                & (np.abs(grid.sum(axis=1) - b).max(axis=1) <= 1e-9))
+    cells, flows = cells[basic], flows[basic]
+    np.maximum(flows, 0.0, out=flows)
+    feasible = _meets(cells // n, flows, a) & _meets(cells % n, flows, b)
     if not feasible.any():
         raise ParameterError("no coupling: marginals need equal mass, no negatives")
     with np.errstate(over="ignore"):
@@ -188,4 +202,24 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         raise ParameterError(f"cost**p overflows a float at p = {p}")
     if (cp[cost > 0] < np.finfo(float).tiny).any():
         raise ParameterError(f"cost**p underflows a float at p = {p}")
-    return float((cp.ravel() * plans[feasible]).sum(axis=1).min()) ** (1.0 / p)
+    flows *= cp.ravel()[cells]
+    return float(flows.sum(axis=1)[feasible].min()) ** (1.0 / p)
+
+
+def _meets(ends: np.ndarray, flows: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Whether each tree's flows, added up at their ``ends`` (the row or the
+    column of each cell) in cell order, give ``marginal`` within 1e-9.
+    ``ends`` is overwritten."""
+    k = len(marginal)
+    ends += np.arange(len(ends))[:, None] * k
+    got = np.bincount(ends.ravel(), flows.ravel(), len(ends) * k).reshape(-1, k) - marginal
+    return np.abs(got, out=got).max(axis=1) <= 1e-9
+
+
+def _subset_sums(masses: np.ndarray) -> np.ndarray:
+    """Float sum of ``masses`` over every subset, added in index order; bit
+    k of the table index picks ``masses[k]``."""
+    sums = [0.0]
+    for mass in masses:
+        sums += [total + float(mass) for total in sums]
+    return np.array(sums)

@@ -15,9 +15,9 @@ from dynoscale.errors import BudgetExceededError
 from dynoscale.harness import _count, parse_config, run_estimates, run_sweep
 from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import QUANTITY_OPS
-from dynoscale.systems.base import bowen_spaces
+from dynoscale.systems.base import bowen_distance, bowen_spaces
 from dynoscale.systems.combine import power_system
-from dynoscale.systems.shifts import full_shift
+from dynoscale.systems.shifts import binary_exp_shift, full_shift
 from dynoscale.systems.base import bowen_graphs
 from dynoscale.systems.descriptor import resolve_system
 from dynoscale.systems.shifts import _prefixes
@@ -66,6 +66,32 @@ def test_each_float_read_of_a_fresh_chain_space_is_the_per_pair_scan(symbols, de
     assert space.diameter == want.max()
     assert space.cutoff(want.max(), False) == len(space.chain) + 1
     assert space._codes is None
+
+
+def test_a_pair_read_of_a_chain_space_counts_its_labels():
+    system = binary_exp_shift(12, horizon_cap=3)
+    tracemalloc.start()
+    try:
+        got = bowen_distance(system, 0, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # words 0 and 1 first differ in letter 11, and their images 0 and 2 in letter 10
+    assert got == pytest.approx(math.exp(-10), rel=1e-12)
+    assert system.space._codes is None
+    assert peak < 2**20, peak / 2**20
+
+
+def test_pair_reads_of_a_chain_space_are_its_matrix_entries():
+    want = full_shift(3, 3).space.as_matrix()
+    space = full_shift(3, 3).space
+    n = space.size
+    got = np.array([[space.dist(i, j) for j in range(n)] for i in range(n)])
+    assert space._codes is None
+    assert got.tobytes() == want.tobytes()
+    # once the codes exist the pair is read from them
+    space.level_codes()
+    assert all(space.dist(i, j) == want[i, j] for i in range(n) for j in range(n))
 
 
 def _out_of_budget(*args, **kwargs):

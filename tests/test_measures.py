@@ -39,6 +39,14 @@ def test_rational_weights_must_sum_to_exactly_one():
         measure_from_json('{"atoms": [0, 1], "weights": ["1/3", "1/3"]}')
 
 
+def test_fraction_weights_over_different_denominators_sum_exactly():
+    mu = AtomicMeasure((0, 1, 2), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)))
+    assert mu.support_size == 3
+    with pytest.raises(ParameterError, match="^weights must sum to exactly 1$"):
+        AtomicMeasure((0, 1, 2), (Fraction(1, 3), Fraction(1, 3),
+                                  Fraction(1, 3) + Fraction(1, 10**40)))
+
+
 def test_json_float_weights_keep_the_float_tolerance():
     mu = measure_from_json('{"atoms": [0, 1, 2], "weights": [0.2, 0.3, 0.5]}')
     assert mu.weights == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))

@@ -437,6 +437,22 @@ def test_greedy_partial_cover_matches_an_every_row_recompute(seed):
                 == _greedy_partial_cover_every_row(masks, weights, target))
 
 
+def test_partial_covers_on_oracle_equivalence_shaped_instances():
+    # Fraction weights and targets as the oracle-equivalence suite draws them
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(3, 9))
+        masks = rng.random((m, n)) < 0.5
+        masks[0] = True
+        raw = [int(x) for x in rng.integers(1, 9, size=n)]
+        weights = [Fraction(r, sum(raw)) for r in raw]
+        target = Fraction(int(rng.integers(1, 10)), 10)
+        assert (greedy_partial_cover(pack_rows(masks), weights, target)
+                == _greedy_partial_cover_every_row(masks, weights, target))
+        got = exact_min_partial_cover(pack_rows(masks), weights, target)
+        assert len(got) == brute_partial_cover(masks, weights, target)
+
+
 def test_partial_cover_overlapping_rows_short_of_the_target_raise():
     masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot reach the target"):

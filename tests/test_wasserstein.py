@@ -1,5 +1,6 @@
 """Exact transport distances: pinned values, metric axioms, oracle parity."""
 
+import functools
 import itertools
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from dynoscale import oracle
+from dynoscale import oracle, verify
 from dynoscale.errors import ParameterError
 from dynoscale.measures.atomic import AtomicMeasure
 from dynoscale.measures.wasserstein import wasserstein, w1_pairs_two_atom
@@ -125,6 +126,7 @@ def test_basis_table_holds_every_spanning_tree(m, n):
     assert len({tuple(c) for c in cells}) == len(cells)
 
 
+@functools.lru_cache(maxsize=None)
 def _all_subsets_bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The basis table as first built: one incidence stack over every
     subset, one determinant and one inverse call over all of it."""
@@ -139,20 +141,50 @@ def _all_subsets_bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cells[nonsingular], np.rint(np.linalg.inv(matrix[nonsingular]))
 
 
+def _inverse_price(cost, a, b, p):
+    """The coupling oracle as first priced: each basis's flows from the
+    inverse of its matrix, scattered into a plan over all m x n cells."""
+    m, n = cost.shape
+    cells, inverses = _all_subsets_bases(m, n)
+    flows = inverses @ np.concatenate([a, b])[:m + n - 1]
+    basic = (flows >= -1e-12).all(axis=1)
+    plans = np.zeros((np.count_nonzero(basic), m * n))
+    np.put_along_axis(plans, cells[basic], np.maximum(flows[basic], 0.0), axis=1)
+    grid = plans.reshape(-1, m, n)
+    feasible = ((np.abs(grid.sum(axis=2) - a).max(axis=1) <= 1e-9)
+                & (np.abs(grid.sum(axis=1) - b).max(axis=1) <= 1e-9))
+    return float(((cost**p).ravel() * plans[feasible]).sum(axis=1).min()) ** (1.0 / p)
+
+
+def _dyadic(rng, k):
+    """k positive multiples of 1/64 summing to 1."""
+    cuts = np.sort(rng.choice(np.arange(1, 64), k - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [64]])) / 64
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_block_basis_table_is_bitwise_the_all_subsets_one(m, n):
-    cells, inverses = oracle._bases(m, n)
-    want_cells, want_inverses = _all_subsets_bases(m, n)
-    assert cells.dtype == want_cells.dtype and inverses.dtype == want_inverses.dtype
-    assert cells.shape == want_cells.shape and inverses.shape == want_inverses.shape
+    cells, cuts = oracle._bases(m, n)
+    want_cells, inverses = _all_subsets_bases(m, n)
+    assert cells.dtype == want_cells.dtype and cells.shape == want_cells.shape
     assert cells.tobytes() == want_cells.tobytes()
-    assert inverses.tobytes() == want_inverses.tobytes()
+    assert cuts.dtype == np.uint8 and cuts.shape == cells.shape
+    # on multiples of 1/64 every float sum is exact, so a tree edge's cut
+    # sum is bit for bit the flow the inverse of its basis matrix gives
+    bits = (cuts[..., None] >> np.arange(m + n)) & 1
+    rng = np.random.default_rng(10 * m + n)
+    for _ in range(5):
+        a, b = _dyadic(rng, m), _dyadic(rng, n)
+        flows = bits[..., :m] @ a - bits[..., m:] @ b
+        want = inverses @ np.concatenate([a, b])[:m + n - 1]
+        assert flows.tobytes() == want.tobytes()
 
 
 def test_basis_table_build_peaks_near_its_own_size():
-    # the 4 x 4 table keeps 4096 bases, about 1.8 MiB; the all-subsets build
-    # holds a stack of all 11,440 seven-cell subsets and peaks at 9 MiB
+    # the 4 x 4 table keeps 4096 trees of 7 cells and cut masks, about
+    # 0.26 MiB; the all-subsets build holds a stack of all 11,440 seven-cell
+    # subsets and peaks at 9 MiB
     oracle._bases.cache_clear()
     tracemalloc.start()
     try:
@@ -160,7 +192,61 @@ def test_basis_table_build_peaks_near_its_own_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak / 2**20
+    assert peak < 2**20, peak / 2**20
+
+
+def test_oracle_equivalence_from_cold_tables_peaks_below_1_5_mib():
+    np.random.default_rng(0)  # the suite's first use imports numpy.random
+    oracle._bases.cache_clear()
+    tracemalloc.start()
+    try:
+        report = verify.run_suite("oracle-equivalence", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1.5 * 2**20, peak / 2**20
+
+
+def test_a_4x4_coupling_oracle_call_peaks_below_1_mib():
+    cost = np.random.default_rng(3).random((4, 4))
+    uniform = np.full(4, 0.25)
+    oracle._bases(4, 4)  # the cached table is not the call's own memory
+    tracemalloc.start()
+    try:
+        got = brute_wasserstein(cost, uniform, uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(_inverse_price(cost, uniform, uniform, 1.0), abs=1e-15)
+    assert peak < 2**20, peak / 2**20
+
+
+def _edge_case(case, m, n, rng):
+    """Cost table and Fraction marginals of one named edge case."""
+    if case == "uniform":
+        # the most degenerate marginals: many trees share each vertex
+        return rng.random((m, n)), _weights(rng, m, True), _weights(rng, n, True)
+    cost = {"random": rng.random((m, n)), "zero": np.zeros((m, n)),
+            "tied": rng.integers(0, 2, (m, n)).astype(float)}[case]
+    return cost, _weights(rng, m, False), _weights(rng, n, False)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("case", ["uniform", "random", "zero", "tied"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cut_sum_prices_match_the_inverse_ones(m, n, case, p):
+    # shapes with m or n equal to 1 are the one-atom sides
+    rng = np.random.default_rng(100 * m + 10 * n + len(case))
+    for _ in range(3):
+        cost, wa, wb = _edge_case(case, m, n, rng)
+        a = np.array([float(w) for w in wa])
+        b = np.array([float(w) for w in wb])
+        got = brute_wasserstein(cost, a, b, p)
+        assert got == pytest.approx(_inverse_price(cost, a, b, p), abs=1e-15)
+        _, _, (value, _) = _transport_instance(cost, wa, wb, p)
+        assert got == pytest.approx(value, abs=1e-9)
 
 
 NO_COUPLING = "no coupling: marginals need equal mass, no negatives"
@@ -192,8 +278,8 @@ def test_coupling_oracle_on_a_hand_computed_instance():
     assert got == pytest.approx(0.2, abs=1e-15)
 
 
-def _transport_instance(cost, a, b):
-    """Space, measures and order-1 W for an arbitrary m x n cost table.
+def _transport_instance(cost, a, b, p=1.0):
+    """Space, measures and order-p W for an arbitrary m x n cost table.
 
     Rows become points 0..m-1 and columns points m..m+n-1 of an unchecked
     space whose off-diagonal blocks hold the table.
@@ -205,7 +291,7 @@ def _transport_instance(cost, a, b):
     space = FiniteMetricSpace(matrix=table, check=False)
     mu = AtomicMeasure.from_weights(range(m), a)
     nu = AtomicMeasure.from_weights(range(m, m + n), b)
-    return mu, nu, wasserstein(space, mu, nu)
+    return mu, nu, wasserstein(space, mu, nu, p=p)
 
 
 def _assert_coupling(plan, mu, nu):
