@@ -6,8 +6,8 @@ same config, byte-identical CSV outputs and trace.  A sweep holds no d_n
 table: it lists the level cutoffs its cells need and carries those
 threshold graphs from one horizon to the next (``bowen_graphs``), each
 built once per horizon and shared by every quantity; on a chain-backed
-base (the exp shift) they are class labels, not packed graphs, and no
-N x N array is built.  Within one horizon a graph is counted once:
+base (the exp shift) each d_n is its partition chain instead of packed
+graphs, and no N x N array is built.  Within one horizon a graph is counted once:
 scales with the same level cutoff share their exact bracket.  ``run_estimates`` takes the exact cells of a matching
 trace in its output directory and counts the rest.
 """
@@ -83,8 +83,8 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     before the walk: not a horizon-1 cell of a coordinate base (the line
     sweep), nor one that one set answers (every d_n has d_1's diameter).
     ``bowen_graphs`` then carries each listed graph (or, on a chain-backed
-    base, its class labels) from horizon to horizon, for the horizons that
-    still miss a cell, and the quantities share it.
+    base, each d_n's partition chain) from horizon to horizon, for the
+    horizons that still miss a cell, and the quantities share it.
     Within one horizon, a scale whose graph has the cutoff of an already
     counted exact cell takes that bracket at its own scale: the graph and
     the one-set verdict are the same, and the solvers are deterministic.

@@ -248,6 +248,12 @@ class FiniteMetricSpace:
         return self._levels, self._codes
 
     @property
+    def levels(self) -> np.ndarray:
+        """The sorted distances; a chain-backed space knows them without
+        its codes, and a coordinate space is encoded first."""
+        return self._levels if self._levels is not None else self.level_codes()[0]
+
+    @property
     def chain(self) -> np.ndarray | None:
         """The partition chain of a chain-backed space, else None."""
         return self._chain
@@ -276,9 +282,7 @@ class FiniteMetricSpace:
         eps_f = float(eps)
         if eps_f != eps_f:  # no distance compares true with NaN
             return 0
-        # a chain-backed space knows its levels without its codes
-        levels = self._levels if self._levels is not None else self.level_codes()[0]
-        return int(np.searchsorted(levels, eps_f, "left" if strict else "right"))
+        return int(np.searchsorted(self.levels, eps_f, "left" if strict else "right"))
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
         """Packed threshold graph: row i has bit j set when d(i, j) < eps

@@ -179,6 +179,8 @@ def brute_wasserstein(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     if a.size > 4 or b.size > 4:
         raise ParameterError("coupling oracle limited to 4 atoms per side")
+    if a.size == 0 or b.size == 0:
+        raise ParameterError("coupling oracle needs an atom on each side")
     if cost.shape != (a.size, b.size):
         raise ParameterError("cost must be len(a) x len(b)")
     if not p >= 1:

@@ -3,12 +3,12 @@
 A system is a ``FiniteMetricSpace`` closed under one map f, carried by
 ``step``, the index of f(x) for every point x.  Iterating the step
 certifies d_k for every horizon k <= ``horizon_cap``: ``bowen_spaces``
-builds each d_k as a code table, and ``bowen_graphs`` carries only its
-threshold graphs, which is all a count reads, and reads its values block
-by block (``BowenGraphs.distances``), which is all a quantization number
-reads.  On an ultrametric base stored as a partition chain, every d_k is
-an ultrametric too, and ``bowen_graphs`` carries one class label row per
-threshold instead of a packed graph.
+builds each d_k in the base's form, a code table on a coded base and a
+partition chain on an ultrametric base stored as one (every d_k of an
+ultrametric is an ultrametric).  ``bowen_graphs`` carries only what a
+count reads, the packed threshold graphs of a coded base or the chain of
+each d_k, and reads values block by block (``BowenGraphs.distances``),
+which is all a quantization number reads.
 """
 
 from __future__ import annotations
@@ -62,12 +62,16 @@ def identity_system(space: FiniteMetricSpace, horizon_cap: int = 8) -> Dynamical
                             meta={"omega_full": True})
 
 
-def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
-    """max over 0 <= t < n of d(f^t i, f^t j); monotone nondecreasing in n."""
+def _check_horizon(system: DynamicalSystem, n: int) -> None:
     if n < 1:
         raise ParameterError("horizon must be >= 1")
     if n > system.horizon_cap:
         raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
+
+
+def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
+    """max over 0 <= t < n of d(f^t i, f^t j); monotone nondecreasing in n."""
+    _check_horizon(system, n)
     if not (0 <= i < system.space.size and 0 <= j < system.space.size):
         raise IndexError("point index out of range")
     best = system.space.dist(i, j)
@@ -77,47 +81,51 @@ def bowen_distance(system: DynamicalSystem, i: int, j: int, n: int) -> float:
     return best
 
 
-def _check_horizon(system: DynamicalSystem, n: int) -> None:
-    if n < 1:
-        raise ParameterError("horizon must be >= 1")
-    if n > system.horizon_cap:
-        raise ParameterError(f"horizon {n} beyond cap {system.horizon_cap}")
-
-
 def bowen_spaces(system: DynamicalSystem,
                  horizons: Iterable[int]) -> Iterator[FiniteMetricSpace]:
     """The space under each horizon-n dynamical metric, in the order given.
 
-    ``d_n = max(d_{n-1}, d o f^{n-1})`` extends the previous table into a
-    new one by one gather of the base space's level codes per horizon, one
-    row block at a time (``block_rows``), so a consumer that keeps a space
-    or its codes keeps them intact.  Every d_n shares the base levels:
-    codes are monotone in the distance, so the max of two codes is the code
-    of the max, at one to four bytes per pair.  Max is exact, so every
-    table is bitwise the one built anew.  A horizon below the last one
-    starts again from ``d_1``, which is the space itself, or a coded space
-    over the same codes when the base is chain-backed, so that every space
-    the walk yields reads its table.  A consumer that only counts, or reads
-    only some values, needs no table: see ``bowen_graphs``.
+    d_1 is the space itself, and ``d_n = max(d_{n-1}, d o f^{n-1})``
+    extends each d_n into a new space with the base levels, built in the
+    base's own form.  On a coded base (a coordinate one is encoded first)
+    that is one gather of the base codes per horizon, one row block at a
+    time (``block_rows``): codes are monotone in the distance, so the max
+    of two codes is the code of the max, at one to four bytes per pair.  On
+    a chain-backed base every d_n is an ultrametric with a chain of its
+    own: d_n < c joins x and y exactly when f^t x and f^t y share their
+    base class at c for every t < n, so row c of d_n's chain is
+    ``refine(row c of d_{n-1}'s, base row c at f^{n-1})``, N labels a row,
+    and no N x N array is built nor the base's codes derived.  Max is
+    exact, so every d_n is bitwise the one built anew, and a consumer that
+    keeps a space keeps it intact.  A horizon below the last one starts
+    again from d_1.  A consumer that only counts, or reads only some
+    values, needs no table: see ``bowen_graphs``.
     """
-    done, table = 1, None
+    done, dn = 1, system.space
     for n in horizons:
         _check_horizon(system, n)
         if n < done:
-            done, table = 1, None
-        space = system.space
-        if n == 1:
-            yield space if space.chain is None else FiniteMetricSpace.from_codes(
-                *space.level_codes(), labels=space.labels, name=space.name)
-            continue
-        levels, codes = space.level_codes()
+            done, dn = 1, system.space
         while done < n:
             # idx holds the indices of f^done
             idx = system.step if done == 1 else system.step[idx]
-            table = _max_gather(codes, codes if done == 1 else table, idx)
             done += 1
-        yield FiniteMetricSpace.from_codes(levels, table, labels=space.labels,
-                                           name=f"{system.name}|d_{n}")
+            dn = _extend(system.space, dn, idx, f"{system.name}|d_{done}")
+        yield dn
+
+
+def _extend(base: FiniteMetricSpace, prev: FiniteMetricSpace, idx: np.ndarray,
+            name: str) -> FiniteMetricSpace:
+    """``max(prev, base o idx)`` as a new space in the base's form."""
+    if base.chain is None:
+        levels, codes = base.level_codes()
+        table = _max_gather(codes, prev.level_codes()[1], idx)
+        return FiniteMetricSpace.from_codes(levels, table, labels=base.labels, name=name)
+    # row by row, so the rows keep the base chain's dtype
+    chain = np.empty_like(base.chain)
+    for c, row in enumerate(base.chain):
+        chain[c] = refine(prev.chain[c], row[idx])
+    return FiniteMetricSpace.from_chain(base.levels, chain, labels=base.labels, name=name)
 
 
 def _orbit_blocks(codes: np.ndarray, idx: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
@@ -156,15 +164,15 @@ class BowenGraphs:
     float blocks (``distances``), without its code table.
 
     On a coded base, ``graphs`` maps each carried cutoff c to G_n(c), the
-    rows of ``d_n codes < c`` as ``pack_rows`` packs them, and
-    ``partitions`` is None.  On a chain-backed base, ``partitions`` maps
-    each carried cutoff to the class labels of G_n(c) (``classes``), and
-    ``graphs`` is empty.  The packed walk ANDs the next horizon into these
-    same arrays, so a reader is done with them before the walk resumes and
-    never writes them; ``close_mask`` or ``classes`` at a cutoff the walk
-    does not carry (the spanning fallback's graph at twice the scale) walks
-    that one cutoff anew.  The counts close every cell of a chain-backed
-    base on its classes, so there ``close_mask`` (which walks the base's
+    rows of ``d_n codes < c`` as ``pack_rows`` packs them, and ``space`` is
+    None.  The packed walk ANDs the next horizon into these same arrays, so
+    a reader is done with them before the walk resumes and never writes
+    them; ``close_mask`` at a cutoff the walk does not carry (the spanning
+    fallback's graph at twice the scale) walks that one cutoff anew.  On a
+    chain-backed base, ``space`` is d_n itself, a chain (``bowen_spaces``),
+    and ``graphs`` is empty: the view carries every cutoff, and its classes
+    and graphs are d_n's.  The counts close every cell of a chain-backed
+    base on its classes, so there ``close_mask`` (which derives d_n's
     codes) serves only a caller that asks for the graph itself.  A
     coordinate base keeps its coordinates at horizon 1, so the counts take
     the line sweep there and never ask for a graph.  Every d_n has d_1's
@@ -172,12 +180,12 @@ class BowenGraphs:
     """
 
     def __init__(self, system: DynamicalSystem, horizon: int, graphs: dict[int, np.ndarray],
-                 partitions: dict[int, np.ndarray] | None = None):
+                 space: FiniteMetricSpace | None = None):
         self.system, self.horizon = system, horizon
-        self.graphs, self.partitions = graphs, partitions
-        space = system.space
-        self.size, self.diameter = space.size, space.diameter
-        self.coords = space.coords if horizon == 1 else None
+        self.graphs, self.space = graphs, space
+        base = system.space
+        self.size, self.diameter = base.size, base.diameter
+        self.coords = base.coords if horizon == 1 else None
 
     def distances(self, rows, cols) -> np.ndarray:
         """Float block ``d_n(rows[a], cols[b])``: the max over t < n of the
@@ -197,21 +205,19 @@ class BowenGraphs:
         return self.system.space.cutoff(eps, strict)
 
     def carries(self, cutoff: int) -> bool:
-        """Whether this view holds the graph at ``cutoff``: a label walk
+        """Whether this view holds the graph at ``cutoff``: a chain view
         carries every cutoff, a packed walk one group of them."""
-        return self.partitions is not None or cutoff in self.graphs
+        return self.space is not None or cutoff in self.graphs
 
     def classes(self, cutoff: int) -> np.ndarray | None:
         """Class labels of d_n < the level ``cutoff`` on a chain-backed base,
         else None (``FiniteMetricSpace.classes``)."""
-        if self.partitions is None or cutoff < 1:
-            return None
-        if cutoff not in self.partitions:
-            return next(_label_walk(self.system, [self.horizon], [cutoff])).partitions[cutoff]
-        return self.partitions[cutoff]
+        return None if self.space is None else self.space.classes(cutoff)
 
     def close_mask(self, eps: float, strict: bool) -> np.ndarray:
         """The packed graph of d_n < eps (strict) or d_n <= eps."""
+        if self.space is not None:
+            return self.space.close_mask(eps, strict)
         cutoff = self.cutoff(eps, strict)
         if cutoff in self.graphs:
             return self.graphs[cutoff]
@@ -235,10 +241,12 @@ def bowen_graphs(system: DynamicalSystem, horizons: Iterable[int],
     per group of that size, so the views come group by group, each group
     through every horizon.  A walk that ends at horizon 1 carries nothing
     and takes one graph a group.  Without cutoffs, each horizon's view
-    comes once and nothing is read, so a coordinate base is never encoded.
+    comes once and nothing is read, so a coordinate base is never encoded
+    and a chain never refined.
 
-    A chain-backed base is walked once for all cutoffs, on class labels
-    (``_label_walk``), and its codes are never built.
+    With cutoffs, a chain-backed base is walked by ``bowen_spaces``, once
+    for all of them: each view holds that d_n's chain, and no codes are
+    built.
     """
     horizons = list(horizons)
     for n in horizons:
@@ -248,8 +256,9 @@ def bowen_graphs(system: DynamicalSystem, horizons: Iterable[int],
     if not horizons:
         return
     cutoffs = [int(c) for c in cutoffs]
-    if system.space.chain is not None:
-        yield from _label_walk(system, horizons, cutoffs)
+    if system.space.chain is not None and cutoffs:
+        for n, dn in zip(horizons, bowen_spaces(system, horizons)):
+            yield BowenGraphs(system, n, {}, dn)
         return
     per_walk = 1
     if cutoffs and horizons[-1] > 1:
@@ -277,28 +286,6 @@ def _walk(system: DynamicalSystem, horizons: list[int],
                     graph[a:b] &= pack_rows(block < c)
             done += 1
         yield BowenGraphs(system, n, graphs)
-
-
-def _label_walk(system: DynamicalSystem, horizons: list[int],
-                cutoffs: list[int]) -> Iterator[BowenGraphs]:
-    """``bowen_graphs`` on a chain-backed base, one label row per cutoff.
-
-    d_n < c joins x and y exactly when f^t x and f^t y share their d_1
-    class at c for every t < n, so the labels at horizon n are those at
-    n - 1 refined by the d_1 labels of f^(n-1): L_n(c) =
-    ``refine(L_{n-1}(c), L_1(c)[f^(n-1)])``.  Each horizon holds N labels
-    per cutoff and builds no N x N array.  Cutoff 0 joins no point, so it
-    has no labels (``classes``).
-    """
-    base = {c: system.space.classes(c) for c in cutoffs if c >= 1}
-    partitions, done = dict(base), 1
-    for n in horizons:
-        while done < n:
-            # idx holds the indices of f^done
-            idx = system.step if done == 1 else system.step[idx]
-            partitions = {c: refine(labels, base[c][idx]) for c, labels in partitions.items()}
-            done += 1
-        yield BowenGraphs(system, n, {}, partitions)
 
 
 def bowen_space(system: DynamicalSystem, n: int) -> FiniteMetricSpace:

@@ -154,8 +154,9 @@ def test_bowen_spaces_reject_a_horizon_beyond_the_cap(doubling64):
         list(bowen_spaces(doubling64, [1, doubling64.horizon_cap + 1]))
 
 
-def test_counting_dense_horizons_allocates_less_than_one_float_table():
-    system = binary_exp_shift(10, horizon_cap=3)
+@pytest.mark.parametrize("depth", [10, 11])
+def test_counting_dense_horizons_holds_less_than_one_code_table_beside_the_base(depth):
+    system = binary_exp_shift(depth, horizon_cap=3)
     size = system.space.size
     config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
                            "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
@@ -167,46 +168,10 @@ def test_counting_dense_horizons_allocates_less_than_one_float_table():
     finally:
         tracemalloc.stop()
     assert all(len(sweep.rows) == 18 for sweep in sweeps.values())
-    # d_n and its threshold graphs stay below one float64 table of the net
-    assert peak < 8 * size**2, peak
-
-
-@pytest.mark.parametrize("depth", [10, 11])
-def test_counting_dense_horizons_holds_two_code_tables_and_one_block(depth):
-    # one-byte codes, so a table is size**2 bytes; at 1024 points one
-    # ENCODE_BLOCK would hold the whole table, at 2048 it takes four
-    system = binary_exp_shift(depth, horizon_cap=3)
-    size = system.space.size
-    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
-                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
-                           "horizons": [1, 2, 3]})
-    tracemalloc.start()
-    try:
-        _count(system, config.quantities, config, config.horizons)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the exp shift is walked on class labels, so no d_n table, gather
-    # block or packed graph is built; two d_n tables beside a table-sized
-    # temporary would pass the bound.
-    assert peak < 2.5 * size**2, peak / size**2
-
-
-def test_counting_dense_horizons_holds_one_code_table_beside_the_base():
-    # the label walk holds N labels per cutoff and the solvers' rows; the
-    # base codes and one d_n table would pass the bound
-    system = binary_exp_shift(11, horizon_cap=3)
-    size = system.space.size
-    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
-                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
-                           "horizons": [1, 2, 3]})
-    tracemalloc.start()
-    try:
-        _count(system, config.quantities, config, config.horizons)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * size**2, peak / size**2
+    # the exp shift is counted on each d_n's partition chain, N labels per
+    # level, and builds no code table, gather block or packed graph: the six
+    # packed graphs of the grid alone would take 3/4 of a one-byte table
+    assert peak < 0.75 * size**2, peak / size**2
 
 
 def test_a_kept_view_of_the_codes_keeps_its_values_when_the_walk_resumes():
@@ -248,11 +213,10 @@ def test_bowen_graphs_are_the_threshold_graphs_of_bowen_spaces_bitwise(name):
     seen = []
     for dn in bowen_graphs(system, horizons, range(len(scales))):
         assert len(dn.graphs) <= 8 * codes.itemsize
-        # a chain-backed base is walked once, on labels, for every cutoff
-        carried = dn.graphs if dn.partitions is None else range(len(scales))
-        for c in carried:
-            assert dn.cutoff(scales[c], True) == c and dn.carries(c)
-            if dn.partitions is None:
+        # a chain-backed base is walked once, on d_n's chain, for every cutoff
+        for c in [c for c in range(len(scales)) if dn.carries(c)]:
+            assert dn.cutoff(scales[c], True) == c
+            if c in dn.graphs:
                 graph = dn.graphs[c]
                 assert dn.close_mask(scales[c], True) is graph
             else:
@@ -260,29 +224,29 @@ def test_bowen_graphs_are_the_threshold_graphs_of_bowen_spaces_bitwise(name):
             assert graph.tobytes() == want[dn.horizon][c].tobytes(), (dn.horizon, c)
             seen.append((dn.horizon, c))
     assert sorted(seen) == [(n, c) for n in horizons for c in range(len(scales))]
-    assert (system.space.chain is None) == all(dn.partitions is None for dn in
+    assert (system.space.chain is None) == all(dn.classes(1) is None for dn in
                                                 bowen_graphs(system, horizons, [1]))
 
 
 def _assert_uncarried_graphs_are_walked_anew(system, carried):
     dn = next(bowen_graphs(system, [4], [3]))
-    assert list(carried(dn)) == [3]
+    assert [c for c in range(len(system.space.levels) + 1) if dn.carries(c)] == carried
     for eps in (0.1, 0.3, 0.9):
-        want = bowen_space(system, 4).close_mask(eps, False).tobytes()
+        want = pack_rows(_max_anew(system, 4) <= eps).tobytes()
         assert dn.close_mask(eps, False).tobytes() == want
-        if dn.partitions is not None:
+        if dn.classes(1) is not None:
             assert _class_graph(dn.classes(dn.cutoff(eps, False)), dn.size).tobytes() == want
 
 
 def test_a_graph_the_walk_does_not_carry_is_walked_anew():
-    # the exp shift is chain-backed: its walk carries labels, not graphs
-    _assert_uncarried_graphs_are_walked_anew(binary_exp_shift(6, horizon_cap=5),
-                                             lambda dn: dn.partitions)
+    # the exp shift is chain-backed: its view is d_n's chain, which carries
+    # every cutoff, and its graphs are d_n's own
+    system = binary_exp_shift(6, horizon_cap=5)
+    _assert_uncarried_graphs_are_walked_anew(system, list(range(len(system.space.levels) + 1)))
 
 
 def test_a_graph_a_packed_walk_does_not_carry_is_walked_anew():
-    _assert_uncarried_graphs_are_walked_anew(GRAPH_SYSTEMS["unit-lattice-product-shift"](),
-                                             lambda dn: dn.graphs)
+    _assert_uncarried_graphs_are_walked_anew(GRAPH_SYSTEMS["unit-lattice-product-shift"](), [3])
 
 
 def test_a_horizon_one_walk_leaves_a_coordinate_base_unencoded():
@@ -318,24 +282,7 @@ def test_counts_and_their_fallbacks_leave_the_carried_graphs_as_they_were(budget
     assert "greedy" in methods or budget > 1
 
 
-def test_counting_dense_horizons_holds_less_than_one_code_table_beside_the_base():
-    # the threshold graphs are carried from horizon to horizon instead of
-    # d_n: four packed graphs are half a one-byte table
-    system = binary_exp_shift(11, horizon_cap=3)
-    size = system.space.size
-    config = parse_config({"system": {}, "quantities": ["separated", "spanning"],
-                           "grid": {"start": 0.5, "ratio": 0.6, "count": 6},
-                           "horizons": [1, 2, 3]})
-    tracemalloc.start()
-    try:
-        _count(system, config.quantities, config, config.horizons)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * size**2, peak / size**2
-
-
-# The exp shift is chain-backed, so the walks above count on labels.  These
+# The exp shift is chain-backed, so the dense counts above run on its chains.  These
 # copies run the packed graph walk (``_walk``, ``_orbit_blocks``) on a coded
 # shift whose graphs are not partitions: under the product metric the
 # distance of two binary words sums 2**-(k+1) over the letters where they

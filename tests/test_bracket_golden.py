@@ -2,8 +2,9 @@
 
 Three fixed planar spaces and the 2x5 exp shift at horizons 1 and 2, two
 scales each, at budgets 1, 50 and the default, and with the three exact
-solvers forced to run out of budget.  The shift's threshold graphs are
-equivalence relations, so its entries pin the partition certificate.
+solvers forced to run out of budget.  The shift's d_n are read as coded
+copies, whose threshold graphs are equivalence relations, so its entries
+pin the partition certificate of the graph solvers.
 The small budgets stop the searches part-way, so a change in branching
 order, bounds or budget accounting shows up as a changed witness or bracket.
 Each entry is (method, lower, upper, witness) for the separated, spanning
@@ -253,7 +254,9 @@ def test_bracket_reprs_match_golden(key, monkeypatch):
             monkeypatch.setattr(solvers, name, _out_of_budget)
     # planar keys are (seed, points, ...), shift keys ("shift", horizon, ...)
     horizon = n if seed == "shift" else 1
-    space = bowen_space(binary_exp_shift(5), n) if seed == "shift" else _planar(seed, n)
+    # a coded copy of the shift's d_n, so its cells reach the graph solvers
+    space = (FiniteMetricSpace.from_codes(*bowen_space(binary_exp_shift(5), n).level_codes())
+             if seed == "shift" else _planar(seed, n))
     for (quantity, count), (method, lower, upper, witness) in zip(QUANTITIES.items(),
                                                                   GOLDEN[key]):
         mode = "heuristic" if method == "greedy" else "exact"

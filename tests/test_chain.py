@@ -1,7 +1,7 @@
 """Chain-backed spaces: the exp shift stored as a partition chain.
 
 Its codes are derived on demand, every float read goes through them, and
-the counts on its label walk equal the counts on the coded ``d_n`` tables.
+the counts on the chains of its ``d_n`` equal the counts on coded copies.
 """
 
 import math
@@ -14,7 +14,9 @@ from dynoscale import harness
 from dynoscale.errors import BudgetExceededError
 from dynoscale.harness import _count, parse_config, run_estimates, run_sweep
 from dynoscale.metric_core import solvers
-from dynoscale.metric_core.counts import QUANTITY_OPS
+from dynoscale.metric_core.counts import (QUANTITY_OPS, max_separated, min_diameter_cover,
+                                          min_spanning)
+from dynoscale.metric_core.space import FiniteMetricSpace
 from dynoscale.systems.base import bowen_distance, bowen_spaces
 from dynoscale.systems.combine import power_system
 from dynoscale.systems.shifts import binary_exp_shift, full_shift
@@ -118,10 +120,11 @@ def test_counts_on_labels_equal_counts_on_codes(name, monkeypatch):
     # diameter and a scale past it
     scales = [*levels[1:], *((levels[1:-1] + levels[2:]) / 2), levels[1] / 2,
               diameter, 2 * diameter]
-    want = {(n, q, eps): count(dn, eps, horizon=n)
+    # a coded copy of each d_n, so the reference counts reach the graph solvers
+    want = {(n, q, eps): count(FiniteMetricSpace.from_codes(*dn.level_codes()), eps, horizon=n)
             for n, dn in zip(horizons, bowen_spaces(coded, horizons))
             for q, count in QUANTITY_OPS.items() for eps in scales}
-    # the label walk answers every cell: a solver reached would end heuristic
+    # the chains answer every cell: a solver reached would end heuristic
     for solver in ("exact_max_independent_set", "exact_min_set_cover",
                    "exact_min_clique_cover"):
         monkeypatch.setattr(solvers, solver, _out_of_budget)
@@ -153,6 +156,24 @@ def test_counting_the_dense_sweep_builds_no_square_table():
         tracemalloc.stop()
     size = system.space.size
     assert size == 4096 and all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
+    assert system.space._codes is None
+    assert peak < size**2 / 16, peak / size**2
+
+
+def test_counting_on_bowen_spaces_builds_no_square_table():
+    system = binary_exp_shift(12, horizon_cap=3)
+    size = system.space.size
+    scales = [0.5 * 0.6**i for i in range(6)]
+    tracemalloc.start()
+    try:
+        for n, dn in enumerate(bowen_spaces(system, [1, 2, 3]), start=1):
+            assert (dn is system.space) if n == 1 else (dn.chain is not None)
+            for count in (max_separated, min_spanning, min_diameter_cover):
+                for eps in scales:
+                    assert count(dn, eps, horizon=n).mode == "exact"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert system.space._codes is None
     assert peak < size**2 / 16, peak / size**2
 

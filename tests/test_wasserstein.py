@@ -258,6 +258,8 @@ NO_COUPLING = "no coupling: marginals need equal mass, no negatives"
     (np.ones((2, 3)), [0.5, 0.5], [0.5, 0.5], 1.0, "cost must be len(a) x len(b)"),
     (np.ones((5, 1)), [0.2] * 5, [1.0], 1.0, "coupling oracle limited to 4 atoms per side"),
     (np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5], 0.5, "order p must be >= 1"),
+    (np.ones((1, 0)), [1.0], [], 1.0, "coupling oracle needs an atom on each side"),
+    (np.ones((0, 0)), [], [], 1.0, "coupling oracle needs an atom on each side"),
 ])
 def test_coupling_oracle_rejects_bad_instances(cost, a, b, p, message, monkeypatch):
     built = []
