@@ -154,7 +154,8 @@ def _closed_form(quantity: str, space: FiniteMetricSpace, eps, horizon: int,
 
     Every cover takes one set per class of a partition, and a separated
     set at most one point of each, so the class minima (ascending) are
-    what the partition certificate of the graph solvers returns.
+    what the graph solvers return when their root bounds close the
+    partition's graph.
     """
     if passes_diameter(quantity, eps, space.diameter):
         return _exact(quantity, eps, horizon, 1 if quantity == DIAMETER_COVER else [0],

@@ -69,55 +69,6 @@ def _full(n: int) -> int:
     return (1 << n) - 1
 
 
-# -- the partition certificate ---------------------------------------------
-#
-# A threshold graph of an ultrametric (every exp shift, at every horizon),
-# each point joined to itself, is an equivalence relation, and then each
-# count is its number of classes.  One test on the packed rows finds this
-# before any row is read into Python.
-
-_LOW_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.intp)
-_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
-
-
-def _partition(packed: np.ndarray) -> list[int] | None:
-    """Class minima, ascending, when the rows of a square packed table are
-    the classes of a partition of its N points; otherwise None.
-
-    Let ``first[i]`` be the lowest member of row i.  When every row equals
-    row ``first[i]``, and the rows with ``first[i] == i`` hold N points
-    between them and N points in their union, those rows are disjoint,
-    cover every point and are all the distinct rows.  Every cover then
-    takes each of them; a symmetric table passes only when it is a
-    reflexive equivalence relation.
-
-    ``first`` is found, the rows compared and the class rows' bits counted
-    one ``block_rows`` block at a time, so the test holds no temporary
-    larger than a block, and a table that fails stops at its first failing
-    block.
-    """
-    n = packed.shape[0]
-    if n == 0:
-        return []
-    first = np.empty(n, dtype=np.intp)
-    rows = block_rows(packed.shape[1])
-    for a in range(0, n, rows):
-        block = packed[a:a + rows]
-        byte = (block != 0).argmax(1)
-        first[a:a + rows] = 8 * byte + _LOW_BIT[block[np.arange(len(block)), byte]]
-        if not np.array_equal(block, packed[first[a:a + rows]]):
-            return None
-    minima = np.flatnonzero(first == np.arange(n))
-    held, union = 0, np.zeros(packed.shape[1], dtype=np.uint8)
-    for a in range(0, len(minima), rows):
-        classes = packed[minima[a:a + rows]]
-        held += int(_BITS[classes].sum())
-        union |= np.bitwise_or.reduce(classes, axis=0)
-    if held != n or int(_BITS[union].sum()) != n:
-        return None
-    return minima.tolist()
-
-
 # -- independent sets ----------------------------------------------------
 
 
@@ -175,15 +126,11 @@ def _components(rows: list[int]):
 def exact_max_independent_set(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Maximum independent set of a packed conflict graph, by branch and bound.
 
-    A graph of disjoint cliques (the shape of every ultrametric conflict
-    graph) answers with its class minima by the partition certificate.
-    Otherwise the graph splits into connected components, and a component
-    closes at the root when its greedy independent set meets its greedy
-    clique cover.
+    The graph splits into connected components, and a component closes at
+    the root when its greedy independent set meets its greedy clique cover:
+    a graph of disjoint cliques (every ultrametric conflict graph) answers
+    so with its class minima.
     """
-    classes = _partition(adj)
-    if classes is not None:
-        return classes
     rows = _neighbours(adj)
     b = _Budget(budget)
     out: list[int] = []
@@ -228,18 +175,15 @@ def exact_min_clique_cover(adj: np.ndarray, budget: int = DEFAULT_BUDGET) -> int
     """Minimum number of cliques covering a packed graph, exactly; a point's
     own bit is ignored.
 
-    A graph of disjoint cliques answers with their number by the partition
-    certificate.  Otherwise each connected component is covered on its own.
-    Its greedy independent set (no two of its vertices share a clique) and
-    its greedy clique cover bracket its answer; when they meet, it closes
-    without spending budget.  Else a clique cover is a colouring of the
-    complement graph, found by DSatur branch and bound (Brelaz 1979) with
-    one budget node per branch.  Both greedy bounds add up over the
-    components, so a whole-graph check would close no cell that these miss.
+    Each connected component is covered on its own.  Its greedy
+    independent set (no two of its vertices share a clique) and its greedy
+    clique cover bracket its answer; when they meet, it closes without
+    spending budget, as every component of a graph of disjoint cliques
+    does.  Else a clique cover is a colouring of the complement graph,
+    found by DSatur branch and bound (Brelaz 1979) with one budget node per
+    branch.  Both greedy bounds add up over the components, so a
+    whole-graph check would close no cell that these miss.
     """
-    classes = _partition(adj)
-    if classes is not None:
-        return len(classes)
     rows = _neighbours(adj)
     b = _Budget(budget)
     total = 0
@@ -442,17 +386,13 @@ def exact_min_set_cover(balls: np.ndarray, budget: int = DEFAULT_BUDGET) -> list
     table, exactly: row i is the ball around point i, so the rows that hold
     point j are the points of row j.
 
-    A table whose rows are the classes of an equivalence relation (the ball
-    family of an ultrametric) needs every class, and answers with the first
-    row of each by the partition certificate.  A table whose rows are all
-    arcs of a circle (the ball family of sorted points on a line or a
-    circle) answers by the circle cover, its rows ascending.  Neither
-    spends budget.  The rest goes to ``_cover_search``, one budget node per
-    search node.
+    A table whose rows are all arcs of a circle (the ball family of sorted
+    points on a line or a circle) answers by the circle cover, its rows
+    ascending, and spends no budget.  The rest goes to ``_cover_search``,
+    one budget node per search node; there a table whose rows are the
+    classes of an equivalence relation (the ball family of an ultrametric)
+    closes at the root, with the first row of each class.
     """
-    classes = _partition(balls)
-    if classes is not None:
-        return classes
     arcs = _arc_cover(balls, balls.shape[0])
     if arcs is not None:
         return arcs
@@ -473,16 +413,12 @@ def _cover_search(rows: list[int], b: _Budget) -> list[int]:
     fewest holders left, tries them by new coverage, bars each tried row
     from its later siblings and prunes at depth + bound > k."""
     distinct = reduce(or_, (1 << i for i in _first_rows(rows)), 0)
-    out, left = [], _full(len(rows))
-    while left:
-        cols = frontier = left & -left
-        allowed = 0  # the component's distinct rows
-        while frontier:
-            new = reduce(or_, (rows[c] for c in _members(frontier))) & distinct & ~allowed
-            allowed |= new
-            frontier = reduce(or_, (rows[r] for r in _members(new)), 0) & ~cols
-            cols |= frontier
-        left &= ~cols
+    out = []
+    # each point in its own row: points joined by a common row are the
+    # components of ``rows`` read as a graph, and the rows that hold a
+    # component's points are its points
+    for cols in _components(rows):
+        allowed = cols & distinct
         kept = list(_members(allowed))
         best = [kept[i] for i in _greedy_cover([rows[r] for r in kept], cols)]
         for k in range(_cover_bound(rows, cols, allowed)[0], len(best)):

@@ -20,7 +20,8 @@ block's codes from the labels), and every other float read goes through
 not kept; a coordinate space is encoded from its coordinates by row blocks
 at its first threshold or ``d_n`` gather.  Products (under the max or the
 sum of the factors' distances) combine the factors' codes
-(``product_codes``).  No space keeps a float table.
+(``product_codes``), and the max product of two chain-backed spaces their
+chains (``product_chain``).  No space keeps a float table.
 
 Packed rows are the one format of threshold graphs and solver tables: bit
 j of row i is bit ``j & 7`` of byte ``j >> 3`` (``pack_rows``), and the
@@ -57,8 +58,6 @@ class FiniteMetricSpace:
     coords:
         1-d positions; the metric is ``|x_i - x_j|``.  Fractions keep the
         comparison layer exact.
-    labels:
-        Opaque per-point descriptors; defaults to the indices.
     check:
         Check a matrix's metric axioms; ``|x - y|`` is a metric by construction.
     """
@@ -67,14 +66,13 @@ class FiniteMetricSpace:
         self,
         matrix: np.ndarray | None = None,
         coords: Sequence | None = None,
-        labels: Sequence | None = None,
         name: str = "space",
         check: bool = True,
     ):
         if (matrix is None) == (coords is None):
             raise ParameterError("exactly one of matrix/coords must be given")
         self.name = name
-        self.coords = None
+        self.coords = self._diameter = None
         self._levels = self._codes = self._chain = None
         if coords is not None:
             if len(coords) == 0:
@@ -89,7 +87,6 @@ class FiniteMetricSpace:
             if matrix.shape[0] == 0:
                 raise ParameterError("empty spaces are rejected")
             self.size = matrix.shape[0]
-        self._set_labels(labels)
         if matrix is not None:
             if check:
                 self._validate(matrix)
@@ -97,7 +94,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_codes(cls, levels: np.ndarray, codes: np.ndarray,
-                   labels: Sequence | None = None, name: str = "space") -> "FiniteMetricSpace":
+                   name: str = "space") -> "FiniteMetricSpace":
         """Dense space whose distances are ``levels[codes]``, unchecked.
 
         ``levels`` must be sorted ascending (ties are harmless), so that the
@@ -107,15 +104,14 @@ class FiniteMetricSpace:
         own ball.
         """
         space = cls.__new__(cls)
-        space.name, space.coords = name, None
+        space.name, space.coords, space._diameter = name, None, None
         space._levels, space._codes, space._chain = levels, codes, None
         space.size = codes.shape[0]
-        space._set_labels(labels)
         return space
 
     @classmethod
     def from_chain(cls, levels: np.ndarray, chain: np.ndarray,
-                   labels: Sequence | None = None, name: str = "space") -> "FiniteMetricSpace":
+                   name: str = "space") -> "FiniteMetricSpace":
         """Ultrametric space whose points share row ``c - 1`` of ``chain``
         exactly when they lie closer than ``levels[c]``, unchecked.
 
@@ -127,17 +123,10 @@ class FiniteMetricSpace:
         ultrametric.  No code is built until ``level_codes`` is asked for.
         """
         space = cls.__new__(cls)
-        space.name, space.coords = name, None
+        space.name, space.coords, space._diameter = name, None, None
         space._levels, space._codes, space._chain = levels, None, chain
         space.size = chain.shape[1]
-        space._set_labels(labels)
         return space
-
-    def _set_labels(self, labels: Sequence | None) -> None:
-        self.labels = list(labels) if labels is not None else list(range(self.size))
-        if len(self.labels) != self.size:
-            raise ParameterError("labels length must match point count")
-        self._diameter = None
 
     # -- validation ------------------------------------------------------
 
@@ -200,9 +189,6 @@ class FiniteMetricSpace:
         if self.coords is not None and isinstance(self.coords[i], Fraction):
             return abs(self.coords[i] - self.coords[j])
         return self.dist(i, j)
-
-    def label(self, i: int):
-        return self.labels[i]
 
     @property
     def diameter(self) -> float:
@@ -307,15 +293,11 @@ class FiniteMetricSpace:
         perm = list(perm)
         if self.coords is not None:
             return FiniteMetricSpace(
-                coords=[self.coords[p] for p in perm],
-                labels=[self.labels[p] for p in perm],
-                name=self.name,
-            )
+                coords=[self.coords[p] for p in perm], name=self.name)
         idx = np.array(perm)
         levels, codes = self.level_codes()
-        return FiniteMetricSpace.from_codes(
-            levels, codes[np.ix_(idx, idx)],
-            labels=[self.labels[p] for p in perm], name=self.name)
+        return FiniteMetricSpace.from_codes(levels, codes[np.ix_(idx, idx)],
+                                            name=self.name)
 
     def __repr__(self):
         return f"FiniteMetricSpace({self.name!r}, size={self.size})"
@@ -390,6 +372,30 @@ def product_codes(a: tuple, b: tuple, op: np.ufunc) -> tuple[np.ndarray, np.ndar
     lut = np.searchsorted(levels, op.outer(la, lb)).astype(code_dtype(len(levels)))
     n = len(ca) * len(cb)
     return levels, lut[ca[:, None, :, None], cb[None, :, None, :]].reshape(n, n)
+
+
+def product_chain(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, chain)`` of the pairs of points of two chain-backed spaces
+    under the max of their distances, pair (i, j) being point ``i * nb + j``,
+    with no code built.  The levels are those of ``product_codes(...,
+    np.maximum)``, so the derived codes are bitwise its codes.  Two pairs lie
+    closer than a level exactly when both factors do, so the row of each
+    positive level refines the factors' classes below it.
+    """
+    levels = distinct(np.maximum.outer(*(s.levels[_taken(s.chain)] for s in (a, b))))
+    na, nb = a.size, b.size
+    chain = np.empty((len(levels) - 1, na * nb), dtype=np.min_scalar_type(-na * nb))
+    for c, level in enumerate(levels[1:]):
+        chain[c] = refine(np.repeat(a.classes(a.cutoff(level, True)), nb),
+                          np.tile(b.classes(b.cutoff(level, True)), na))
+    return levels, chain
+
+
+def _taken(chain: np.ndarray) -> list[int]:
+    """The codes that some pair of a partition chain takes: 0, and each c
+    at which row c - 1 splits a class of row c (past the last row, one)."""
+    classes = [len(distinct(row)) for row in chain] + [1]
+    return [0] + [c for c in range(1, len(classes)) if classes[c - 1] > classes[c]]
 
 
 def _count_differing(chain: np.ndarray, r, c, out: np.ndarray) -> np.ndarray:

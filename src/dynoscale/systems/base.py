@@ -120,12 +120,12 @@ def _extend(base: FiniteMetricSpace, prev: FiniteMetricSpace, idx: np.ndarray,
     if base.chain is None:
         levels, codes = base.level_codes()
         table = _max_gather(codes, prev.level_codes()[1], idx)
-        return FiniteMetricSpace.from_codes(levels, table, labels=base.labels, name=name)
+        return FiniteMetricSpace.from_codes(levels, table, name=name)
     # row by row, so the rows keep the base chain's dtype
     chain = np.empty_like(base.chain)
     for c, row in enumerate(base.chain):
         chain[c] = refine(prev.chain[c], row[idx])
-    return FiniteMetricSpace.from_chain(base.levels, chain, labels=base.labels, name=name)
+    return FiniteMetricSpace.from_chain(base.levels, chain, name=name)
 
 
 def _orbit_blocks(codes: np.ndarray, idx: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:

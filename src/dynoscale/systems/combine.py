@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..metric_core.space import FiniteMetricSpace, product_codes
+from ..metric_core.space import FiniteMetricSpace, product_chain, product_codes
 from .base import DynamicalSystem
 
 # bounds a product's N x N tables: its level codes and one per d_n, one or two
@@ -14,16 +14,19 @@ PRODUCT_CAP = 5_000
 
 
 def product_system(a: DynamicalSystem, b: DynamicalSystem) -> DynamicalSystem:
-    """Product dynamics under the coordinate-max metric, its level codes
-    combined from the factors' codes (``product_codes``)."""
+    """Product dynamics under the coordinate-max metric: a partition chain
+    refined from the factors' chains when both have one (``product_chain``),
+    else level codes combined from the factors' codes (``product_codes``)."""
     na, nb = a.space.size, b.space.size
     if na * nb > PRODUCT_CAP:
         raise ParameterError(f"product of {na}x{nb} points exceeds cap {PRODUCT_CAP}")
-    labels = [(a.space.label(i), b.space.label(j))
-              for i in range(na) for j in range(nb)]
-    space = FiniteMetricSpace.from_codes(
-        *product_codes(a.space.level_codes(), b.space.level_codes(), np.maximum),
-        labels=labels, name=f"({a.name})x({b.name})")
+    name = f"({a.name})x({b.name})"
+    if a.space.chain is not None and b.space.chain is not None:
+        space = FiniteMetricSpace.from_chain(*product_chain(a.space, b.space), name=name)
+    else:
+        space = FiniteMetricSpace.from_codes(
+            *product_codes(a.space.level_codes(), b.space.level_codes(), np.maximum),
+            name=name)
     # point i * nb + j is the pair (i, j)
     step = (a.step[:, None] * nb + b.step[None, :]).ravel()
     meta = {"kind": "product",

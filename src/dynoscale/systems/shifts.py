@@ -39,9 +39,9 @@ def discrete_alphabet(symbols: int) -> FiniteMetricSpace:
     """Alphabet of ``symbols`` letters at pairwise distance 1."""
     if symbols < 2:
         raise ParameterError("need at least two symbols")
-    # built from codes, which skips the encode pass over a float table
-    return FiniteMetricSpace.from_codes(np.array([0.0, 1.0]),
-                                        1 - np.eye(symbols, dtype=np.uint8),
+    # one level: only a letter itself is closer than 1
+    return FiniteMetricSpace.from_chain(np.array([0.0, 1.0]),
+                                        np.arange(symbols)[None],
                                         name=f"discrete({symbols})")
 
 

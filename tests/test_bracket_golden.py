@@ -4,7 +4,7 @@ Three fixed planar spaces and the 2x5 exp shift at horizons 1 and 2, two
 scales each, at budgets 1, 50 and the default, and with the three exact
 solvers forced to run out of budget.  The shift's d_n are read as coded
 copies, whose threshold graphs are equivalence relations, so its entries
-pin the partition certificate of the graph solvers.
+pin how the graph solvers' root bounds close a partition.
 The small budgets stop the searches part-way, so a change in branching
 order, bounds or budget accounting shows up as a changed witness or bracket.
 Each entry is (method, lower, upper, witness) for the separated, spanning

@@ -4,6 +4,8 @@ Its codes are derived on demand, every float read goes through them, and
 the counts on the chains of its ``d_n`` equal the counts on coded copies.
 """
 
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -17,9 +19,9 @@ from dynoscale.metric_core import solvers
 from dynoscale.metric_core.counts import (QUANTITY_OPS, max_separated, min_diameter_cover,
                                           min_spanning)
 from dynoscale.metric_core.space import FiniteMetricSpace
-from dynoscale.systems.base import bowen_distance, bowen_spaces
-from dynoscale.systems.combine import power_system
-from dynoscale.systems.shifts import binary_exp_shift, full_shift
+from dynoscale.systems.base import bowen_distance, bowen_spaces, identity_system
+from dynoscale.systems.combine import power_system, product_system
+from dynoscale.systems.shifts import binary_exp_shift, discrete_alphabet, full_shift
 from dynoscale.systems.base import bowen_graphs
 from dynoscale.systems.descriptor import resolve_system
 from dynoscale.systems.shifts import _prefixes
@@ -28,6 +30,22 @@ from dynoscale.systems.shifts import _prefixes
 DENSE = {"system": {"kind": "shift", "symbols": 2, "depth": 12, "metric": "exp"},
          "quantities": ["separated", "spanning"],
          "grid": {"start": 0.5, "ratio": 0.6, "count": 6}, "horizons": [1, 2, 3]}
+# a 4096-point product of two exp shifts, with every count
+SHIFT6 = {"kind": "shift", "depth": 6}
+PRODUCT = {"system": {"kind": "product", "a": SHIFT6, "b": SHIFT6},
+           "quantities": ["separated", "spanning", "diameter_cover"],
+           "grid": {"start": 0.5, "ratio": 0.6, "count": 6}, "horizons": [1, 2, 3]}
+# sha256 of each file of the PRODUCT sweep, as written when the product
+# was stored as level codes
+PRODUCT_SWEEP = {
+    "sweep_(shift2x6-exp)x(shift2x6-exp)_separated.csv":
+        "5c11c89b6da066c42d8b352c78c20436d74d4333657571a6e16414261b043997",
+    "sweep_(shift2x6-exp)x(shift2x6-exp)_spanning.csv":
+        "6373fe053505a20226843eb10aa95b9d6a00c7eec8a5e591026cf93c925530b7",
+    "sweep_(shift2x6-exp)x(shift2x6-exp)_diameter_cover.csv":
+        "03938276c63e8082b26ae388f4ed8c7fb8fa03f19b195970772974d8b4f5dfd3",
+    "trace.jsonl": "fe49c931a9359b061205a730de279ec21fcbbc22e055dd4ca0cec838d9e791d8",
+}
 
 
 def _scan(symbols, depth, base):
@@ -106,6 +124,7 @@ CHAIN_SYSTEMS = {
     "3x3-tail0": lambda: full_shift(3, 3),
     "3x3-tail1": lambda: full_shift(3, 3, tail=1),
     "2x6-squared": lambda: power_system(full_shift(2, 6), 2),
+    "2x3-by-3x2": lambda: product_system(full_shift(2, 3), full_shift(3, 2, tail=1)),
 }
 
 
@@ -178,7 +197,8 @@ def test_counting_on_bowen_spaces_builds_no_square_table():
     assert peak < size**2 / 16, peak / size**2
 
 
-def test_sweep_and_estimate_of_the_dense_shift_build_no_codes(tmp_path, monkeypatch):
+def _spy_resolved(monkeypatch):
+    """The systems that ``harness.resolve_system`` returns from now on."""
     resolved = []
 
     def spy(descriptor, real=harness.resolve_system):
@@ -186,8 +206,53 @@ def test_sweep_and_estimate_of_the_dense_shift_build_no_codes(tmp_path, monkeypa
         return resolved[-1]
 
     monkeypatch.setattr(harness, "resolve_system", spy)
+    return resolved
+
+
+def test_sweep_and_estimate_of_the_dense_shift_build_no_codes(tmp_path, monkeypatch):
+    resolved = _spy_resolved(monkeypatch)
     config = parse_config(DENSE)
     run_sweep(config, tmp_path)
     run_estimates(config, tmp_path)  # reads every cell from the sweep's trace
     assert len(resolved) == 2
     assert all(system.space._codes is None for system in resolved)
+
+
+def test_the_sweep_of_a_product_of_shifts_is_unchanged_and_builds_no_codes(
+        tmp_path, monkeypatch):
+    resolved = _spy_resolved(monkeypatch)
+    written = run_sweep(parse_config(PRODUCT), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == PRODUCT_SWEEP
+    # at the k-th scale, d_n joins two pairs of words exactly when both
+    # words of each factor agree on their first n + (k + 1) // 2 letters, so
+    # every count is the number of those classes
+    rows = [json.loads(line) for line in (tmp_path / "trace.jsonl").open()][1:]
+    assert len(rows) == 3 * 3 * 6
+    for k, row in enumerate(rows):
+        horizon, step = 1 + k // 6 % 3, k % 6
+        want = 4 ** (horizon + (step + 1) // 2)
+        assert (row["lower"], row["upper"], row["mode"]) == (want, want, "exact"), row
+    assert len(resolved) == 1 and resolved[0].space.chain is not None
+    assert resolved[0].space._codes is None
+
+
+def test_every_ultrametric_builder_yields_a_chain():
+    shift = full_shift(3, 3)
+    letters = identity_system(discrete_alphabet(4))
+    systems = {
+        "exp-shift": shift,
+        "binary-exp-shift": binary_exp_shift(5),
+        "discrete-alphabet": letters,
+        "identity": identity_system(shift.space),
+        "power": power_system(shift, 2),
+        "product": product_system(shift, letters),
+        "product-of-products": product_system(product_system(shift, letters),
+                                              power_system(binary_exp_shift(3), 3)),
+        "descriptor": resolve_system({"kind": "power", "exponent": 2, "base": {
+            "kind": "product", "a": SHIFT6, "b": {"kind": "shift", "symbols": 3,
+                                                  "depth": 2}}}),
+    }
+    for name, system in systems.items():
+        assert system.space.chain is not None, name
+        assert system.space._codes is None, name

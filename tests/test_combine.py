@@ -7,7 +7,7 @@ import pytest
 
 from dynoscale.errors import ParameterError
 from dynoscale.metric_core.counts import max_separated, min_spanning
-from dynoscale.metric_core.space import FiniteMetricSpace
+from dynoscale.metric_core.space import FiniteMetricSpace, product_codes
 from dynoscale.systems.base import bowen_space
 from dynoscale.systems.combine import power_system, product_system
 from dynoscale.systems.intervals import doubling_grid, random_space, static_system
@@ -52,6 +52,23 @@ def test_product_codes_equal_the_encoded_kron_max_table_bitwise(factors, dtype):
     assert levels.tobytes() == ref_levels.tobytes()
     assert codes.dtype == ref_codes.dtype == dtype
     assert np.array_equal(codes, ref_codes)
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (full_shift(2, 3), full_shift(2, 4)),
+    lambda: (full_shift(2, 6), full_shift(2, 6)),
+    # e**-k and 2**-k levels interleave, and a power shares its base's space
+    lambda: (full_shift(3, 3, base=2.0), power_system(full_shift(2, 5), 2)),
+], ids=["3x4", "6x6", "shift-x-power"])
+def test_a_product_of_chains_is_a_chain_with_the_product_codes_bitwise(factors):
+    a, b = factors()
+    z = product_system(a, b)
+    assert z.space.chain is not None and z.space._codes is None
+    want_levels, want_codes = product_codes(a.space.level_codes(), b.space.level_codes(),
+                                            np.maximum)
+    levels, codes = z.space.level_codes()
+    assert levels.tobytes() == want_levels.tobytes()
+    assert codes.dtype == want_codes.dtype and codes.tobytes() == want_codes.tobytes()
 
 
 def _traced_peak(build):

@@ -152,11 +152,10 @@ def test_doubling_256_diameter_covers_are_exact():
 
 @functools.cache
 def _d3_count_peak():
-    # d_3 of the 2048-point exp shift is one byte a pair, N**2 bytes, built
-    # before tracing; the separated, spanning and diameter counts each hold
-    # one packed graph (N**2 / 8 bytes) and its ints, and the partition
-    # certificate compares the packed rows by blocks. Returns the tracemalloc
-    # peak over N**2, measured once for both tests below
+    # d_3 of the 2048-point exp shift is a partition chain, built before
+    # tracing, so the separated, spanning and diameter counts close on its
+    # class labels and build no graph. Returns the tracemalloc peak over
+    # N**2, measured once for both tests below
     dn = bowen_space(binary_exp_shift(11, horizon_cap=3), 3)
     size = dn.size
     tracemalloc.start()
@@ -176,7 +175,7 @@ def test_graph_counts_hold_under_half_a_code_table_beside_d_n():
 
 
 def test_partition_certificate_holds_no_table_sized_temporary():
-    # no temporary sized like the table: what is left is the packed graph
+    # no temporary sized like a table: what is left is a few label rows
     ratio = _d3_count_peak()
     assert ratio < 0.3, ratio
 

@@ -151,8 +151,7 @@ def test_shift_step_and_labels_match_the_label_based_construction(symbols, depth
     index_of = {lab: i for i, lab in enumerate(labels)}
     step = [index_of[lab[1:] + (tail,)] for lab in labels]
     s = full_shift(symbols, depth, tail=tail, horizon_cap=2)
-    # points are labelled by index; their words are the rows of _prefixes
-    assert s.space.labels == list(range(len(labels)))
+    # the words of the points are the rows of _prefixes
     assert s.step.tolist() == step
 
 

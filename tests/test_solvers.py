@@ -12,7 +12,7 @@ from dynoscale.errors import BudgetExceededError
 from dynoscale.metric_core.counts import min_spanning
 from dynoscale.metric_core import solvers
 from dynoscale.metric_core.solvers import (
-    _partition, dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
+    dedupe_masks, exact_max_independent_set, exact_min_clique_cover,
     exact_min_partial_cover, exact_min_set_cover, greedy_clique_cover,
     greedy_independent_set, greedy_partial_cover, line_max_separated,
     line_min_ball_cover, line_min_diameter_cover, maximal_cliques)
@@ -67,8 +67,8 @@ def _equivalence(k, cut=False):
 # reflexive but not symmetric: every row holds its point and its first member,
 # yet rows 0 and 1 share point 2, so the rows are no partition
 ASYMMETRIC = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
-# equivalence relations close by the partition certificate; the cut ones and
-# the asymmetric table must fail it and still match the oracle
+# equivalence relations, which close at the root bounds, and the cut ones and
+# the asymmetric table, which are no partitions: all must match the oracle
 FIXED_TABLES = {**{f"equivalence-{k}": _equivalence(k) for k in range(5)},
                 **{f"equivalence-cut-{k}": _equivalence(k, cut=True) for k in range(5)},
                 "asymmetric": ASYMMETRIC}
@@ -302,32 +302,31 @@ def _is_equivalence(table):
             and np.array_equal(square @ square > 0, table))
 
 
+def _check_classes(table, minima):
+    """At budget 0, so without a search node, the three exact solvers answer
+    the equivalence relation ``table`` with its class minima, ascending, and
+    the clique cover with their number."""
+    packed = pack_rows(table)
+    assert exact_max_independent_set(packed, budget=0) == minima
+    assert exact_min_set_cover(packed, budget=0) == minima
+    assert exact_min_clique_cover(packed, budget=0) == len(minima)
+
+
 def _check_partition(table):
-    """``_partition`` names the class minima of every equivalence relation,
-    and whatever it certifies is a minimum cover, ascending; on a symmetric
-    table it certifies only an equivalence relation."""
-    got = _partition(pack_rows(table))
-    equivalence = _is_equivalence(table)
-    if equivalence:
-        assert got == sorted({int(np.flatnonzero(row)[0]) for row in table})
-    if got is None:
+    """``_check_classes`` on every equivalence relation; whether ``table`` is one."""
+    if not _is_equivalence(table):
         return False
-    assert got == sorted(got)
-    assert table[got].any(axis=0).all()
-    assert len(got) == _brute_cover(table)
-    if np.array_equal(table, table.T):
-        assert equivalence
+    _check_classes(table, sorted({int(np.flatnonzero(row)[0]) for row in table}))
     return True
 
 
 def test_partition_certifies_only_minimum_covers_on_every_small_table():
-    certified = 0
+    closed = 0
     for n in range(1, 4):
         for bits in itertools.product([False, True], repeat=n * n):
-            certified += _check_partition(np.array(bits).reshape(n, n))
-    # the 1 + 2 + 5 equivalence relations, and rows that are classes but
-    # leave their own point to another class
-    assert certified > 8
+            closed += _check_partition(np.array(bits).reshape(n, n))
+    # the 1 + 2 + 5 equivalence relations
+    assert closed == 8
 
 
 def _near_partition(seed):
@@ -361,22 +360,11 @@ def test_partition_certifies_only_minimum_covers_on_seeded_tables(seed):
     _check_partition(_near_partition(seed))
 
 
-def test_partition_rejects_overlapping_class_rows_that_miss_a_point():
-    # rows 0 and 1 start at their own point and hold 4 points between them,
-    # yet both hold point 1 and neither holds point 3
-    table = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=bool)
-    assert _partition(pack_rows(table)) is None
-
-
-@pytest.mark.parametrize("flip", [(5, 9), (2046, 2047), (1500, 3)])
-def test_partition_runs_by_row_blocks_and_fails_in_any_block(flip):
-    # 2048 points in classes of four: 256 packed columns, so the rows are
-    # read in four blocks, and a flipped bit in any of them is caught
+def test_partitions_of_many_row_blocks_close_at_the_root():
+    # 2048 points in classes of four: 256 packed columns, so the circle
+    # cover unpacks its rows in four blocks
     labels = np.arange(2048) // 4
-    table = labels[:, None] == labels[None, :]
-    assert _partition(pack_rows(table)) == list(range(0, 2048, 4))
-    table[flip] = not table[flip]
-    assert _partition(pack_rows(table)) is None
+    _check_classes(labels[:, None] == labels[None, :], list(range(0, 2048, 4)))
 
 
 def test_line_sweeps_match_generic_on_random_sets():
@@ -457,20 +445,6 @@ def test_partial_cover_overlapping_rows_short_of_the_target_raise():
     masks = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot reach the target"):
         exact_min_partial_cover(pack_rows(masks), [Fraction(1, 4)] * 4, Fraction(9, 10))
-
-
-def test_partition_counts_the_class_bits_one_block_at_a_time():
-    # every point is its own class, so the class rows are the whole table,
-    # and its unpacked bits would take eight times the table
-    packed = pack_rows(np.eye(2048, dtype=bool))
-    tracemalloc.start()
-    try:
-        got = _partition(packed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == list(range(2048))
-    assert peak < packed.nbytes, peak / packed.nbytes
 
 
 def _greedy_cover_every_row(rows, universe):
