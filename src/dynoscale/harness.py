@@ -7,9 +7,10 @@ table: it lists the level cutoffs its cells need and carries those
 threshold graphs from one horizon to the next (``bowen_graphs``), each
 built once per horizon and shared by every quantity; on a chain-backed
 base (the exp shift) each d_n is its partition chain instead of packed
-graphs, and no N x N array is built.  Within one horizon a graph is counted once:
-scales with the same level cutoff share their exact bracket.  ``run_estimates`` takes the exact cells of a matching
-trace in its output directory and counts the rest.
+graphs, and no N x N array is built.  Each cell goes through its count
+once, in the walk that carries its graph.  ``run_estimates`` takes the
+exact cells of a matching trace in its output directory and counts the
+rest.
 """
 
 from __future__ import annotations
@@ -84,14 +85,10 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     sweep), nor one that one set answers (every d_n has d_1's diameter).
     ``bowen_graphs`` then carries each listed graph (or, on a chain-backed
     base, each d_n's partition chain) from horizon to horizon, for the
-    horizons that still miss a cell, and the quantities share it.
-    Within one horizon, a scale whose graph has the cutoff of an already
-    counted exact cell takes that bracket at its own scale: the graph and
-    the one-set verdict are the same, and the solvers are deterministic.
-    Heuristic brackets are counted at every scale, since the spanning
-    fallback also reads the graph at twice the scale.  A cell is counted in
-    the walk that carries its graph, and the rows are written in horizon,
-    then scale order, as if counted one by one.
+    horizons that still miss a cell, and the quantities share it.  Each
+    cell not in ``known`` goes through ``QUANTITY_OPS`` once, in the walk
+    that carries its graph (``graph_cutoff`` names it), and the rows are
+    written in horizon, then scale order, as if counted one by one.
     """
     known = known or {}
     scales = config.grid.scales()
@@ -101,22 +98,17 @@ def _count(system: DynamicalSystem, quantities: list[str], config: ExperimentCon
     cutoffs = {base.cutoff(eps, STRICT[q]) for q, n, eps in todo
                if not ((n == 1 and base.coords is not None)
                        or passes_diameter(q, eps, base.diameter))}
-    cells, exact = dict(known), {}
+    cells = dict(known)
     missing = sorted({n for _, n, _ in todo})
     for dn in bowen_graphs(system, missing, sorted(cutoffs)):
         for quantity, n, eps in todo:
             if n != dn.horizon or (quantity, n, eps) in cells:
                 continue
             cutoff = graph_cutoff(quantity, dn, eps)
-            if (quantity, n, cutoff) in exact:
-                cell = replace(exact[(quantity, n, cutoff)], scale=float(eps))
-            elif cutoff in cutoffs and not dn.carries(cutoff):
+            if cutoff in cutoffs and not dn.carries(cutoff):
                 continue  # another walk carries its graph
-            else:
-                cell = QUANTITY_OPS[quantity](dn, eps, config.budget, horizon=n)
-                if cutoff is not None and cell.mode == "exact":
-                    exact[(quantity, n, cutoff)] = cell
-            cells[(quantity, n, eps)] = cell
+            cells[(quantity, n, eps)] = QUANTITY_OPS[quantity](dn, eps, config.budget,
+                                                               horizon=n)
     sweeps = {q: ScaleSweep(system.name, q) for q in quantities}
     for n in horizons:
         for quantity, sweep in sweeps.items():

@@ -128,13 +128,11 @@ def _exact(quantity: str, eps, horizon: int, found, method: str,
 
 
 def graph_cutoff(quantity: str, space: FiniteMetricSpace, eps) -> int | None:
-    """The level cutoff of ``quantity``'s threshold graph at ``eps``.
+    """The level cutoff of ``quantity``'s threshold graph at ``eps``, which
+    names the walk of a sweep that carries that graph.
 
-    Two scales with the same cutoff give the same graph and the same
-    one-set verdict (``eps`` passes the diameter exactly when the cutoff
-    passes the largest code), so their exact brackets agree but for the
-    scale.  Coordinate spaces take the line sweep and have no level table:
-    they give None.
+    Coordinate spaces take the line sweep and have no level table: they
+    give None.
     """
     return None if space.coords is not None else space.cutoff(eps, STRICT[quantity])
 

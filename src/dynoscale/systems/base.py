@@ -49,17 +49,9 @@ class DynamicalSystem:
         return np.stack(rows)
 
 
-def system_from_step(space: FiniteMetricSpace, step: np.ndarray,
-                     horizon_cap: int, name: str = "system",
-                     meta: dict | None = None) -> DynamicalSystem:
-    """The system of a one-step index map."""
-    return DynamicalSystem(space, step, horizon_cap, name=name, meta=meta or {})
-
-
 def identity_system(space: FiniteMetricSpace, horizon_cap: int = 8) -> DynamicalSystem:
-    return system_from_step(space, np.arange(space.size), horizon_cap,
-                            name=f"id({space.name})",
-                            meta={"omega_full": True})
+    return DynamicalSystem(space, np.arange(space.size), horizon_cap,
+                           name=f"id({space.name})", meta={"omega_full": True})
 
 
 def _check_horizon(system: DynamicalSystem, n: int) -> None:

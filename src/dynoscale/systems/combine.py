@@ -29,8 +29,7 @@ def product_system(a: DynamicalSystem, b: DynamicalSystem) -> DynamicalSystem:
             name=name)
     # point i * nb + j is the pair (i, j)
     step = (a.step[:, None] * nb + b.step[None, :]).ravel()
-    meta = {"kind": "product",
-            "omega_full": a.meta.get("omega_full", False) and b.meta.get("omega_full", False)}
+    meta = {"omega_full": a.meta.get("omega_full", False) and b.meta.get("omega_full", False)}
     return DynamicalSystem(space, step, min(a.horizon_cap, b.horizon_cap),
                            name=space.name, meta=meta)
 
@@ -44,4 +43,4 @@ def power_system(sys: DynamicalSystem, exponent: int) -> DynamicalSystem:
         step = sys.step[step]
     return DynamicalSystem(sys.space, step, (sys.horizon_cap - 1) // exponent + 1,
                            name=f"{sys.name}^{exponent}",
-                           meta=dict(sys.meta, power=exponent))
+                           meta=dict(sys.meta))

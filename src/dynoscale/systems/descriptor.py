@@ -13,7 +13,7 @@ from ..errors import ConfigError, ParameterError
 from ..schema import build, choice, integer, rational, tagged
 from .base import DynamicalSystem, identity_system
 from .intervals import doubling_grid, null_sequence_space, unit_lattice, random_space
-from .shifts import discrete_alphabet, full_shift, lattice_alphabet
+from .shifts import discrete_alphabet, full_shift
 from .combine import power_system, product_system
 
 
@@ -54,7 +54,7 @@ def _kolyada(family, k_max, beta):
 
 _ALPHABETS = {
     "discrete": build(discrete_alphabet, {"symbols": integer()}),
-    "unit_lattice": build(lattice_alphabet, {"points": integer(2)}),
+    "unit_lattice": build(unit_lattice, {"points": integer(2)}),
 }
 
 _KINDS = {

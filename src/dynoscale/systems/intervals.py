@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..metric_core.space import FiniteMetricSpace
-from .base import DynamicalSystem, identity_system, system_from_step
+from .base import DynamicalSystem
 
 
 def unit_lattice(points: int) -> FiniteMetricSpace:
@@ -37,13 +37,7 @@ def doubling_grid(denominator: int = 64, horizon_cap: int = 8) -> DynamicalSyste
     coords = [Fraction(k, denominator) for k in range(denominator)]
     space = FiniteMetricSpace(coords=coords, name=f"doubling({denominator})")
     step = np.array([(2 * k) % denominator for k in range(denominator)])
-    return system_from_step(space, step, horizon_cap,
-                            name=space.name, meta={"kind": "doubling"})
-
-
-def static_system(space: FiniteMetricSpace, horizon_cap: int = 4) -> DynamicalSystem:
-    """A space with no dynamics of interest, carried by the identity map."""
-    return identity_system(space, horizon_cap)
+    return DynamicalSystem(space, step, horizon_cap, name=space.name)
 
 
 def random_space(points: int, seed: int) -> FiniteMetricSpace:

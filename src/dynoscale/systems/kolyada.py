@@ -24,7 +24,7 @@ from fractions import Fraction
 from ..errors import OutOfRealizationError, ParameterError
 from ..metric_core.space import FiniteMetricSpace
 from ..metric_core.counts import CountBracket, SEPARATED
-from .base import DynamicalSystem, system_from_step
+from .base import DynamicalSystem
 
 
 @dataclass(frozen=True)
@@ -223,9 +223,8 @@ class KolyadaSnohaMap:
         # coords were already sorted ascending by construction
         index = {x: i for i, x in enumerate(seeds)}
         # an image off the net would index -1, which the system rejects
-        return system_from_step(space, [index.get(self.eval(x), -1) for x in seeds],
-                                horizon, name=space.name,
-                                meta={"kind": "kolyada-net", "family": self.family})
+        return DynamicalSystem(space, [index.get(self.eval(x), -1) for x in seeds],
+                               horizon, name=space.name)
 
 
 # -- closed-form block counts -------------------------------------------------

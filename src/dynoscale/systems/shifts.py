@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from ..errors import ParameterError, ShapeError
 from ..metric_core.space import FiniteMetricSpace, product_codes
-from .base import DynamicalSystem, system_from_step
+from .base import DynamicalSystem
 
 # bounds a net's N x N tables: its level codes and one per d_n, one or two
 # bytes a pair, and the 200 MB float table of a caller that reads it whole
@@ -43,12 +42,6 @@ def discrete_alphabet(symbols: int) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_chain(np.array([0.0, 1.0]),
                                         np.arange(symbols)[None],
                                         name=f"discrete({symbols})")
-
-
-def lattice_alphabet(points: int) -> FiniteMetricSpace:
-    """Alphabet of evenly spaced points on [0, 1]."""
-    coords = [Fraction(i, points - 1) for i in range(points)]
-    return FiniteMetricSpace(coords=coords, name=f"lattice({points})")
 
 
 def _net_size(symbols: int, depth: int) -> int:
@@ -104,7 +97,7 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
             np.floor_divide(chain[0], symbols ** (c - 2), out=chain[c - 1])
         space = FiniteMetricSpace.from_chain(levels, chain, name=name)
         trunc = base ** (-float(depth))
-        alph_diam = 1.0
+        alphabet = discrete_alphabet(symbols)
     else:
         # word p * symbols + a extends prefix p by letter a, so each coordinate
         # adds its term to every pair of prefixes, in the order rho sums them
@@ -113,20 +106,14 @@ def full_shift(symbols: int = 2, depth: int = 8, metric: str = "exp",
         for t in range(depth):
             prefix = product_codes(prefix, (2.0 ** -(t + 1) * alevels, acodes), np.add)
         space = FiniteMetricSpace.from_codes(*prefix, name=name)
-        alph_diam = alphabet.diameter
-        trunc = 2.0 ** (-depth) * alph_diam
+        trunc = 2.0 ** (-depth) * alphabet.diameter
 
     # word i read in base ``symbols`` loses its first letter and gains ``tail``
     step = (np.arange(n) % symbols ** (depth - 1)) * symbols + tail
     cap = horizon_cap if horizon_cap is not None else max(depth, 2)
-    sys = system_from_step(space, step, cap, name=space.name,
-                           meta={"kind": "shift", "metric": metric,
-                                 "symbols": symbols, "depth": depth,
-                                 "tail": tail, "omega_full": True,
-                                 "truncation_bound": trunc,
-                                 "alphabet_diameter": alph_diam})
-    sys.meta["alphabet"] = alphabet if metric == "product" else discrete_alphabet(symbols)
-    return sys
+    return DynamicalSystem(space, step, cap, name=space.name,
+                           meta={"symbols": symbols, "depth": depth, "omega_full": True,
+                                 "truncation_bound": trunc, "alphabet": alphabet})
 
 
 def binary_exp_shift(depth: int = 12, horizon_cap: int | None = None) -> DynamicalSystem:

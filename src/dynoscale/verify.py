@@ -20,9 +20,9 @@ from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_ch
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
 from .metric_core.solvers import DEFAULT_BUDGET
 from .metric_core.space import FiniteMetricSpace
-from .systems.base import DynamicalSystem, bowen_spaces
+from .systems.base import DynamicalSystem, bowen_spaces, identity_system
 from .systems.combine import power_system, product_system
-from .systems.intervals import doubling_grid, random_space, static_system
+from .systems.intervals import doubling_grid, random_space
 from .systems.shifts import binary_exp_shift, full_shift
 from .measures.atomic import AtomicMeasure
 from .measures.quantization import (quantization_number, partial_cover_bracket, LP_KIND,
@@ -59,7 +59,7 @@ def _shipped_systems(seed: int) -> list[DynamicalSystem]:
         binary_exp_shift(depth=6, horizon_cap=6),
         full_shift(2, 5, metric="product", horizon_cap=5),
         doubling_grid(64, horizon_cap=8),
-        static_system(random_space(8, seed), horizon_cap=4),
+        identity_system(random_space(8, seed), horizon_cap=4),
     ]
 
 
@@ -136,7 +136,7 @@ def power_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationRepo
 def product_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """spanning(product) <= spanning(a) * spanning(b) under the max metric."""
     report = VerificationReport("product")
-    a = static_system(random_space(6, seed), horizon_cap=4)
+    a = identity_system(random_space(6, seed), horizon_cap=4)
     b = doubling_grid(6, horizon_cap=4)
     z = product_system(a, b)
     spaces = [_spaces(system, (1, 2, 3)) for system in (a, b, z)]

@@ -11,12 +11,12 @@ from dynoscale.errors import ParameterError, RepresentationError
 from dynoscale.harness import _count, parse_config
 from dynoscale.metric_core.counts import max_separated
 from dynoscale.metric_core.counts import QUANTITY_OPS
-from dynoscale.systems.base import (bowen_distance, bowen_space, bowen_spaces,
-                                    identity_system, system_from_step)
+from dynoscale.systems.base import (DynamicalSystem, bowen_distance, bowen_space,
+                                    bowen_spaces, identity_system)
 from dynoscale.systems.combine import power_system, product_system
-from dynoscale.systems.intervals import doubling_grid, random_space
+from dynoscale.systems.intervals import doubling_grid, random_space, unit_lattice
 from dynoscale.systems.kolyada import KolyadaSnohaMap
-from dynoscale.systems.shifts import binary_exp_shift, full_shift, lattice_alphabet
+from dynoscale.systems.shifts import binary_exp_shift, full_shift
 from dynoscale.metric_core.space import pack_rows
 from dynoscale.systems.base import bowen_graphs
 
@@ -82,13 +82,13 @@ def test_invalid_indices_and_horizons(doubling64):
 def test_map_image_outside_space_rejected():
     sp = random_space(4, seed=0)
     with pytest.raises(RepresentationError):
-        system_from_step(sp, np.array([0, 1, 2, 9]), 3)
+        DynamicalSystem(sp, np.array([0, 1, 2, 9]), 3)
 
 
 @pytest.mark.parametrize("cap", [0, -3])
 def test_horizon_cap_below_one_rejected(cap):
     with pytest.raises(ParameterError):
-        system_from_step(random_space(4, seed=0), np.arange(4), cap)
+        DynamicalSystem(random_space(4, seed=0), np.arange(4), cap)
 
 
 def _max_anew(system, n):
@@ -196,7 +196,7 @@ def _class_graph(labels, n):
 GRAPH_SYSTEMS = {
     "exp-shift": lambda: binary_exp_shift(6, horizon_cap=5),
     "unit-lattice-product-shift": lambda: full_shift(
-        2, 4, metric="product", alphabet=lattice_alphabet(3), horizon_cap=5),
+        2, 4, metric="product", alphabet=unit_lattice(3), horizon_cap=5),
     "doubling": lambda: doubling_grid(64, horizon_cap=5),
 }
 
@@ -267,7 +267,7 @@ def test_bowen_graphs_reject_descending_or_capped_horizons(doubling64):
 def test_counts_and_their_fallbacks_leave_the_carried_graphs_as_they_were(budget):
     # the walk ANDs the next horizon into the graphs it carries, so a count
     # must not write them; at budget 1 most cells end in a fallback
-    system = full_shift(2, 4, metric="product", alphabet=lattice_alphabet(3), horizon_cap=3)
+    system = full_shift(2, 4, metric="product", alphabet=unit_lattice(3), horizon_cap=3)
     levels = system.space.level_codes()[0]
     scales = levels[1::7].tolist()
     cutoffs = sorted({system.space.cutoff(eps, strict) for eps in scales
@@ -294,7 +294,7 @@ def test_counts_and_their_fallbacks_leave_the_carried_graphs_as_they_were(budget
 @functools.lru_cache(maxsize=None)
 def _coded_count(depth):
     """(size, code itemsize, _count's tracemalloc peak, methods) on the coded shift."""
-    system = full_shift(2, depth, metric="product", alphabet=lattice_alphabet(2),
+    system = full_shift(2, depth, metric="product", alphabet=unit_lattice(2),
                         horizon_cap=3)
     assert system.space.chain is None
     codes = system.space.level_codes()[1]
@@ -334,7 +334,7 @@ def test_counting_coded_horizons_holds_one_code_table_beside_the_base():
 
 def test_walking_coded_horizons_holds_less_than_one_code_table_beside_the_base():
     # the walk alone: six packed graphs and the gather blocks, no d_n table
-    system = full_shift(2, 11, metric="product", alphabet=lattice_alphabet(2), horizon_cap=3)
+    system = full_shift(2, 11, metric="product", alphabet=unit_lattice(2), horizon_cap=3)
     size, itemsize = system.space.size, system.space.level_codes()[1].itemsize
     scales = [0.5 * 0.6**i for i in range(6)]
     cutoffs = sorted({system.space.cutoff(eps, strict) for eps in scales

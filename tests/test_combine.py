@@ -8,14 +8,14 @@ import pytest
 from dynoscale.errors import ParameterError
 from dynoscale.metric_core.counts import max_separated, min_spanning
 from dynoscale.metric_core.space import FiniteMetricSpace, product_codes
-from dynoscale.systems.base import bowen_space
+from dynoscale.systems.base import bowen_space, identity_system
 from dynoscale.systems.combine import power_system, product_system
-from dynoscale.systems.intervals import doubling_grid, random_space, static_system
+from dynoscale.systems.intervals import doubling_grid, random_space
 from dynoscale.systems.shifts import full_shift
 
 
 def test_product_metric_is_coordinate_max():
-    a = static_system(random_space(4, 0), horizon_cap=3)
+    a = identity_system(random_space(4, 0), horizon_cap=3)
     b = doubling_grid(5, horizon_cap=3)
     z = product_system(a, b)
     for i in range(a.space.size):
@@ -35,11 +35,12 @@ def _kron_max(a, b):
 
 
 @pytest.mark.parametrize("factors, dtype", [
-    (lambda: (doubling_grid(6), static_system(random_space(6, 0))), np.uint8),
+    (lambda: (doubling_grid(6), identity_system(random_space(6, 0), horizon_cap=4)), np.uint8),
     (lambda: (doubling_grid(16), full_shift(2, 4, metric="product")), np.uint8),
     # the exp shift lists base**-depth, a level no pair of distinct words takes
     (lambda: (full_shift(3, 2), full_shift(2, 5, metric="product")), np.uint8),
-    (lambda: (static_system(random_space(20, 1)), static_system(random_space(20, 2))),
+    (lambda: (identity_system(random_space(20, 1), horizon_cap=4),
+              identity_system(random_space(20, 2), horizon_cap=4)),
      np.uint16),
 ], ids=["grid-random", "grid-product-shift", "unused-level", "uint16"])
 def test_product_codes_equal_the_encoded_kron_max_table_bitwise(factors, dtype):
@@ -114,7 +115,7 @@ def test_power_counts_below_stretched_horizon(doubling64):
 
 
 def test_product_spanning_submultiplicative():
-    a = static_system(random_space(6, 3), horizon_cap=4)
+    a = identity_system(random_space(6, 3), horizon_cap=4)
     b = doubling_grid(6, horizon_cap=4)
     z = product_system(a, b)
     for n in (1, 2, 3):

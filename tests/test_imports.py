@@ -1,9 +1,13 @@
-"""Every module of the package imports on its own."""
+"""Every module of the package imports on its own, and each command loads
+only the modules it runs."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dynoscale
 
@@ -29,3 +33,50 @@ def test_each_module_imports_with_no_sibling_loaded_first():
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == names
+
+
+SWEEP = {"dynoscale", "dynoscale.cli", "dynoscale.errors", "dynoscale.harness",
+         "dynoscale.schema", "dynoscale.estimators", "dynoscale.estimators.sweep",
+         "dynoscale.metric_core", "dynoscale.metric_core.counts",
+         "dynoscale.metric_core.solvers", "dynoscale.metric_core.space",
+         "dynoscale.systems", "dynoscale.systems.base", "dynoscale.systems.combine",
+         "dynoscale.systems.descriptor", "dynoscale.systems.intervals",
+         "dynoscale.systems.shifts"}
+ESTIMATE = SWEEP | {"dynoscale.estimators.quantities", "dynoscale.estimators.slopes"}
+QUANTIZE = ESTIMATE | {"dynoscale.measures", "dynoscale.measures.atomic",
+                       "dynoscale.measures.quantization"}
+ORACLE = SWEEP | {"dynoscale.oracle"}
+VERIFY = QUANTIZE | ORACLE | {"dynoscale.measures.constructions",
+                              "dynoscale.measures.wasserstein",
+                              "dynoscale.metric_core.checks", "dynoscale.verify"}
+INPUTS = {
+    "config.json": {"system": {"kind": "shift", "symbols": 2, "depth": 3},
+                    "quantities": ["separated"], "horizons": [1, 2],
+                    "grid": {"start": 0.5, "ratio": 0.5, "count": 2}},
+    "quantize.json": {"system": {"kind": "doubling", "grid": 8},
+                      "measure": {"atoms": [0, 3], "weights": ["1/2", "1/2"]},
+                      "grid": {"start": 0.4, "ratio": 0.5, "count": 2}},
+    "instance.json": {"kind": "separated", "eps": 1.0, "matrix": [[0, 1], [1, 0]]},
+}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["sweep", "--config", "config.json", "--out", "out"], SWEEP),
+    (["estimate", "--config", "config.json", "--out", "out"], ESTIMATE),
+    (["quantize", "--config", "quantize.json", "--out", "out"], QUANTIZE),
+    (["oracle", "--instance", "instance.json"], ORACLE),
+    (["verify", "--suite", "chain"], VERIFY),
+], ids=["sweep", "estimate", "quantize", "oracle", "verify"])
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, want):
+    # a new module-level import changes a set below, on purpose
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code = ("import sys\n"
+            "from dynoscale.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m == 'dynoscale' or m.startswith('dynoscale.')))\n")
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.splitlines()[-1].split()) == want

@@ -8,8 +8,8 @@ import pytest
 from dynoscale.errors import ParameterError, ShapeError
 from dynoscale.metric_core.counts import max_separated, min_diameter_cover, min_spanning
 from dynoscale.systems.base import bowen_space
-from dynoscale.systems.shifts import (discrete_alphabet, full_shift, lattice_alphabet,
-                                      rho_distance)
+from dynoscale.systems.intervals import unit_lattice
+from dynoscale.systems.shifts import discrete_alphabet, full_shift, rho_distance
 from dynoscale.metric_core.space import code_dtype
 from dynoscale.systems.shifts import _prefixes
 
@@ -68,7 +68,7 @@ def test_rho_distance_first_coordinate_term():
 
 
 def test_rho_distance_alternating_sum_matches_direct():
-    alph = lattice_alphabet(11)  # points i/10 on [0,1]
+    alph = unit_lattice(11)  # points i/10 on [0,1]
     x = tuple([10, 0] * 5)
     y = tuple([0, 10] * 5)
     value, bound = rho_distance(x, y, alph)
@@ -157,7 +157,7 @@ def test_shift_step_and_labels_match_the_label_based_construction(symbols, depth
 
 @pytest.mark.parametrize("symbols, depth, points", [(2, 9, None), (3, 5, None), (2, 4, 5)])
 def test_product_table_matches_a_sum_over_coordinates_bitwise(symbols, depth, points):
-    alphabet = lattice_alphabet(points) if points else None
+    alphabet = unit_lattice(points) if points else None
     s = full_shift(symbols, depth, metric="product", alphabet=alphabet)
     amat = s.meta["alphabet"].as_matrix()
     words = _prefixes(amat.shape[0], depth)

@@ -20,8 +20,8 @@ from dynoscale.metric_core.space import FiniteMetricSpace, pack_rows
 from dynoscale.oracle import brute_min_diameter_cover, brute_partial_cover
 from dynoscale.systems.base import bowen_space
 from dynoscale.systems.combine import product_system
-from dynoscale.systems.intervals import doubling_grid
-from dynoscale.systems.shifts import full_shift, lattice_alphabet
+from dynoscale.systems.intervals import doubling_grid, unit_lattice
+from dynoscale.systems.shifts import full_shift
 
 
 def _random_graph(rng, n, p):
@@ -163,7 +163,7 @@ def test_set_cover_uncoverable_raises():
 def test_the_budget_bounds_the_set_cover_search(monkeypatch):
     # the ball family of d_3 on the 81-point lattice shift: its root bound is
     # 4, its optimum 8, so only the search can close it
-    space = bowen_space(full_shift(2, 4, metric="product", alphabet=lattice_alphabet(3)), 3)
+    space = bowen_space(full_shift(2, 4, metric="product", alphabet=unit_lattice(3)), 3)
     spent = []  # the nodes spent before the budget ran out
     spend = solvers._Budget.spend
     monkeypatch.setattr(solvers._Budget, "spend",

@@ -1,9 +1,9 @@
-"""A sweep counts each threshold graph once per horizon.
+"""A sweep counts each (quantity, horizon, scale) cell once.
 
-Scales that fall in the same gap between consecutive distances share a
-level cutoff, so their graphs are the same and the sweep reuses the exact
-bracket of the first at the others.  Each test compares against cells
-counted one by one.
+The sweep lists the level cutoffs of its cells and carries their threshold
+graphs from horizon to horizon, in more than one walk when one walk cannot
+carry them all; each cell is counted in the walk that carries its graph.
+Each test compares against cells counted one by one.
 """
 
 import pytest
@@ -11,9 +11,7 @@ import pytest
 from dynoscale import harness
 from dynoscale.estimators.sweep import ScaleSweep
 from dynoscale.harness import parse_config, run_sweep
-from dynoscale.metric_core import counts, solvers
 from dynoscale.metric_core.counts import QUANTITY_OPS, SPANNING, graph_cutoff
-from dynoscale.metric_core.space import class_minima
 from dynoscale.systems.base import bowen_spaces
 from dynoscale.systems.descriptor import resolve_system
 
@@ -24,8 +22,9 @@ EXP = {"system": {"kind": "shift", "symbols": 2, "depth": 6, "metric": "exp"},
        "horizons": [1, 2, 3]}
 LATTICE_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product",
                  "alphabet": {"type": "unit_lattice", "points": 3}}
-# levels k/16: scales 0.50 to 0.45 lie in one gap and 0.36 to 0.33 in another
-PRODUCT_SHIFT = {"kind": "shift", "symbols": 2, "depth": 4, "metric": "product"}
+LATTICE_30 = {"system": LATTICE_SHIFT, "quantities": ALL,
+              "grid": {"start": 0.9, "ratio": 0.9, "count": 30},
+              "horizons": [1, 2, 3], "budget": 3}
 
 
 def _per_cell(system, config):
@@ -77,9 +76,7 @@ def test_sweep_writes_what_per_cell_counts_write(tmp_path):
 def test_a_grid_with_more_graphs_than_one_walk_carries_is_walked_per_group(
         tmp_path, monkeypatch, budget):
     # one-byte codes, so a walk carries eight graphs beside the base codes
-    config = parse_config({"system": LATTICE_SHIFT, "quantities": ALL,
-                           "grid": {"start": 0.9, "ratio": 0.9, "count": 30},
-                           "horizons": [1, 2, 3], "budget": budget})
+    config = parse_config({**LATTICE_30, "budget": budget})
     system = resolve_system(config.system)
     assert system.space.level_codes()[1].itemsize == 1
     cutoffs = {c for _, _, c in _cutoffs(system, config)}
@@ -99,45 +96,27 @@ def test_a_grid_with_more_graphs_than_one_walk_carries_is_walked_per_group(
     assert sorted(c for graphs in groups for c in graphs) == sorted(cutoffs)
 
 
-def _spy_solvers(monkeypatch):
-    calls = []
-    for name in ("exact_max_independent_set", "exact_min_set_cover",
-                 "exact_min_clique_cover"):
-        def spy(graph, budget, real=getattr(solvers, name)):
-            calls.append(graph.shape)
-            return real(graph, budget)
-        monkeypatch.setattr(solvers, name, spy)
-    return calls
+@pytest.mark.parametrize("data, cells", [(EXP, 72), (LATTICE_30, 360)],
+                         ids=["exp-shared-cutoffs", "lattice-walk-groups"])
+def test_each_cell_is_counted_once(monkeypatch, data, cells):
+    # EXP's scales share cutoffs; LATTICE_30 needs several walks
+    counted = []
 
+    def spy(quantity, real):
+        def count(dn, eps, budget, horizon):
+            counted.append((quantity, horizon, eps))
+            return real(dn, eps, budget, horizon=horizon)
+        return count
 
-def test_each_distinct_graph_goes_to_its_solver_once(monkeypatch):
-    # a coded shift whose graphs are not partitions: its cells reach the solvers
-    calls = _spy_solvers(monkeypatch)
-    config = parse_config({**EXP, "system": PRODUCT_SHIFT})
+    monkeypatch.setattr(harness, "QUANTITY_OPS",
+                        {q: spy(q, op) for q, op in QUANTITY_OPS.items()})
+    config = parse_config(data)
     system = resolve_system(config.system)
-    sweeps = harness._count(system, config.quantities, config, config.horizons)
-    assert all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
-    cells = _cutoffs(system, config)
-    assert len(calls) == len(set(cells)) < len(cells)
-
-
-def test_each_distinct_partition_is_counted_once(monkeypatch):
-    # the exp shift is chain-backed: every cell closes on its labels, and
-    # no graph reaches a solver
-    calls = _spy_solvers(monkeypatch)
-    classes = []
-
-    def spy(labels):
-        classes.append(labels.shape)
-        return class_minima(labels)
-
-    monkeypatch.setattr(counts, "class_minima", spy)
-    config = parse_config(EXP)
-    system = resolve_system(config.system)
-    sweeps = harness._count(system, config.quantities, config, config.horizons)
-    assert all(br.mode == "exact" for s in sweeps.values() for br in s.rows)
-    cells = _cutoffs(system, config)
-    assert not calls and len(classes) == len(set(cells)) < len(cells)
+    harness._count(system, config.quantities, config, config.horizons)
+    want = [(q, n, eps) for n in config.horizons for q in config.quantities
+            for eps in config.grid.scales()]
+    assert len(counted) == cells
+    assert sorted(counted) == sorted(want)
 
 
 def test_heuristic_spanning_cells_keep_their_own_chain_bound():
