@@ -29,6 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ..draws import default_rng
 from ..errors import BudgetExceededError, ParameterError
 from ..metric_core import solvers
 from ..metric_core.counts import CountBracket, graph_bracket
@@ -221,7 +222,7 @@ def _splits(m):
 
 def _local_search(cost, n_sites, k, bound, seed, restarts: int = 4, iters: int = 60):
     """Seeded swap descent; deterministic, returns a feasible site set or None."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for _ in range(restarts):
         current = list(rng.choice(n_sites, size=k, replace=False))
         cur_cost = cost(current)

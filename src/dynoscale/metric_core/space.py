@@ -148,7 +148,8 @@ class FiniteMetricSpace:
                 raise InvalidMetricError(
                     f"triangle inequality fails on ({i},{j},{k})")
             return
-        rng = np.random.default_rng(0)
+        from ..draws import default_rng
+        rng = default_rng(0)
         for _ in range(TRIANGLE_SPOT_CHECKS):
             i, j, k = rng.integers(0, n, size=3)
             if m[i, j] > m[i, k] + m[k, j] + TRIANGLE_SLACK:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
+from ..draws import default_rng
 from ..errors import ParameterError
 
 # literal all-pairs verification is used up to this cardinality
@@ -107,7 +106,7 @@ def audit_spanning(lat: BanachLattice, samples: int, seed: int,
     free coordinates the distance contribution is certified by the bound
     2/(n0+1) < eps without materialising the tail.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n0 = lat.coord_count
     tail_bound = Fraction(2, n0 + 1)
     if tail_bound >= lat.eps:

@@ -42,7 +42,8 @@ def doubling_grid(denominator: int = 64, horizon_cap: int = 8) -> DynamicalSyste
 
 def random_space(points: int, seed: int) -> FiniteMetricSpace:
     """Random points of [0, 1] under |x - y| (deterministic per seed)."""
-    rng = np.random.default_rng(seed)
+    from ..draws import default_rng
+    rng = default_rng(seed)
     draws = sorted(rng.integers(0, 10**9, size=points).tolist())
     coords = [Fraction(int(v), 10**9) for v in draws]
     return FiniteMetricSpace(coords=coords, name=f"random({points},{seed})")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .draws import default_rng
 from .metric_core.checks import (CheckResult, PASS, FAIL, INCONCLUSIVE, exact_check,
                                  verify_chain)
 from .metric_core.counts import max_separated, min_spanning, min_diameter_cover
@@ -218,7 +219,7 @@ def shift_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> Verificat
 def quantization_bounds_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Q(mu, e) <= cover(X, e) for both metric kinds, on every exact cell."""
     report = VerificationReport("quantization-bounds")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for system in _shipped_systems(seed)[:3]:
         size = system.space.size
         measures = [AtomicMeasure.dirac(int(rng.integers(size)))]
@@ -245,7 +246,7 @@ def transport_floor_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
                           instances: int = 200) -> VerificationReport:
     """W_1 against the uniform-separated floor on constructed instances."""
     report = VerificationReport("transport-floor")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     spaces = _spaces(binary_exp_shift(depth=6, horizon_cap=4), (1, 2, 3))
     for t in range(instances):
         n = int(rng.integers(1, 4))
@@ -272,7 +273,7 @@ def domination_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
                      pairs: int = 100) -> VerificationReport:
     """Q(nu, t*e) >= Q(eta, e) whenever nu dominates t * eta."""
     report = VerificationReport("domination")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     system = doubling_grid(32, horizon_cap=4)
     size, spaces = system.space.size, _spaces(system, (1, 2, 3))
     for t_idx in range(pairs):
@@ -302,7 +303,7 @@ def oracle_equivalence_suite(seed: int = 0, budget: int = DEFAULT_BUDGET,
                              instances: int = 200) -> VerificationReport:
     """Main solvers against the exhaustive oracles on random small instances."""
     report = VerificationReport("oracle-equivalence")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     for t in range(instances):
         pts = int(rng.integers(4, 9))

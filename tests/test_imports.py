@@ -43,8 +43,8 @@ SWEEP = {"dynoscale", "dynoscale.cli", "dynoscale.errors", "dynoscale.harness",
          "dynoscale.systems.descriptor", "dynoscale.systems.intervals",
          "dynoscale.systems.shifts"}
 ESTIMATE = SWEEP | {"dynoscale.estimators.quantities", "dynoscale.estimators.slopes"}
-QUANTIZE = ESTIMATE | {"dynoscale.measures", "dynoscale.measures.atomic",
-                       "dynoscale.measures.quantization"}
+QUANTIZE = ESTIMATE | {"dynoscale.draws", "dynoscale.measures",
+                       "dynoscale.measures.atomic", "dynoscale.measures.quantization"}
 ORACLE = SWEEP | {"dynoscale.oracle"}
 VERIFY = QUANTIZE | ORACLE | {"dynoscale.measures.constructions",
                               "dynoscale.measures.wasserstein",
@@ -57,7 +57,13 @@ INPUTS = {
                       "measure": {"atoms": [0, 3], "weights": ["1/2", "1/2"]},
                       "grid": {"start": 0.4, "ratio": 0.5, "count": 2}},
     "instance.json": {"kind": "separated", "eps": 1.0, "matrix": [[0, 1], [1, 0]]},
+    "random.json": {"system": {"kind": "random", "points": 20, "seed": 5},
+                    "quantities": ["separated"], "horizons": [1],
+                    "grid": {"start": 0.5, "ratio": 0.5, "count": 2}},
 }
+# numpy's random package, and the secrets/OpenSSL modules it pulls in; every
+# draw comes from ``dynoscale.draws`` instead
+FORBIDDEN = ("numpy.random", "secrets", "_hashlib")
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -66,7 +72,8 @@ INPUTS = {
     (["quantize", "--config", "quantize.json", "--out", "out"], QUANTIZE),
     (["oracle", "--instance", "instance.json"], ORACLE),
     (["verify", "--suite", "chain"], VERIFY),
-], ids=["sweep", "estimate", "quantize", "oracle", "verify"])
+    (["sweep", "--config", "random.json", "--out", "out"], SWEEP | {"dynoscale.draws"}),
+], ids=["sweep", "estimate", "quantize", "oracle", "verify", "sweep-random"])
 def test_each_command_loads_exactly_its_modules(tmp_path, argv, want):
     # a new module-level import changes a set below, on purpose
     for name, data in INPUTS.items():
@@ -75,8 +82,17 @@ def test_each_command_loads_exactly_its_modules(tmp_path, argv, want):
             "from dynoscale.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print(*sorted(m for m in sys.modules\n"
-            "              if m == 'dynoscale' or m.startswith('dynoscale.')))\n")
+            "              if m == 'dynoscale' or m.startswith('dynoscale.')))\n"
+            f"print(*[m for m in {FORBIDDEN!r} if m in sys.modules])\n")
     run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert run.returncode == 0, run.stderr
-    assert set(run.stdout.splitlines()[-1].split()) == want
+    *_, modules, forbidden = run.stdout.split("\n")[:-1]
+    assert set(modules.split()) == want
+    assert forbidden == ""
+
+
+def test_no_source_file_draws_from_numpy_random():
+    hits = [str(path.relative_to(SRC)) for path in (SRC / "dynoscale").rglob("*.py")
+            if "np.random" in path.read_text() or "numpy.random" in path.read_text()]
+    assert hits == []
