@@ -22,6 +22,7 @@ liminf <= value <= limsup is kept in the corrected coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,9 +51,29 @@ class SlopeEstimate:
             raise ParameterError("slope proxies must bracket the value")
 
 
-def _ls(xs: np.ndarray, ys: np.ndarray, design: np.ndarray) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return sol
+def _ls(columns, ys) -> list[float]:
+    """Least-squares coefficients of ``ys`` on the design ``columns``.
+
+    The normal equations are solved over Fractions of the input floats, so
+    each coefficient is the exact solution rounded once, and no BLAS or
+    LAPACK routine runs.  Non-finite points and linearly dependent columns
+    (all x equal) raise ParameterError.
+    """
+    if not (np.isfinite(columns).all() and np.isfinite(ys).all()):
+        raise ParameterError("slope fit points must be finite")
+    cols = [[Fraction(v) for v in col.tolist()] for col in columns]
+    y = [Fraction(v) for v in ys.tolist()]
+    # augmented normal matrix [A^T A | A^T y], reduced by Gauss-Jordan; a
+    # Gram matrix is positive semidefinite, so a zero pivot means singular
+    normal = [[sum(p * q for p, q in zip(a, b)) for b in (*cols, y)] for a in cols]
+    for i, row in enumerate(normal):
+        if not row[i]:
+            raise ParameterError("slope fit design is singular: are all x equal?")
+        for other in normal:
+            if other is not row:
+                f = other[i] / row[i]
+                other[:] = [p - f * q for p, q in zip(other, row)]
+    return [float(row[-1] / row[i]) for i, row in enumerate(normal)]
 
 
 def tail_regression(xs, ys, window: int = DEFAULT_TAIL, flagged: bool = False,
@@ -64,8 +85,7 @@ def tail_regression(xs, ys, window: int = DEFAULT_TAIL, flagged: bool = False,
         raise ParameterError("need at least two points for a slope")
     w = min(window, xs.size)
     x, y = xs[-w:], ys[-w:]
-    design = np.vstack([x, np.ones_like(x)]).T
-    slope, intercept = _ls(x, y, design)
+    slope, intercept = _ls((x, np.ones_like(x)), y)
     resid = float(np.abs(y - (slope * x + intercept)).max())
     steps = np.diff(y) / np.diff(x)
     return SlopeEstimate(
@@ -96,12 +116,10 @@ def rank_corrected_fit(xs, ys, flagged: bool = False, note: str = "") -> SlopeEs
     if xs.size < 4:
         est = tail_regression(xs, ys, window=xs.size, flagged=flagged, note=note)
         return replace(est, method="tail-ls(fallback)", plain_value=est.value)
-    ranks = np.arange(1, xs.size + 1, dtype=float)
-    design = np.vstack([xs, np.log(ranks), np.ones_like(xs)]).T
-    c1, c2, c3 = _ls(xs, ys, design)
-    fit = design @ np.array([c1, c2, c3])
-    resid = float(np.abs(ys - fit).max())
-    detrended = ys - c2 * np.log(ranks)
+    log_ranks = np.log(np.arange(1, xs.size + 1, dtype=float))
+    c1, c2, c3 = _ls((xs, log_ranks, np.ones_like(xs)), ys)
+    resid = float(np.abs(ys - (c1 * xs + c2 * log_ranks + c3)).max())
+    detrended = ys - c2 * log_ranks
     steps = np.diff(detrended) / np.diff(xs)
     plain = tail_regression(xs, ys, window=xs.size)
     return SlopeEstimate(

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynoscale.errors import ParameterError
 from dynoscale.estimators.quantities import (box_dimension_estimate, entropy_at_scale,
                                              log_plus, mdim_estimate, mdim_mo_estimate,
                                              mean_box_dimension_estimate,
                                              metric_order_estimate)
-from dynoscale.estimators.slopes import (rank_corrected_fit, staircase_envelope,
+from dynoscale.estimators.slopes import (_ls, rank_corrected_fit, staircase_envelope,
                                          tail_regression)
+from dynoscale.harness import parse_config, run_estimates, run_sweep
 from dynoscale.metric_core.counts import CountBracket, ScaleGrid
+from test_estimator_golden import CASES
 
 
 def _exact(quantity, scale, horizon, value):
@@ -179,3 +182,105 @@ def test_estimates_stable_under_grid_subsampling():
     full = box_dimension_estimate(rows, tail=12)
     half = box_dimension_estimate(rows[::2], tail=6)
     assert abs(full.value - half.value) <= max(2 * full.residual, 0.02)
+
+
+# five points, so the rank-corrected fit runs its three-column design
+BAD_POINTS = {
+    "nan-y": ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, math.nan, 2.0, 3.0, 4.0]),
+    "inf-x": ([1.0, math.inf, 3.0, 4.0, 5.0], [1.0, 2.0, 2.0, 3.0, 4.0]),
+    "minus-inf-y": ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, -math.inf, 3.0, 4.0]),
+    "nan-x": ([1.0, 2.0, 3.0, 4.0, math.nan], [1.0, 2.0, 2.0, 3.0, 4.0]),
+    "constant-x": ([2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
+}
+
+
+@pytest.mark.parametrize("fit", [tail_regression, rank_corrected_fit])
+@pytest.mark.parametrize("xs, ys", BAD_POINTS.values(), ids=list(BAD_POINTS))
+def test_a_fit_rejects_points_it_cannot_fit(fit, xs, ys):
+    with pytest.raises(ParameterError):
+        fit(xs, ys)
+
+
+_COORD = st.floats(-8, 8, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(2, 8))
+def test_the_exact_fit_agrees_with_lapack(data, width, points):
+    assume(points >= width)
+    column = st.lists(_COORD, min_size=points, max_size=points)
+    design = np.column_stack([np.array(data.draw(column)) for _ in range(width - 1)]
+                             + [np.ones(points)])
+    assume(np.linalg.cond(design) < 50)
+    coefficients = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-8, -0.5), st.floats(0.5, 8)), min_size=width, max_size=width)))
+    noise = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=points,
+                                        max_size=points)))
+    ys = design @ coefficients + noise
+    want = np.linalg.lstsq(design, ys, rcond=None)[0]
+    got = np.array(_ls(design.T, ys))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(3, 8))
+def test_points_on_a_dyadic_line_fit_it_bit_for_bit(data, width, points):
+    xs = data.draw(st.lists(_DYADIC, min_size=points, max_size=points, unique=True))
+    columns = [np.array(xs)] + [np.array(data.draw(st.lists(
+        _DYADIC, min_size=points, max_size=points))) for _ in range(width - 2)]
+    columns.append(np.ones(points))
+    assume(np.linalg.matrix_rank(np.column_stack(columns)) == width)
+    coefficients = data.draw(st.lists(_DYADIC, min_size=width, max_size=width))
+    # small dyadics: every product and sum below is exact in floats
+    ys = sum(c * col for c, col in zip(coefficients, columns))
+    assert _ls(columns, ys) == coefficients
+    slope, intercept = coefficients[0], coefficients[-1]
+    line = tail_regression(xs, slope * np.array(xs) + intercept, window=points)
+    assert line.value == slope and line.residual == 0.0
+    if points >= 4:  # the log(rank) coefficient comes out exactly 0
+        ranked = rank_corrected_fit(xs, slope * np.array(xs) + intercept)
+        assert ranked.value == slope and ranked.residual == 0.0
+
+
+SMALL_EXP = {"system": {"kind": "shift", "symbols": 2, "depth": 8, "metric": "exp"},
+             "quantities": ["separated", "spanning"], "horizons": [1, 2, 3],
+             "grid": {"start": 0.5, "ratio": 0.6, "count": 6}}
+
+
+def test_no_estimate_reaches_numpy_linalg(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate called numpy.linalg")
+    for name in ("lstsq", "solve", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for case in CASES.values():
+        case()
+    config = parse_config(SMALL_EXP)
+    run_sweep(config, tmp_path)
+    run_estimates(config, tmp_path)
+
+
+# constant-entropy data: each entropy slope prints as log 2, and its residual
+# is 0 or one ulp of a rounded log(count)
+SMALL_EXP_ESTIMATES = """\
+quantity,system,x,estimate,liminf,limsup,residual,flag
+box-dimension,shift2x8-exp,0,0.736611243665,0,1.35691544886,0.217846256747,flagged
+metric-order,shift2x8-exp,0,0.478403803014,0,1.35691544886,0.231416345594,flagged
+entropy-at-scale,shift2x8-exp,0.498058254872,0.69314718056,0.69314718056,0.69314718056,4.4408920985e-16,ok
+entropy-at-scale,shift2x8-exp,0.298834952923,0.69314718056,0.69314718056,0.69314718056,0,ok
+entropy-at-scale,shift2x8-exp,0.179300971754,0.69314718056,0.69314718056,0.69314718056,0,ok
+entropy-at-scale,shift2x8-exp,0.107580583052,0.69314718056,0.69314718056,0.69314718056,0,ok
+entropy-at-scale,shift2x8-exp,0.0645483498315,0.69314718056,0.69314718056,0.69314718056,0,ok
+entropy-at-scale,shift2x8-exp,0.0387290098989,0.69314718056,0.69314718056,0.69314718056,4.4408920985e-16,ok
+mdim,shift2x8-exp,0,2.48387366417e-17,-4.3467789123e-16,2.17338945615e-16,2.22044604925e-16,ok
+mdim-mo,shift2x8-exp,0,0,0,0,0,ok
+"""
+
+
+def test_small_exp_shift_estimates_are_pinned_byte_for_byte(tmp_path):
+    # an exact fit rounds once, so no BLAS kernel choice can move these bytes
+    config = parse_config(SMALL_EXP)
+    run_sweep(config, tmp_path)
+    assert run_estimates(config, tmp_path).read_text() == SMALL_EXP_ESTIMATES
